@@ -32,8 +32,8 @@ from .core import (Element, ONE, ReesSemigroup, StructureMatrix, ZERO,
 from .errors import (BudgetExceededError, InvalidElementError,
                      IrregularMatrixError, ReesError, UnsupportedMatrixError,
                      WitnessSearchError)
-from .graphs import (antichain_table, build_adjacency, build_bipartite,
-                     build_identified, component_of, components, is_consistent)
+from .graphs import (CompiledWord, antichain_table, build_adjacency,
+                     build_bipartite, build_identified, components)
 from .groups import FiniteGroup
 from .matrices import (hat_transform, is_all_ones, is_bordered,
                        is_totally_balanced, lift_element_map, retract)
@@ -106,7 +106,7 @@ class MatrixProfile:
     equal_cols: bool
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def classify_matrix(M: StructureMatrix) -> MatrixProfile:
     if not M.is_zero_one:
         raise UnsupportedMatrixError("fast procedures expect a 0-1 matrix")
@@ -129,12 +129,11 @@ def _semigroup(M, with_identity=False) -> ReesSemigroup:
 
 _PROFILE_FIELDS = {
     "J": ("variables", "left symbol", "right symbol"),
-    "TB": ("graph components", "left-endpoint component",
+    "TB": ("variables", "graph components", "left-endpoint component",
            "right-endpoint component", "right symbol (equal rows)",
            "left symbol (equal columns)"),
     "G": ("adjacency graph", "left symbol", "right symbol"),
     "J1": ("variables", "left sequencing", "right sequencing"),
-    "TB1": ("identity-elimination slices",),
     "G1": ("left sequencing", "right sequencing", "antichain families"),
 }
 
@@ -158,53 +157,99 @@ def term_profile(M: StructureMatrix, p: Polynomial,
                 left_sequencing(p) if M.n >= 2 else None,
                 right_sequencing(p) if M.m >= 2 else None)
     if prof.totally_balanced:
+        names = tuple(sorted(p.variables))
+        cw = CompiledWord(p, names)  # a term has no constants to relabel
         if not with_identity:
-            return ("TB",) + _balanced_slice(prof, p)
+            return ("TB", names) + _term_slice(prof, cw, 0)
         # An identity-valued variable drops out of the word, so equality
         # over the extended semigroup is equality of every elimination
         # slice over the plain one.  (Component sequencings alone miss
         # this: x x y x and x x y y contract to y and y y.)
-        slices = []
-        for W in _proper_subsets(p.variables):
-            kept = tuple(s for s in p.word if s.name not in W)
-            slices.append((W, _balanced_slice(prof, Polynomial(kept))))
-        return ("TB1", tuple(slices))
+        return ("TB1", names, tuple(_term_slice(prof, cw, W)
+                                    for W in _slice_masks(len(names), False)))
     if not with_identity:
         return ("G", build_adjacency(p), p.leftmost.name, p.rightmost.name)
     return ("G1", left_sequencing(p), right_sequencing(p), antichain_table(p))
 
 
-def _subsets(names, full: bool):
-    """Frozensets of variable names in size-then-lexicographic order."""
-    names = sorted(set(names))
-    out = []
-    top = len(names) + 1 if full else len(names)
-    for k in range(top):
-        for combo in itertools.combinations(names, k):
-            out.append(frozenset(combo))
-    return tuple(out)
+def _slice_masks(n: int, full: bool = True) -> list[int]:
+    """Masks of eliminated variables in size-then-lexicographic order.
+
+    Bit j stands for the j-th name; with full false, the mask eliminating
+    all n variables is left out.
+    """
+    top = n + 1 if full else n
+    return [sum(1 << j for j in combo) for k in range(top)
+            for combo in itertools.combinations(range(n), k)]
 
 
-def _proper_subsets(names):
-    return _subsets(names, full=False)
+def _mask_names(names, mask: int) -> tuple[str, ...]:
+    return tuple(u for j, u in enumerate(names) if mask >> j & 1)
 
 
-def _balanced_slice(prof, p: Polynomial):
-    """The plain balanced-case conditions for one term, as a key."""
-    part = components(build_bipartite(p))
-    return (part,
-            component_of(part, ("v", p.leftmost.name, 1)),
-            component_of(part, ("v", p.rightmost.name, 2)),
-            p.rightmost.name if prof.equal_rows else None,
-            p.leftmost.name if prof.equal_cols else None)
+def _term_slice(prof, cw: CompiledWord, W: int) -> tuple:
+    """The plain balanced-case conditions for one slice of a term, as a key:
+    component labels, the labels of the end components and the gated end
+    symbols."""
+    lab = cw.labels(W)
+    x, y = cw.ends(W)
+    return (tuple(lab), lab[x], lab[y],
+            cw.names[y >> 1] if prof.equal_rows else None,
+            cw.names[x >> 1] if prof.equal_cols else None)
+
+
+def _label_groups(names, labels) -> dict:
+    """CompiledWord labels rendered as sets of ("v", name, side) vertices."""
+    groups: dict = {}
+    for v, c in enumerate(labels):
+        if c is not None:
+            groups.setdefault(c, set()).add(("v", names[v >> 1], 1 + (v & 1)))
+    return {c: frozenset(vs) for c, vs in groups.items()}
+
+
+def _readable_slice(names, key) -> tuple:
+    """A term-slice key with its labels rendered as vertex sets."""
+    comps = _label_groups(names, key[0])
+    return (frozenset(comps.values()), comps[key[1]], comps[key[2]]) + key[3:]
 
 
 def _profile_detail(kp, kq):
-    names = _PROFILE_FIELDS[kp[0]]
     out = [("matrix class", kp[0], kq[0], kp[0] == kq[0])]
-    for name, a, b in zip(names, kp[1:], kq[1:]):
+    if kp[0] == "TB1":
+        return tuple(out) + _slices_detail(kp, kq)
+    if kp[0] == "TB":
+        kp = kp[:2] + _readable_slice(kp[1], kp[2:])
+        kq = kq[:2] + _readable_slice(kq[1], kq[2:])
+    for name, a, b in zip(_PROFILE_FIELDS[kp[0]], kp[1:], kq[1:]):
         out.append((name, a, b, a == b))
     return tuple(out)
+
+
+def _first_mismatch(kp, kq):
+    """Index of the first elimination slice on which two TB1 profiles
+    differ, or None when they agree (or have different variables)."""
+    if kp[1] != kq[1]:
+        return None
+    return next((t for t, (a, b) in enumerate(zip(kp[2], kq[2])) if a != b),
+                None)
+
+
+def _slices_detail(kp, kq) -> tuple:
+    """TB1 rows: the number of slices compared when the profiles agree,
+    else the first mismatching slice with its two plain-slice profiles."""
+    if kp == kq:
+        return (("identity-elimination slices compared", len(kp[2])),)
+    t = _first_mismatch(kp, kq)
+    if t is None:
+        return (("variables", kp[1], kq[1], False),)
+    W = _slice_masks(len(kp[1]), False)[t]
+    rows = [("first mismatching slice, eliminated",
+             _mask_names(kp[1], W))]
+    fields = _PROFILE_FIELDS["TB"][1:]
+    a = _readable_slice(kp[1], kp[2][t])
+    b = _readable_slice(kq[1], kq[2][t])
+    rows += [(name, x, y, x == y) for name, x, y in zip(fields, a, b)]
+    return tuple(rows)
 
 
 def term_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
@@ -241,7 +286,8 @@ def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     if not find_witness:
         return Verdict("not-equal", method, None, detail)
     S = _semigroup(M, with_identity=True)
-    w = _search_distinguishing(S, p, q, (), budget, seed)
+    hints = _slice_witness_hints(M, p, q, kp, kq) if kp[0] == "TB1" else ()
+    w = _search_distinguishing(S, p, q, hints, budget, seed)
     return _emit_eq(S, p, q, w, method, detail)
 
 
@@ -323,37 +369,37 @@ def _term_witness_hints(M, p, q, kp, kq):
 def _balanced_term_hints(M, prof, p, q, kp, kq, union):
     hints = []
     plan = prof.plan
+    if kp[1] != kq[1] or plan.k < 2:
+        return hints  # different variables: the zero hints separate them
     lift = lift_element_map(plan)
-    parts_p, parts_q = kp[1], kq[1]
+    names, lab_p, lab_q = kp[1], kp[2], kq[2]
 
-    def from_values(values):
-        e = {}
-        for name in union:
-            v1 = values.get(("v", name, 1), 0)
-            v2 = values.get(("v", name, 2), 0)
-            e[name] = lift(triple(v1, 0, v2))
-        return e
+    def from_values(value):
+        """Assignment giving vertex v the class value(v)."""
+        return {name: lift(triple(value(2 * j), 0, value(2 * j + 1)))
+                for j, name in enumerate(names)}
 
-    if parts_p != parts_q and plan.k >= 2:
-        for zero_parts, nz_parts in ((parts_p, parts_q), (parts_q, parts_p)):
-            sep = _separate_partitions(zero_parts, nz_parts, plan.k)
-            if sep:
-                hints.append(from_values(sep))
-    elif plan.k >= 2:
+    if lab_p != lab_q:
+        # two vertices glued in one word's graph and apart in the other's:
+        # class 1 on the second vertex's component and 0 elsewhere keeps
+        # the second word nonzero and kills the first
+        for glued, apart in ((lab_p, lab_q), (lab_q, lab_p)):
+            pair_ = next(((a, b) for a in range(len(glued))
+                          for b in range(a + 1, len(glued))
+                          if glued[a] == glued[b] and apart[a] != apart[b]),
+                         None)
+            if pair_ is not None:
+                mark = apart[pair_[1]]
+                hints.append(from_values(
+                    lambda v, apart=apart, mark=mark: int(apart[v] == mark)))
+    else:
         # partitions agree; endpoint components or gated symbols differ
-        for slot, side in ((2, 1), (3, 2)):
+        for slot in (3, 4):
             if kp[slot] != kq[slot]:
-                values = {}
-                for comp in parts_p:
-                    v = 0
-                    if comp == kp[slot]:
-                        v = 0
-                    if comp == kq[slot]:
-                        v = 1
-                    for vert in comp:
-                        values[vert] = v
-                hints.append(from_values(values))
-        if kp[4] is not None and kp[4] != kq[4] and prof.equal_rows:
+                mark = kq[slot]
+                hints.append(from_values(lambda v, mark=mark:
+                                         int(lab_p[v] == mark)))
+        if kp[5] is not None and kp[5] != kq[5] and prof.equal_rows:
             rows = {}
             for lam in range(M.m):
                 rows.setdefault(M.row(lam), []).append(lam)
@@ -362,7 +408,7 @@ def _balanced_term_hints(M, prof, p, q, kp, kq, union):
             e = {u: pair(istar, alpha) for u in union}
             e[q.rightmost.name] = pair(istar, beta)
             hints.append(e)
-        if kp[5] is not None and kp[5] != kq[5] and prof.equal_cols:
+        if kp[6] is not None and kp[6] != kq[6] and prof.equal_cols:
             cols = {}
             for i in range(M.n):
                 cols.setdefault(M.col(i), []).append(i)
@@ -374,42 +420,20 @@ def _balanced_term_hints(M, prof, p, q, kp, kq, union):
     return hints
 
 
-def _separate_partitions(zero_parts, nz_parts, k):
-    """Component values separating two vertices glued on the zero side."""
-    for comp in sorted(zero_parts, key=repr):
-        verts = sorted(comp, key=repr)
-        for a, b in itertools.combinations(verts, 2):
-            try:
-                ca = component_of(nz_parts, a)
-                cb = component_of(nz_parts, b)
-            except ReesError:
-                continue
-            if ca == cb:
-                continue
-            forced = {}
-            for c in nz_parts:
-                idxs = {v[1] for v in c if v[0] == "m"}
-                forced[c] = idxs.pop() if idxs else None
-            va, vb = forced[ca], forced[cb]
-            if va is None and vb is None:
-                va, vb = 0, 1
-            elif va is None:
-                va = (vb + 1) % k
-            elif vb is None:
-                vb = (va + 1) % k
-            elif va == vb:
-                continue
-            values = {}
-            for c in nz_parts:
-                v = forced[c] if forced[c] is not None else 0
-                if c == ca:
-                    v = va
-                if c == cb:
-                    v = vb
-                for vert in c:
-                    values[vert] = v
-            return values
-    return None
+def _slice_witness_hints(M, p, q, kp, kq):
+    """Hints for a failed TB1 comparison: the plain hints for the kept words
+    of the first mismatching slice, with its eliminated variables set to the
+    identity.  Words over different variables get the zero hints."""
+    t = _first_mismatch(kp, kq)
+    if t is None:
+        return _term_witness_hints(M, p, q, kp, kq)
+    W = _mask_names(kp[1], _slice_masks(len(kp[1]), False)[t])
+    pw, qw = _eliminate_names(p, W), _eliminate_names(q, W)
+    hints = _term_witness_hints(M, pw, qw, term_profile(M, pw),
+                                term_profile(M, qw))
+    for h in hints:
+        h.update(dict.fromkeys(W, ONE))
+    return hints
 
 
 # ---------------------------------------------------------------------------
@@ -437,34 +461,22 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
 
     if prof.totally_balanced:
         method = "balanced-consistency"
-        subsets = _subsets(p.variables, full=True) if adjoin_identity \
-            else (frozenset(),)
-        alive = None
-        for W in subsets:
-            pw = _eliminate_names(p, W)
-            if pw is None:
-                alive = (W, None)
-                break
-            ph = hat_transform(pw, prof.plan)
-            if not any(not is_consistent(c)
-                       for c in components(build_bipartite(ph))):
-                alive = (W, ph)
-                break
-        detail = (("plan size", prof.plan.k),
-                  ("surviving slice",
-                   tuple(sorted(alive[0])) if alive else None))
-        if alive is None:
+        names = tuple(sorted(p.variables))
+        cw = CompiledWord(hat_transform(p, prof.plan), names)
+        masks = _slice_masks(len(names)) if adjoin_identity else (0,)
+        alive = next((W for W in masks if cw.labels(W) is not None), None)
+        W = None if alive is None else _mask_names(names, alive)
+        detail = (("plan size", prof.plan.k), ("surviving slice", W))
+        if W is None:
             return Verdict("zero", method, None, detail)
         if not find_witness:
             return Verdict("not-zero", method, None, detail)
-        W, ph = alive
-        if ph is None:
-            w = {v: ONE for v in p.variables}
-        else:
-            w = _balanced_nonzero_witness(prof.plan, ph,
-                                          [v for v in p.variables
-                                           if v not in W])
-            w.update({v: ONE for v in W})
+        # the witness slice alone goes through the explicit graph
+        pw = _eliminate_names(p, W)
+        w = dict.fromkeys(W, ONE)
+        if pw is not None:
+            w.update(_balanced_nonzero_witness(
+                prof.plan, hat_transform(pw, prof.plan), pw.variables))
         return _emit_nonzero(S, p, w, method, detail)
 
     if prof.bordered:
@@ -573,41 +585,35 @@ def zset_constraints(M: StructureMatrix, p: Polynomial | None):
     """
     if p is None:
         return ("system", frozenset(), frozenset())
-    plan = classify_matrix(M).plan
-    ph = hat_transform(p, plan)
-    if any(not is_consistent(c) for c in components(build_bipartite(ph))):
+    names = p.variables
+    cw = CompiledWord(hat_transform(p, classify_matrix(M).plan), names)
+    labels = cw.labels()
+    if labels is None:
         return ("zero",)
-    system = set()
-    for comp in components(build_identified(ph)):
-        vv = frozenset(v for v in comp if v[0] == "v")
-        if not vv:
-            continue
-        idxs = {v[1] for v in comp if v[0] == "m"}
-        tag = idxs.pop() if idxs else None
-        if tag is None and len(vv) == 1:
-            continue
-        system.add((vv, tag))
-    return ("system", frozenset(p.variables), frozenset(system))
+    system = frozenset((vv, -1 - c if c < 0 else None)
+                       for c, vv in _label_groups(names, labels).items()
+                       if c < 0 or len(vv) > 1)
+    return ("system", frozenset(names), system)
 
 
 def _zset_balanced(S, M, prof, p, q, union, find_witness, budget,
                    with_identity):
     method = "balanced-constraint-systems"
-    subsets = (_subsets(union, full=True) if with_identity
-               else (frozenset(),))
-    mismatch = None
-    for W in subsets:
-        cp = zset_constraints(M, _eliminate_names(p, W))
-        cq = zset_constraints(M, _eliminate_names(q, W))
-        if cp != cq:
-            mismatch = (W, cp, cq)
-            break
+    names = tuple(sorted(union))
+    cws = [CompiledWord(hat_transform(word, prof.plan), names)
+           for word in (p, q)]
+    # labels over shared vertex numbers are the constraint systems: None
+    # entries give the kept variables, the rest the components and pins
+    masks = _slice_masks(len(names)) if with_identity else (0,)
+    mismatch = next((W for W in masks
+                     if cws[0].labels(W) != cws[1].labels(W)), None)
     if mismatch is None:
         return Verdict("equal", method, None,
                        (("constraint systems", "agree on every slice"),))
-    W, cp, cq = mismatch
-    detail = (("identity slice", tuple(sorted(W))),
-              ("constraints", cp, cq, False))
+    W = _mask_names(names, mismatch)
+    cp = zset_constraints(M, _eliminate_names(p, W))
+    cq = zset_constraints(M, _eliminate_names(q, W))
+    detail = (("identity slice", W), ("constraints", cp, cq, False))
     if not find_witness:
         return Verdict("not-equal", method, None, detail)
 
@@ -771,6 +777,7 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     ends = _endpoint_symbols(p, q)
     endvars = [s.name for s in ends if s.is_var]
     nonzero = [pair(i, lam) for i in range(M.n) for lam in range(M.m)]
+    sides = [(side, _pin_test(M, prof, side)) for side in (p, q)]
     for combo in itertools.product(nonzero, repeat=len(endvars)):
         f = dict(zip(endvars, combo))
 
@@ -780,10 +787,8 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
         if (val(p.leftmost).first == val(q.leftmost).first
                 and val(p.rightmost).second == val(q.rightmost).second):
             continue
-        for side in (p, q):
-            sub = substitute_elements(side, f)
-            v = pol_zero(M, sub, allow_brute=False, find_witness=find_witness)
-            if v.kind == "zero":
+        for side, alive in sides:
+            if not alive(f):
                 continue
             detail = (("zero-sets equal", True),
                       ("endpoint assignment", Evaluation.of(f)),
@@ -791,12 +796,69 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
             if not find_witness:
                 return Verdict("not-equal", method, None, detail)
             w = dict(f)
-            w.update(v.witness.as_dict())
+            w.update(_pinned_witness(M, side, f))
             for u in p.variables + q.variables:
                 w.setdefault(u, nonzero[0])
             return _emit_eq(S, p, q, w, method, detail)
     return Verdict("equal", method, None, (("zero-sets equal", True),
                                            ("endpoint scan", "clean")))
+
+
+def _pin_test(M, prof, p):
+    """Predicate on assignments f of some of p's variables to nonzero
+    elements: is p, with f substituted, not identically zero?
+
+    Only for the plain semigroup of a balanced or bordered M.  Substituting
+    a variable pins its two vertices and leaves every edge in place, so p's
+    graph is built once and each f is a check of pins.
+    """
+    if prof.totally_balanced:
+        plan = prof.plan
+        names = p.variables
+        labels = CompiledWord(hat_transform(p, plan), names).labels()
+        if labels is None:
+            return lambda f: False
+        index = {u: j for j, u in enumerate(names)}
+
+        def alive(f):
+            pins: dict = {}
+            for u, e in f.items():
+                j = index.get(u)
+                if j is None:
+                    continue
+                for v, c in ((2 * j, plan.col_class[e.i]),
+                             (2 * j + 1, plan.row_class[e.lam])):
+                    lab = labels[v]
+                    if lab < 0:
+                        if -1 - lab != c:
+                            return False
+                    elif pins.setdefault(lab, c) != c:
+                        return False
+            return True
+        return alive
+
+    # bordered: an unpinned variable takes border indices, whose row and
+    # column are all ones, so only a pair of constant or pinned symbols
+    # can meet a zero entry
+    pairs = tuple(zip(p.word, p.word[1:]))
+
+    def alive(f):
+        for s, t in pairs:
+            a = f.get(s.name) if s.is_var else s.elem
+            b = f.get(t.name) if t.is_var else t.elem
+            if a is not None and b is not None and not M.entry(a.lam, b.i):
+                return False
+        return True
+    return alive
+
+
+def _pinned_witness(M, p, f) -> dict:
+    """Witness for the rest of p once a pin test accepted f."""
+    v = pol_zero(M, substitute_elements(p, f), allow_brute=False)
+    if v.kind == "zero":
+        raise WitnessSearchError(f"pin test accepted {Evaluation.of(f)} "
+                                 f"but {p} is zero under it")
+    return v.witness.as_dict()
 
 
 def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
@@ -833,6 +895,7 @@ def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
 
     method = "endpoint-zero-tests"
     left, right = p.leftmost, p.rightmost
+    alive = _pin_test(M, prof, p)
     for alpha in range(M.m):
         for r in range(M.n):
             f = {}
@@ -848,12 +911,10 @@ def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
                 f[right.name] = cand
             elif right.elem.lam != b.lam:
                 continue
-            sub = substitute_elements(p, f)
-            v = pol_zero(M, sub, allow_brute=False)
-            if v.kind == "zero":
+            if not alive(f):
                 continue
             w = dict(f)
-            w.update(v.witness.as_dict())
+            w.update(_pinned_witness(M, p, f))
             return _emit_sat(S, p, b, w, method,
                              (("pinned endpoints", Evaluation.of(f)),))
     return Verdict("unsat", method)
@@ -934,7 +995,7 @@ class ZSet:
     zeros: frozenset
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _tables(S: ReesSemigroup):
     els = tuple(S.elements())
     index = {e: k for k, e in enumerate(els)}

@@ -17,6 +17,10 @@ semigroup:
 Vertices are plain tuples: ("v", name, side) for variables,
 ("c", index, side) for constants, and ("m", index) after identification,
 with side 1 = X and side 2 = Y.
+
+Procedures that test many slices of one word (its variables partly
+eliminated) or many pinnings of its end variables use CompiledWord instead:
+the identified graph on integer vertices, one union-find pass per slice.
 """
 
 from __future__ import annotations
@@ -84,32 +88,25 @@ def build_identified(p: Polynomial) -> Bigraph:
 # ---------------------------------------------------------------------------
 # Connected components
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+def _find(parent: list, x: int) -> int:
+    """Root of x in an integer union-find forest, halving the path."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 def components(g: Bigraph) -> frozenset:
     """Partition of the vertex set into connected components."""
-    uf = _UnionFind(g.vertices)
+    verts = tuple(g.vertices)
+    ids = {v: k for k, v in enumerate(verts)}
+    parent = list(range(len(verts)))
     for a, b in g.edges:
-        uf.union(a, b)
+        ra, rb = _find(parent, ids[a]), _find(parent, ids[b])
+        if ra != rb:
+            parent[rb] = ra
     groups: dict = {}
-    for v in g.vertices:
-        groups.setdefault(uf.find(v), set()).add(v)
+    for k, v in enumerate(verts):
+        groups.setdefault(_find(parent, k), set()).add(v)
     return frozenset(frozenset(c) for c in groups.values())
 
 
@@ -122,8 +119,78 @@ def is_consistent(component) -> bool:
     return len(_indices_of(component)) <= 1
 
 
-def has_inconsistent_component(g: Bigraph) -> bool:
-    return any(not is_consistent(c) for c in components(g))
+class CompiledWord:
+    """A word over an identity matrix, compiled for integer union-find passes.
+
+    With V names, variable names[j] owns vertex 2j on side X and 2j + 1 on
+    side Y, and constant index c is the vertex 2V + c on both sides, so the
+    components are those of the identified graph.  Each position of the word
+    is stored as (variable bit, X vertex, Y vertex), with bit 0 for a
+    constant.  A slice drops the positions whose bit is in a mask; dropping
+    removes only variables and never relabels a constant, so one compilation
+    of the hat-transformed word serves every slice of it.
+    """
+
+    def __init__(self, p: Polynomial, names):
+        self.names = tuple(names)
+        index = {u: j for j, u in enumerate(self.names)}
+        self.base = base = 2 * len(self.names)
+        self.varmask = 0
+        positions = []
+        top = base
+        for s in p.word:
+            if s.is_var:
+                j = index[s.name]
+                self.varmask |= 1 << j
+                positions.append((1 << j, 2 * j, 2 * j + 1))
+            else:
+                x, y = base + s.elem.i, base + s.elem.lam
+                top = max(top, x + 1, y + 1)
+                positions.append((0, x, y))
+        self.positions = tuple(positions)
+        self.size = top
+
+    def labels(self, drop: int = 0):
+        """Component labels of one slice, or None when the slice is zero.
+
+        Keeps the positions whose bit is not in `drop` and joins each kept
+        position's X vertex to the Y vertex of the kept position before it.
+        Over an identity matrix the slice is identically zero exactly when
+        a component holds two distinct constants; the pass stops there.
+        Otherwise the list has one entry per variable vertex: -1 - c when
+        its component holds constant c, else the rank of its component in
+        order of first vertex, and None for a dropped or absent variable.
+        """
+        base = self.base
+        parent = list(range(self.size))
+        prev = -1
+        for bit, x, y in self.positions:
+            if bit & drop:
+                continue
+            if prev >= 0:
+                a, b = _find(parent, x), _find(parent, prev)
+                if a != b:
+                    if a < base:
+                        parent[a] = b
+                    elif b < base:
+                        parent[b] = a  # a constant stays the root
+                    else:
+                        return None
+            prev = y
+        kept = self.varmask & ~drop
+        out = [None] * base
+        rank: dict = {}
+        for v in range(base):
+            if kept >> (v >> 1) & 1:
+                r = _find(parent, v)
+                out[v] = base - 1 - r if r >= base else \
+                    rank.setdefault(r, len(rank))
+        return out
+
+    def ends(self, drop: int = 0) -> tuple[int, int]:
+        """X vertex of the first kept position, Y vertex of the last."""
+        kept = [pos for pos in self.positions if not pos[0] & drop]
+        return kept[0][1], kept[-1][2]
 
 
 def component_of(partition, vertex) -> frozenset:

@@ -74,6 +74,22 @@ def test_explain_prints_certificate(i2_file, capsys):
     assert "matrix class" in out
 
 
+def test_explain_identity_slices(i2_file, capsys):
+    # the balanced class with identity names the first mismatching slice
+    # and its two plain profiles instead of every slice
+    assert main(["term-eq", "--matrix", i2_file, "--adjoin-identity",
+                 "--explain", "x y z x", "x z y x"]) == 1
+    rows = [ln for ln in capsys.readouterr().out.splitlines()
+            if ln.startswith("  ")]
+    assert rows[1] == "  first mismatching slice, eliminated | ()"
+    assert rows[2].startswith("  graph components | ")
+    assert len(rows) == 7
+    assert main(["term-eq", "--matrix", i2_file, "--adjoin-identity",
+                 "--explain", "x y z x", "x y z x"]) == 0
+    out = capsys.readouterr().out
+    assert "identity-elimination slices compared | 7" in out
+
+
 def test_zset_eq(i2_file):
     assert main(["zset-eq", "--matrix", i2_file,
                  "[1,1] u^2 [1,1]", "[1,1] u [1,1]"]) == 0

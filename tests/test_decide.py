@@ -1,6 +1,8 @@
 """Decision procedures against their exhaustive oracles, plus the worked
 facts each procedure is pinned to."""
 
+import random
+
 import pytest
 
 import reeseq as r
@@ -62,6 +64,20 @@ def test_term_eq_s1_examples():
     assert v.kind == "not-equal"
 
 
+def test_term_eq_s1_witness_from_first_mismatching_slice():
+    # decided from the slice profiles; the witness comes from the plain
+    # hints of the first mismatching slice, not from exhausting 11^7
+    # assignments, so even a budget of 10 suffices
+    I3 = r.identity(3)
+    p = r.word_of("a b c d e f g a b c d e f g")
+    q = r.word_of("a b c d e f g g f e d c b a")
+    v = r.term_eq_s1(I3, p, q, budget=10)
+    assert v.kind == "not-equal"
+    S1 = r.combinatorial(I3, True)
+    w = v.witness.as_dict()
+    assert r.evaluate(S1, p, w) != r.evaluate(S1, q, w)
+
+
 def test_term_oracle_agreement_2x2():
     # fast verdicts match the exhaustive oracle on every pair, both plain
     # and with the identity adjoined (smoke-scale; the acceptance suite
@@ -107,6 +123,69 @@ def test_pol_zero_identity_slice():
     v = r.pol_zero(I2, p, adjoin_identity=True)
     assert v.kind == "not-zero"
     assert v.witness.as_dict()["v"] == r.ONE
+
+
+IDENTITY_SLICE_MATRICES = (
+    r.identity(2), r.identity(3), r.matrix(((1, 1, 0), (1, 1, 0), (0, 0, 1))),
+    r.matrix(((1, 0), (0, 1), (0, 1))))
+
+
+def random_words(M, rng, count, names=("x", "y", "z"), max_len=5):
+    S = r.combinatorial(M)
+    consts = [f"[{i + 1},{lam + 1}]" for i in range(M.n) for lam in range(M.m)]
+    syms = list(names) + consts
+    texts = dict.fromkeys(" ".join(rng.choice(syms)
+                                   for _ in range(rng.randint(1, max_len)))
+                          for _ in range(count))
+    return [r.parse_polynomial(t, S) for t in texts]
+
+
+@pytest.mark.parametrize("M", IDENTITY_SLICE_MATRICES,
+                         ids=["I2", "I3", "T33", "T32"])
+def test_identity_slices_match_oracles(M):
+    # pol_zero and pol_zset_eq with the identity adjoined walk every
+    # elimination slice; compare both against the oracles over S^1
+    rng = random.Random(11)
+    S1 = r.combinatorial(M, True)
+    pool = random_words(M, rng, 300)
+    for p in pool:
+        assert r.pol_zero(M, p, adjoin_identity=True).kind == \
+            r.brute_zero(S1, p).kind, str(p)
+    for _ in range(2500):
+        p, q = rng.choice(pool), rng.choice(pool)
+        assert r.pol_zset_eq(M, p, q, adjoin_identity=True,
+                             find_witness=False).kind == \
+            r.brute_zset_eq(S1, p, q).kind, (str(p), str(q))
+    for _ in range(200):
+        p, q = rng.choice(pool), rng.choice(pool)
+        v = r.pol_zset_eq(M, p, q, adjoin_identity=True)
+        assert v.kind == r.brute_zset_eq(S1, p, q).kind, (str(p), str(q))
+
+
+@pytest.mark.parametrize("M", [r.matrix(((1, 1, 0, 0), (0, 0, 1, 0),
+                                         (0, 0, 0, 1))), r.border(I2)],
+                         ids=["balanced-3x4", "border-identity2"])
+def test_endpoint_scan_matches_oracle(M):
+    # identically-zero words with three distinct end variables make pol_eq
+    # scan every endpoint assignment; random pairs add scans that find a
+    # surviving assignment
+    rng = random.Random(12)
+    S = r.combinatorial(M)
+    dead = next(f"[{i + 1},{lam + 1}] [{j + 1},{gam + 1}]"
+                for i in range(M.n) for lam in range(M.m)
+                for j in range(M.n) for gam in range(M.m)
+                if not M.entry(lam, j))
+    cases = []
+    for _ in range(6):
+        inner = [" ".join(rng.choice(("x", "x", dead)) for _ in range(2))
+                 for _ in range(2)]
+        cases.append((r.parse_polynomial(f"a {inner[0]} {dead} b", S),
+                      r.parse_polynomial(f"c {dead} {inner[1]} b", S)))
+    pool = random_words(M, rng, 60, names=("a", "b", "x"), max_len=4)
+    cases += [(rng.choice(pool), rng.choice(pool)) for _ in range(150)]
+    for p, q in cases:
+        assert r.pol_eq(M, p, q).kind == r.brute_eq(S, p, q).kind, \
+            (str(p), str(q))
 
 
 def test_pol_zero_unsupported_class():
@@ -277,6 +356,12 @@ def test_not_balanced_terms_zero_sets_reduce_to_adjacency():
             for q in terms:
                 assert (build_adjacency(p) == build_adjacency(q)) == \
                     (r.brute_zset_eq(S, p, q).kind == "equal")
+
+
+def test_caches_are_bounded():
+    from reeseq import decide
+    for cached in (decide.classify_matrix, decide._tables):
+        assert cached.cache_info().maxsize is not None
 
 
 def test_budget_refusal():

@@ -2,6 +2,7 @@
 consistency, sequencings and antichain families."""
 
 import itertools
+import random
 
 import pytest
 
@@ -93,6 +94,49 @@ def test_consistency_matches_identified_index_count():
         rhs = all(len({v[1] for v in c if v[0] == "m"}) <= 1
                   for c in r.components(build_identified(p)))
         assert lhs == rhs, text
+
+
+def test_compiled_word_matches_identified_graph():
+    # every slice of a compiled word agrees with the explicit graphs of the
+    # word with those variables eliminated: zero exactly when a bipartite
+    # component is inconsistent, otherwise the same variable components
+    # and the same pinned indices as the identified graph
+    from reeseq.graphs import CompiledWord
+    S3 = r.combinatorial(r.identity(3))
+    rng = random.Random(5)
+    syms = ["x", "y", "z", "[1,1]", "[1,2]", "[2,2]", "[3,1]", "[3,3]"]
+    for _ in range(300):
+        p = r.parse_polynomial(" ".join(rng.choice(syms)
+                                        for _ in range(rng.randint(1, 7))), S3)
+        names = ("x", "y", "z")
+        cw = CompiledWord(p, names)
+        for drop in range(8):
+            gone = {u for j, u in enumerate(names) if drop >> j & 1}
+            kept = [s for s in p.word if not (s.is_var and s.name in gone)]
+            labels = cw.labels(drop)
+            if not kept:
+                assert labels == [None] * 6
+                continue
+            pw = r.Polynomial(tuple(kept))
+            zero = not all(r.is_consistent(c)
+                           for c in r.components(build_bipartite(pw)))
+            assert (labels is None) == zero, (str(p), drop)
+            if zero:
+                continue
+            expected = set()
+            for comp in r.components(build_identified(pw)):
+                verts = {v for v in comp if v[0] == "v"}
+                pins = {v[1] for v in comp if v[0] == "m"}
+                if verts:
+                    expected.add((frozenset(verts), frozenset(pins)))
+            groups = {}
+            for v, c in enumerate(labels):
+                if c is not None:
+                    groups.setdefault(c, set()).add(
+                        ("v", names[v // 2], 1 + v % 2))
+            got = {(frozenset(vs), frozenset({-1 - c} if c < 0 else ()))
+                   for c, vs in groups.items()}
+            assert got == expected, (str(p), drop)
 
 
 def test_zero_characterization_small():
