@@ -32,7 +32,7 @@ from .matrices import (RetractionPlan, all_ones, border, direct_sum,
 from .words import (Evaluation, Polynomial, Symbol, const, eliminate_variable,
                     evaluate, instance_size, left_sequencing, parse_polynomial,
                     permute_polynomial, poly, polynomial_str,
-                    reverse_polynomial, right_sequencing, substitute,
-                    substitute_elements, transpose_polynomial, var, word_of)
+                    right_sequencing, substitute, substitute_elements,
+                    transpose_polynomial, var, word_of)
 
 __version__ = "0.1.0"

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import decide, fields, matrices, reductions
@@ -18,10 +17,6 @@ from .errors import ParseError, ReesError
 from .graphs import build_adjacency, build_bipartite, build_identified, to_dot
 from .words import (Evaluation, parse_instance_lines, parse_polynomial,
                     polynomial_str)
-
-
-def _budget_default() -> int:
-    return int(os.environ.get("REESEQ_BUDGET", "10000000"))
 
 
 def _add_common(sub, matrix_arg=True):
@@ -37,8 +32,6 @@ def _add_common(sub, matrix_arg=True):
     sub.add_argument("--explain", action="store_true",
                      help="print the dispatch path and certificate")
     sub.add_argument("--format", choices=("plain", "json"), default="plain")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for randomized witness search order")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,9 +40,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="equivalence procedures for finite Rees matrix semigroups")
     subs = ap.add_subparsers(dest="command", required=True)
 
-    for name, nargs in (("term-eq", 2), ("pol-eq", 2), ("zset-eq", 2),
-                        ("pol-zero", 1)):
+    for name, nargs, func in (("term-eq", 2, _run_eq), ("pol-eq", 2, _run_eq),
+                              ("zset-eq", 2, _run_eq),
+                              ("pol-zero", 1, _run_pol_zero)):
         sub = subs.add_parser(name)
+        sub.set_defaults(func=func)
         _add_common(sub)
         sub.add_argument("words", nargs="*" if name in ("pol-eq", "pol-zero")
                          else nargs, help="polynomial text")
@@ -58,22 +53,26 @@ def build_parser() -> argparse.ArgumentParser:
                              "per line, or 'EQ p | q' lines)")
 
     sub = subs.add_parser("pol-sat")
+    sub.set_defaults(func=_run_pol_sat)
     _add_common(sub)
     sub.add_argument("words", nargs=2,
                      help="polynomial text and target element "
                           "(0, 1 or [i,lam])")
 
     sub = subs.add_parser("brute-check")
+    sub.set_defaults(func=_run_brute_check)
     _add_common(sub)
     sub.add_argument("--op", required=True,
                      choices=("term-eq", "pol-eq", "pol-zero", "pol-sat"))
     sub.add_argument("words", nargs="+")
 
     sub = subs.add_parser("analyze-matrix")
+    sub.set_defaults(func=_run_analyze)
     sub.add_argument("matrix", help="structure matrix file")
     sub.add_argument("--format", choices=("plain", "json"), default="plain")
 
     sub = subs.add_parser("graph")
+    sub.set_defaults(func=_run_graph)
     sub.add_argument("--matrix", required=True)
     sub.add_argument("--kind", choices=("adjacency", "bipartite", "identified"),
                      default="bipartite")
@@ -81,12 +80,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("word")
 
     sub = subs.add_parser("reduce")
+    sub.set_defaults(func=_run_reduce)
     sub.add_argument("problem", choices=("3col",))
     sub.add_argument("graph", help="graph file: 'n m' header plus edge lines")
     sub.add_argument("--out", help="write the polynomial here and the "
                      "variable map to <out>.map.json")
 
     sub = subs.add_parser("gen")
+    sub.set_defaults(func=_run_gen)
     sub.add_argument("kind", choices=("identity", "hollow", "all-ones",
                                       "border", "direct-sum", "rank1",
                                       "shadow"))
@@ -150,7 +151,8 @@ def _parse_target(text, S):
     return p.word[0].elem
 
 
-def _run_eq(ns, op):
+def _run_eq(ns):
+    op = ns.command
     M, S = _load_context(ns)
     if getattr(ns, "file", None):
         return _run_batch(ns, op, M, S)
@@ -160,9 +162,9 @@ def _run_eq(ns, op):
     q = parse_polynomial(ns.words[1], S)
     if op == "term-eq":
         if ns.adjoin_identity:
-            v = decide.term_eq_s1(M, p, q, budget=ns.budget, seed=ns.seed)
+            v = decide.term_eq_s1(M, p, q, budget=ns.budget)
         else:
-            v = decide.term_eq(M, p, q, budget=ns.budget, seed=ns.seed)
+            v = decide.term_eq(M, p, q, budget=ns.budget)
     elif op == "pol-eq":
         v = decide.pol_eq(M, p, q, adjoin_identity=ns.adjoin_identity,
                           allow_brute=ns.brute, budget=ns.budget)
@@ -309,28 +311,37 @@ def _run_reduce(ns):
     return 0
 
 
+def _gen_args(ns, *types):
+    """The gen arguments converted by types, one each."""
+    if len(ns.args) != len(types):
+        raise ParseError(f"gen {ns.kind} expects {len(types)} argument(s), "
+                         f"got {len(ns.args)}")
+    try:
+        return [t(a) for t, a in zip(types, ns.args)]
+    except ValueError as exc:
+        raise ParseError(f"gen {ns.kind}: bad argument: {exc}") from exc
+
+
 def _run_gen(ns):
-    kind, args = ns.kind, ns.args
+    kind = ns.kind
     group = None
     if kind == "identity":
-        M = matrices.identity(int(args[0]))
+        M = matrices.identity(*_gen_args(ns, int))
     elif kind == "hollow":
-        M = matrices.hollow(int(args[0]))
+        M = matrices.hollow(*_gen_args(ns, int))
     elif kind == "all-ones":
-        M = matrices.all_ones(int(args[0]), int(args[1]))
+        M = matrices.all_ones(*_gen_args(ns, int, int))
     elif kind == "border":
-        M, group = load_matrix(args[0])
+        M, group = load_matrix(*_gen_args(ns, str))
         M = matrices.border(M)
     elif kind == "direct-sum":
-        A, _ = load_matrix(args[0])
-        B, _ = load_matrix(args[1])
+        A, B = (load_matrix(a)[0] for a in _gen_args(ns, str, str))
         M = matrices.direct_sum(A, B)
     elif kind == "rank1":
-        rk = fields.rank1_semigroup(int(args[0]), int(args[1]))
+        rk = fields.rank1_semigroup(*_gen_args(ns, int, int))
         M, group = rk.semigroup.matrix, rk.semigroup.group
     else:  # shadow
-        M, _ = load_matrix(args[0])
-        M = M.shadow()
+        M = load_matrix(*_gen_args(ns, str))[0].shadow()
     text = format_matrix_file(M, group)
     if ns.out:
         with open(ns.out, "w", encoding="utf-8") as fh:
@@ -343,30 +354,13 @@ def _run_gen(ns):
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        if ns.command == "term-eq":
-            return _run_eq(ns, "term-eq")
-        if ns.command == "pol-eq":
-            return _run_eq(ns, "pol-eq")
-        if ns.command == "zset-eq":
-            return _run_eq(ns, "zset-eq")
-        if ns.command == "pol-zero":
-            return _run_pol_zero(ns)
-        if ns.command == "pol-sat":
-            return _run_pol_sat(ns)
-        if ns.command == "brute-check":
-            return _run_brute_check(ns)
-        if ns.command == "analyze-matrix":
-            return _run_analyze(ns)
-        if ns.command == "graph":
-            return _run_graph(ns)
-        if ns.command == "reduce":
-            return _run_reduce(ns)
-        if ns.command == "gen":
-            return _run_gen(ns)
+        return ns.func(ns)
     except (ReesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
+    except Exception as exc:  # exit 1 is for decided negatives only
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

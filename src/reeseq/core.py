@@ -34,16 +34,6 @@ class Element:
     g: int = -1
     lam: int = -1
 
-    @property
-    def first(self) -> int:
-        """First coordinate of a nonzero product (the column index i)."""
-        return self.i
-
-    @property
-    def second(self) -> int:
-        """Second coordinate of a nonzero product (the row index lam)."""
-        return self.lam
-
     def __repr__(self):
         if self.kind == "zero":
             return "Element(0)"
@@ -248,10 +238,6 @@ class ReesSemigroup:
         if self.has_identity:
             raise InvalidElementError("identity already adjoined")
         return replace(self, has_identity=True)
-
-    def adjoin_zero(self) -> "ReesSemigroup":
-        """Rees matrix semigroups already have an absorbing zero: no-op."""
-        return self
 
 
 def combinatorial(M: StructureMatrix, with_identity: bool = False) -> ReesSemigroup:

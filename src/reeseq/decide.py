@@ -14,18 +14,20 @@ Each fast procedure dispatches on the structure-matrix class:
   verdict records that it did.
 
 Every verdict carries a method tag, and negative (positive, for
-satisfiability) verdicts carry a witness evaluation that is re-checked at
-emission time.  The brute-force oracles at the bottom are the ground truth
-the fast paths are tested against; they never share code with the procedure
-they certify.
+satisfiability) verdicts carry a witness evaluation that is re-checked
+through words.evaluate at emission time.  The exhaustive oracles at the
+bottom, the ground truth the fast paths are tested against, share one search
+kernel with the witness search; no fast-path decision calls it.
+value_vector is the one loop that builds full value tables.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 import os
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .core import (Element, ONE, ReesSemigroup, StructureMatrix, ZERO,
                    combinatorial, element_str, is_regular, pair, triple)
@@ -36,7 +38,8 @@ from .graphs import (CompiledWord, antichain_table, build_adjacency,
                      build_bipartite, build_identified, components)
 from .groups import FiniteGroup
 from .matrices import (hat_transform, is_all_ones, is_bordered,
-                       is_totally_balanced, lift_element_map, retract)
+                       is_totally_balanced, lift_element_map, retract,
+                       violating_submatrix)
 from .words import (Evaluation, Polynomial, evaluate, left_sequencing,
                     right_sequencing, substitute_elements,
                     validate_polynomial)
@@ -68,8 +71,6 @@ class Verdict:
 
 
 def _emit_eq(S, p, q, witness, method, detail=()):
-    if witness is None:
-        return Verdict("not-equal", method, None, detail)
     w = dict(witness)
     if evaluate(S, p, w) == evaluate(S, q, w):
         raise WitnessSearchError(f"bogus inequality witness {witness} "
@@ -118,10 +119,6 @@ def classify_matrix(M: StructureMatrix) -> MatrixProfile:
     cols = len({M.col(i) for i in range(M.n)}) < M.n
     return MatrixProfile(M, is_all_ones(M), balanced, is_bordered(M),
                          plan, rows, cols)
-
-
-def _semigroup(M, with_identity=False) -> ReesSemigroup:
-    return combinatorial(M, with_identity)
 
 
 # ---------------------------------------------------------------------------
@@ -253,8 +250,7 @@ def _slices_detail(kp, kq) -> tuple:
 
 
 def term_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
-            find_witness: bool = True, budget: int | None = None,
-            seed: int | None = None) -> Verdict:
+            find_witness: bool = True, budget: int | None = None) -> Verdict:
     """Decide p = q for terms over the combinatorial semigroup of M."""
     kp = term_profile(M, p)
     kq = term_profile(M, q)
@@ -265,15 +261,14 @@ def term_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
         return Verdict("equal", method, None, detail)
     if not find_witness:
         return Verdict("not-equal", method, None, detail)
-    S = _semigroup(M)
+    S = combinatorial(M)
     hints = _term_witness_hints(M, p, q, kp, kq)
-    w = _search_distinguishing(S, p, q, hints, budget, seed)
+    w = _search_distinguishing(S, p, q, hints, budget)
     return _emit_eq(S, p, q, w, method, detail)
 
 
 def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
-               find_witness: bool = True, budget: int | None = None,
-               seed: int | None = None) -> Verdict:
+               find_witness: bool = True, budget: int | None = None) -> Verdict:
     """Decide p = q for terms over the semigroup of M with identity adjoined."""
     kp = term_profile(M, p, with_identity=True)
     kq = term_profile(M, q, with_identity=True)
@@ -285,9 +280,9 @@ def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
         return Verdict("equal", method, None, detail)
     if not find_witness:
         return Verdict("not-equal", method, None, detail)
-    S = _semigroup(M, with_identity=True)
+    S = combinatorial(M, with_identity=True)
     hints = _slice_witness_hints(M, p, q, kp, kq) if kp[0] == "TB1" else ()
-    w = _search_distinguishing(S, p, q, hints, budget, seed)
+    w = _search_distinguishing(S, p, q, hints, budget)
     return _emit_eq(S, p, q, w, method, detail)
 
 
@@ -299,22 +294,6 @@ def _nonzero_cell(M):
             if M.entry(lam, i):
                 return lam, i
     raise IrregularMatrixError("no nonzero entry")
-
-
-def _violating_submatrix(M):
-    """Rows a, b and columns c, d with exactly one zero, at (b, d)."""
-    for a in range(M.m):
-        for b in range(M.m):
-            if a == b:
-                continue
-            for c in range(M.n):
-                for d in range(M.n):
-                    if c == d:
-                        continue
-                    if (M.entry(a, c) and M.entry(a, d) and M.entry(b, c)
-                            and not M.entry(b, d)):
-                        return a, b, c, d
-    return None
 
 
 def _term_witness_hints(M, p, q, kp, kq):
@@ -342,7 +321,7 @@ def _term_witness_hints(M, p, q, kp, kq):
             hints.append(e)
 
     if kp[0] == "G":
-        cells = _violating_submatrix(M)
+        cells = violating_submatrix(M)
         if cells:
             a, b, c, d = cells
             gp, gq = kp[1], kq[1]
@@ -456,7 +435,7 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
     identically zero plain yet revivable through the identity.
     """
     prof = classify_matrix(M)
-    S = _semigroup(M, adjoin_identity)
+    S = combinatorial(M, adjoin_identity)
     validate_polynomial(S, p)
 
     if prof.totally_balanced:
@@ -483,7 +462,7 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
         # a dead border evaluation pins the zero on an adjacent constant
         # pair, which no assignment (identity included) can separate
         e0 = _border_completion(M, p, {})
-        v = evaluate(_semigroup(M), p, e0)
+        v = evaluate(combinatorial(M), p, e0)
         detail = (("border evaluation", Evaluation.of(e0)),)
         if v == ZERO:
             return Verdict("zero", "border-evaluation", None, detail)
@@ -534,7 +513,7 @@ def pol_zset_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
                 budget: int | None = None, find_witness: bool = True) -> Verdict:
     """Do p and q vanish on exactly the same evaluations?"""
     prof = classify_matrix(M)
-    S = _semigroup(M, adjoin_identity)
+    S = combinatorial(M, adjoin_identity)
     validate_polynomial(S, p)
     validate_polynomial(S, q)
     union = tuple(dict.fromkeys(p.variables + q.variables))
@@ -611,50 +590,51 @@ def _zset_balanced(S, M, prof, p, q, union, find_witness, budget,
         return Verdict("equal", method, None,
                        (("constraint systems", "agree on every slice"),))
     W = _mask_names(names, mismatch)
-    cp = zset_constraints(M, _eliminate_names(p, W))
-    cq = zset_constraints(M, _eliminate_names(q, W))
+    pw, qw = _eliminate_names(p, W), _eliminate_names(q, W)
+    cp, cq = zset_constraints(M, pw), zset_constraints(M, qw)
     detail = (("identity slice", W), ("constraints", cp, cq, False))
     if not find_witness:
         return Verdict("not-equal", method, None, detail)
 
-    hint = _zset_balanced_hint(S, M, prof, p, q, union, W, cp, cq)
+    hint = _zset_balanced_hint(prof, pw, qw, union, W, cp, cq)
     if hint is not None:
         w = dict(hint)
         if (evaluate(S, p, w) == ZERO) != (evaluate(S, q, w) == ZERO):
             return _emit_eq_zset(S, p, q, w, method, detail)
-    w = _search_zset_witness(S, p, q, budget)
+    # pw and qw differ in zero set over the plain semigroup, and with W set
+    # to the identity a witness for them is one for p and q.  Neither is
+    # empty: a word made only of W's variables would make an earlier slice,
+    # the empty one, mismatch first.
+    w = _first(combinatorial(M), (pw, qw), _zero_differs, budget)
+    if w is None:
+        raise WitnessSearchError("zero sets agree under exhaustion; "
+                                 "the fast path is wrong")
+    w.update(dict.fromkeys(W, ONE))
     return _emit_eq_zset(S, p, q, w, method, detail)
 
 
-def _zset_balanced_hint(S, M, prof, p, q, union, W, cp, cq):
-    """Candidate separating evaluation for a failed slice comparison."""
-    lift = lift_element_map(prof.plan)
-    base = lift(triple(0, 0, 0))
-    pw = _eliminate_names(p, W)
-    qw = _eliminate_names(q, W)
-    nz = None
+def _zset_balanced_hint(prof, pw, qw, union, W, cp, cq):
+    """Candidate separating evaluation for a failed slice comparison of the
+    slice words pw and qw (None for an empty word), with W set to ONE."""
+    kill = None
     if cp == ("zero",) and qw is not None:
-        nz, nz_word = q, qw
+        nz_word = qw
     elif cq == ("zero",) and pw is not None:
-        nz, nz_word = p, pw
-    if nz is not None:
-        hint = _balanced_nonzero_witness(
-            prof.plan, hat_transform(nz_word, prof.plan), nz_word.variables)
-        for u in union:
-            hint.setdefault(u, base)
-        hint.update({v: ONE for v in W})
-        return hint
-    if cp[0] == "system" and cq[0] == "system" and cp[1] != cq[1]:
-        v = sorted(cp[1] ^ cq[1])[0]
-        nz_word = qw if v in cp[1] else pw
-        hint = _balanced_nonzero_witness(
-            prof.plan, hat_transform(nz_word, prof.plan), nz_word.variables)
-        for u in union:
-            hint.setdefault(u, base)
-        hint.update({v: ONE for v in W})
-        hint[v] = ZERO
-        return hint
-    return None
+        nz_word = pw
+    elif cp[0] == "system" and cq[0] == "system" and cp[1] != cq[1]:
+        kill = sorted(cp[1] ^ cq[1])[0]
+        nz_word = qw if kill in cp[1] else pw
+    else:
+        return None
+    hint = _balanced_nonzero_witness(
+        prof.plan, hat_transform(nz_word, prof.plan), nz_word.variables)
+    base = lift_element_map(prof.plan)(triple(0, 0, 0))
+    for u in union:
+        hint.setdefault(u, base)
+    hint.update(dict.fromkeys(W, ONE))
+    if kill is not None:
+        hint[kill] = ZERO
+    return hint
 
 
 # -- bordered matrices -------------------------------------------------------
@@ -675,7 +655,7 @@ def _matchable_witness(M, p, a, b):
         raise ReesError(f"({a}, {b}) is an edge of the bipartite graph")
     avals = [a[1]] if a[0] == "c" else range(M.n)
     bvals = [b[1]] if b[0] == "c" else range(M.m)
-    S = _semigroup(M)
+    S = combinatorial(M)
     for av in avals:
         for bv in bvals:
             if M.entry(bv, av) != 0:
@@ -759,7 +739,7 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     coordinates must kill both words identically.
     """
     prof = classify_matrix(M)
-    S = _semigroup(M, adjoin_identity)
+    S = combinatorial(M, adjoin_identity)
     validate_polynomial(S, p)
     validate_polynomial(S, q)
     if adjoin_identity or not (prof.totally_balanced or prof.bordered):
@@ -784,8 +764,8 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
         def val(sym):
             return f[sym.name] if sym.is_var else sym.elem
 
-        if (val(p.leftmost).first == val(q.leftmost).first
-                and val(p.rightmost).second == val(q.rightmost).second):
+        if (val(p.leftmost).i == val(q.leftmost).i
+                and val(p.rightmost).lam == val(q.rightmost).lam):
             continue
         for side, alive in sides:
             if not alive(f):
@@ -869,7 +849,7 @@ def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
     Nonzero targets reduce to identically-zero tests over the endpoint
     symbols pinned to the target coordinates.
     """
-    S = _semigroup(M, adjoin_identity)
+    S = combinatorial(M, adjoin_identity)
     validate_polynomial(S, p)
     S.check_element(b)
 
@@ -947,8 +927,7 @@ def brute_group_eq(G: FiniteGroup, p: Polynomial, q: Polynomial, *,
 
 def term_eq_group(M: StructureMatrix, G: FiniteGroup, p: Polynomial,
                   q: Polynomial, group_oracle=None, *,
-                  find_witness: bool = True, budget: int | None = None,
-                  seed: int | None = None) -> Verdict:
+                  find_witness: bool = True, budget: int | None = None) -> Verdict:
     """Term equivalence over M(G, M) for a 0-1 matrix M.
 
     Splits into the combinatorial shadow and the group reading of the words;
@@ -978,16 +957,17 @@ def term_eq_group(M: StructureMatrix, G: FiniteGroup, p: Polynomial,
         union = tuple(dict.fromkeys(p.variables + q.variables))
         hints.append({v: triple(i0, gw.get(v, G.identity), lam0)
                       for v in union})
-    w = _search_distinguishing(S, p, q, hints, budget, seed)
+    w = _search_distinguishing(S, p, q, hints, budget)
     return _emit_eq(S, p, q, w, method, detail)
 
 
 # ---------------------------------------------------------------------------
 # Exhaustive oracles
 #
-# These enumerate every evaluation into the semigroup (zero included, the
-# identity too when adjoined) through a precomputed multiplication table.
-# They are the ground truth for all tests and never consult the fast paths.
+# These enumerate evaluations into the semigroup (zero included, the identity
+# too when adjoined) through a precomputed multiplication table, and never
+# consult the fast paths.  Every first-match question goes through _first;
+# full value tables have their own loop in value_vector.
 
 @dataclass(frozen=True)
 class ZSet:
@@ -1029,88 +1009,83 @@ def _space(S, nvars, budget):
     if size > budget:
         raise BudgetExceededError(f"{S.size}^{nvars} = {size} evaluations "
                                   f"exceed budget {budget}")
-    return size
 
 
-def _union_vars(p, q=None):
-    names = p.variables + (q.variables if q is not None else ())
-    return tuple(dict.fromkeys(names))
+def _zero_differs(a, b):
+    return (a == 0) != (b == 0)
+
+
+def _first(S: ReesSemigroup, words, test, budget) -> dict | None:
+    """The lexicographically first evaluation of the variables of one or two
+    words, as a name -> element dict, at which test(*values of words)
+    holds; None when there is none.
+
+    Values are indices into the element table, where 0 is the zero.  The
+    order is that of itertools.product over the elements, with the variables
+    in first-occurrence order across the words, the first most significant.
+    Every evaluation up to the first match folds every word, so the number
+    of evaluations depends on the space and the first match, not on where
+    zeros fall in the words.  Raises BudgetExceededError up front when the
+    space exceeds budget.
+    """
+    names = tuple(dict.fromkeys(v for p in words for v in p.variables))
+    _space(S, len(names), budget)
+    els, index, mul = _tables(S)
+    varpos = {v: k for k, v in enumerate(names)}
+    code = [_compiled(p.word, varpos, index) for p in words]
+    combos = itertools.product(range(len(els)), repeat=len(names))
+    if len(code) == 1:
+        w, = code
+        hits = (c for c in combos if test(_fold(w, c, mul)))
+    else:
+        u, w = code
+        hits = (c for c in combos
+                if test(_fold(u, c, mul), _fold(w, c, mul)))
+    combo = next(hits, None)
+    if combo is None:
+        return None
+    return {v: els[c] for v, c in zip(names, combo)}
 
 
 def brute_eq(S: ReesSemigroup, p: Polynomial, q: Polynomial, *,
              budget: int | None = None) -> Verdict:
-    union = _union_vars(p, q)
-    _space(S, len(union), budget)
-    els, index, mul = _tables(S)
-    varpos = {v: k for k, v in enumerate(union)}
-    wp = _compiled(p.word, varpos, index)
-    wq = _compiled(q.word, varpos, index)
-    for combo in itertools.product(range(len(els)), repeat=len(union)):
-        if _fold(wp, combo, mul) != _fold(wq, combo, mul):
-            w = {v: els[combo[varpos[v]]] for v in union}
-            return _emit_eq(S, p, q, w, "brute-force")
-    return Verdict("equal", "brute-force")
+    w = _first(S, (p, q), operator.ne, budget)
+    if w is None:
+        return Verdict("equal", "brute-force")
+    return _emit_eq(S, p, q, w, "brute-force")
 
 
 def brute_zero(S: ReesSemigroup, p: Polynomial, *,
                budget: int | None = None) -> Verdict:
-    union = _union_vars(p)
-    _space(S, len(union), budget)
-    els, index, mul = _tables(S)
-    varpos = {v: k for k, v in enumerate(union)}
-    wp = _compiled(p.word, varpos, index)
-    for combo in itertools.product(range(len(els)), repeat=len(union)):
-        if _fold(wp, combo, mul) != 0:
-            w = {v: els[combo[varpos[v]]] for v in union}
-            return _emit_nonzero(S, p, w, "brute-force")
-    return Verdict("zero", "brute-force")
+    w = _first(S, (p,), bool, budget)
+    if w is None:
+        return Verdict("zero", "brute-force")
+    return _emit_nonzero(S, p, w, "brute-force")
 
 
 def brute_sat(S: ReesSemigroup, p: Polynomial, b: Element, *,
               budget: int | None = None) -> Verdict:
     S.check_element(b)
-    union = _union_vars(p)
-    _space(S, len(union), budget)
-    els, index, mul = _tables(S)
-    varpos = {v: k for k, v in enumerate(union)}
-    wp = _compiled(p.word, varpos, index)
-    target = index[b]
-    for combo in itertools.product(range(len(els)), repeat=len(union)):
-        if _fold(wp, combo, mul) == target:
-            w = {v: els[combo[varpos[v]]] for v in union}
-            return _emit_sat(S, p, b, w, "brute-force")
-    return Verdict("unsat", "brute-force")
+    w = _first(S, (p,), partial(operator.eq, _tables(S)[1][b]), budget)
+    if w is None:
+        return Verdict("unsat", "brute-force")
+    return _emit_sat(S, p, b, w, "brute-force")
 
 
 def brute_zset(S: ReesSemigroup, p: Polynomial, *, var_order=None,
                budget: int | None = None) -> ZSet:
-    union = tuple(var_order) if var_order is not None else _union_vars(p)
-    if set(p.variables) - set(union):
-        raise ReesError("var_order must cover the variables of p")
-    _space(S, len(union), budget)
-    els, index, mul = _tables(S)
-    varpos = {v: k for k, v in enumerate(union)}
-    wp = _compiled(p.word, varpos, index)
-    zeros = set()
-    for combo in itertools.product(range(len(els)), repeat=len(union)):
-        if _fold(wp, combo, mul) == 0:
-            zeros.add(tuple(els[c] for c in combo))
-    return ZSet(union, frozenset(zeros))
+    union = tuple(var_order) if var_order is not None else p.variables
+    values = value_vector(S, p, union, budget=budget)
+    combos = itertools.product(_tables(S)[0], repeat=len(union))
+    return ZSet(union, frozenset(c for c, v in zip(combos, values) if v == 0))
 
 
 def brute_zset_eq(S: ReesSemigroup, p: Polynomial, q: Polynomial, *,
                   budget: int | None = None) -> Verdict:
-    union = _union_vars(p, q)
-    _space(S, len(union), budget)
-    els, index, mul = _tables(S)
-    varpos = {v: k for k, v in enumerate(union)}
-    wp = _compiled(p.word, varpos, index)
-    wq = _compiled(q.word, varpos, index)
-    for combo in itertools.product(range(len(els)), repeat=len(union)):
-        if (_fold(wp, combo, mul) == 0) != (_fold(wq, combo, mul) == 0):
-            w = {v: els[combo[varpos[v]]] for v in union}
-            return _emit_eq_zset(S, p, q, w, "brute-force", ())
-    return Verdict("equal", "brute-force")
+    w = _first(S, (p, q), _zero_differs, budget)
+    if w is None:
+        return Verdict("equal", "brute-force")
+    return _emit_eq_zset(S, p, q, w, "brute-force", ())
 
 
 def value_vector(S: ReesSemigroup, p: Polynomial, var_order, *,
@@ -1134,39 +1109,15 @@ def value_vector(S: ReesSemigroup, p: Polynomial, var_order, *,
 # ---------------------------------------------------------------------------
 # Witness search
 
-def _search_distinguishing(S, p, q, hints, budget, seed=None):
+def _search_distinguishing(S, p, q, hints, budget):
     for h in hints:
         try:
             if evaluate(S, p, h) != evaluate(S, q, h):
                 return h
         except (InvalidElementError, KeyError):
             continue
-    union = _union_vars(p, q)
-    _space(S, len(union), budget)
-    els, index, mul = _tables(S)
-    varpos = {v: k for k, v in enumerate(union)}
-    wp = _compiled(p.word, varpos, index)
-    wq = _compiled(q.word, varpos, index)
-    order = list(range(len(els)))
-    if seed:
-        import random
-        random.Random(seed).shuffle(order)
-    for combo in itertools.product(order, repeat=len(union)):
-        if _fold(wp, combo, mul) != _fold(wq, combo, mul):
-            return {v: els[combo[varpos[v]]] for v in union}
-    raise WitnessSearchError("no distinguishing evaluation exists; "
-                             "the fast path disagrees with exhaustion")
-
-
-def _search_zset_witness(S, p, q, budget):
-    union = _union_vars(p, q)
-    _space(S, len(union), budget)
-    els, index, mul = _tables(S)
-    varpos = {v: k for k, v in enumerate(union)}
-    wp = _compiled(p.word, varpos, index)
-    wq = _compiled(q.word, varpos, index)
-    for combo in itertools.product(range(len(els)), repeat=len(union)):
-        if (_fold(wp, combo, mul) == 0) != (_fold(wq, combo, mul) == 0):
-            return {v: els[combo[varpos[v]]] for v in union}
-    raise WitnessSearchError("zero sets agree under exhaustion; "
-                             "the fast path is wrong")
+    w = _first(S, (p, q), operator.ne, budget)
+    if w is None:
+        raise WitnessSearchError("no distinguishing evaluation exists; "
+                                 "the fast path disagrees with exhaustion")
+    return w

@@ -22,7 +22,13 @@ from .words import Polynomial, Symbol, const
 # Recognition
 
 def is_totally_balanced(M: StructureMatrix) -> bool:
-    """No 2x2 submatrix with exactly one zero (definitional scan)."""
+    """No 2x2 submatrix with exactly one zero."""
+    return violating_submatrix(M) is None
+
+
+def violating_submatrix(M: StructureMatrix):
+    """Rows a, b and columns c, d of a 2x2 submatrix whose one zero is at
+    (b, d), or None when M is totally balanced (definitional scan)."""
     for a in range(M.m):
         for b in range(M.m):
             if a == b:
@@ -33,8 +39,8 @@ def is_totally_balanced(M: StructureMatrix) -> bool:
                         continue
                     if (M.entry(a, c) and M.entry(a, d) and M.entry(b, c)
                             and not M.entry(b, d)):
-                        return False
-    return True
+                        return a, b, c, d
+    return None
 
 
 def is_totally_balanced_by_lines(M: StructureMatrix) -> bool:
@@ -61,14 +67,6 @@ def is_bordered(M: StructureMatrix) -> bool:
     return (M.m >= 2 and M.n >= 2
             and all(v == 1 for v in M.row(M.m - 1))
             and all(v == 1 for v in M.col(M.n - 1)))
-
-
-def has_equal_rows(M: StructureMatrix) -> bool:
-    return len(set(M.entries)) < M.m
-
-
-def has_equal_cols(M: StructureMatrix) -> bool:
-    return len({M.col(i) for i in range(M.n)}) < M.n
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,10 @@ def parse_graph_file(text: str) -> SimpleGraph:
         raise ParseError(f"expected {m} edge lines")
     edges = []
     for ln in lines[1:]:
-        a, b = (int(x) for x in ln.split())
+        try:
+            a, b = (int(x) for x in ln.split())
+        except ValueError as exc:
+            raise ParseError(f"bad edge line {ln!r}") from exc
         edges.append((a - 1, b - 1))
     return simple_graph(n, edges)
 

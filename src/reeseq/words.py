@@ -233,10 +233,6 @@ def right_sequencing(p: Polynomial) -> tuple[str, ...]:
     return tuple(seen)
 
 
-def reverse_polynomial(p: Polynomial) -> Polynomial:
-    return Polynomial(tuple(reversed(p.word)))
-
-
 def transpose_polynomial(p: Polynomial) -> Polynomial:
     """Mirror of p over the transposed semigroup.
 

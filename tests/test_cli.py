@@ -175,3 +175,31 @@ def test_malformed_file_is_an_error(tmp_path, capsys):
     bad = tmp_path / "bad.mat"
     bad.write_text("2 2\n1 1\n", encoding="utf-8")
     assert main(["term-eq", "--matrix", str(bad), "x", "x"]) == 2
+
+
+@pytest.fixture()
+def foo_bar_graph(tmp_path):
+    path = tmp_path / "bad.graph"
+    path.write_text("2 1\nfoo bar\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "hollow"],
+    ["gen", "identity", "x"],
+    ["reduce", "3col", "GRAPH"],
+], ids=["gen-hollow-no-arg", "gen-identity-not-int", "reduce-bad-edge-line"])
+def test_malformed_arguments_exit_2(argv, foo_bar_graph, capsys):
+    argv = [foo_bar_graph if a == "GRAPH" else a for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_crash_exits_2_not_1(i2_file, monkeypatch, capsys):
+    # exit 1 means a decided negative; an unexpected exception is not one
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+    monkeypatch.setattr(r.decide, "term_eq", boom)
+    assert main(["term-eq", "--matrix", i2_file, "x y", "y x"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -109,9 +109,9 @@ def test_nonzero_product_coordinates():
     for word in itertools.product(els, repeat=3):
         prod = S.product(word)
         if prod != r.ZERO:
-            assert prod.first == word[0].first
-            assert prod.second == word[-1].second
-            assert prod == r.pair(word[0].first, word[-1].second)
+            assert prod.i == word[0].i
+            assert prod.lam == word[-1].lam
+            assert prod == r.pair(word[0].i, word[-1].lam)
 
 
 def test_evaluate_examples():
@@ -224,11 +224,6 @@ def test_column_rescaling_isomorphism():
     for a in S.elements():
         for b in S.elements():
             assert phi(S.multiply(a, b)) == T.multiply(phi(a), phi(b))
-
-
-def test_adjoin_zero_is_noop():
-    S = h3()
-    assert S.adjoin_zero() is S
 
 
 def test_matrix_file_round_trip(tmp_path):

@@ -1,6 +1,7 @@
 """Decision procedures against their exhaustive oracles, plus the worked
 facts each procedure is pinned to."""
 
+import itertools
 import random
 
 import pytest
@@ -398,8 +399,98 @@ def test_verdict_exit_semantics():
     assert not r.Verdict("unsat", "m").positive
 
 
-def test_seeded_witness_search_is_deterministic():
-    p, q = r.word_of("x y"), r.word_of("y x")
-    a = r.term_eq(H3, p, q, seed=3).witness
-    b = r.term_eq(H3, p, q, seed=3).witness
-    assert a == b
+# ---------------------------------------------------------------------------
+# the search kernel against a plain lexicographic scan
+
+KERNEL_SEMIGROUPS = {
+    "H3": S_H3,
+    "C3": r.combinatorial(r.matrix(((1, 1, 0), (0, 1, 1), (1, 0, 1)))),
+    "N23": r.combinatorial(r.matrix(((1, 1, 0), (0, 1, 1)))),
+    "I2+1": r.combinatorial(I2, with_identity=True),
+    "Z3-rees": ReesSemigroup(StructureMatrix(((1, 2), (3, 1))),
+                             cyclic_group(3)),
+}
+
+
+def _random_word(rng, S, names):
+    consts = S.nonzero_triples()
+    syms = [r.var(rng.choice(names)) if rng.random() < 0.7
+            else r.const(rng.choice(consts))
+            for _ in range(rng.randint(1, 6))]
+    return r.poly(*syms)
+
+
+def _scan(S, words, test):
+    """First evaluation, in itertools.product order over the union of the
+    words' variables in first-occurrence order, at which test holds for the
+    words' values under words.evaluate; None when there is none."""
+    union = tuple(dict.fromkeys(v for p in words for v in p.variables))
+    for combo in itertools.product(S.elements(), repeat=len(union)):
+        e = dict(zip(union, combo))
+        if test(*(r.evaluate(S, p, e) for p in words)):
+            return r.Evaluation.of(e)
+    return None
+
+
+def _differs_in_zero(a, b):
+    return (a == r.ZERO) != (b == r.ZERO)
+
+
+def _check_kernel(S, p, q, b, names):
+    cases = (
+        (r.brute_eq(S, p, q), ("equal", "not-equal"),
+         _scan(S, (p, q), lambda u, v: u != v)),
+        (r.brute_zset_eq(S, p, q), ("equal", "not-equal"),
+         _scan(S, (p, q), _differs_in_zero)),
+        (r.brute_zero(S, p), ("zero", "not-zero"),
+         _scan(S, (p,), lambda u: u != r.ZERO)),
+        (r.brute_sat(S, p, b), ("unsat", "sat"),
+         _scan(S, (p,), lambda u: u == b)),
+    )
+    for verdict, (none, found), witness in cases:
+        assert verdict.kind == (none if witness is None else found), (p, q, b)
+        assert verdict.witness == witness, (p, q, b)
+    zeros = r.brute_zset(S, p, var_order=names)
+    assert zeros.zeros == {
+        combo for combo in itertools.product(S.elements(), repeat=len(names))
+        if r.evaluate(S, p, dict(zip(names, combo))) == r.ZERO}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SEMIGROUPS))
+def test_kernel_matches_lexicographic_scan(name):
+    S = KERNEL_SEMIGROUPS[name]
+    rng = random.Random(name)
+    most = 4 if S.size <= 7 else 3
+    for _ in range(60):
+        names = ("x", "y", "z", "w")[:rng.randint(1, most)]
+        p, q = (_random_word(rng, S, names) for _ in range(2))
+        _check_kernel(S, p, q, rng.choice(S.elements()), names)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_SEMIGROUPS))
+def test_kernel_budget_is_the_space(name):
+    S = KERNEL_SEMIGROUPS[name]
+    p, q = r.word_of("x y z"), r.word_of("z y x")
+    space = S.size ** 3
+    oracles = (lambda budget: r.brute_eq(S, p, q, budget=budget),
+               lambda budget: r.brute_zset_eq(S, p, q, budget=budget),
+               lambda budget: r.brute_zero(S, p, budget=budget),
+               lambda budget: r.brute_sat(S, p, r.ZERO, budget=budget),
+               lambda budget: r.brute_zset(S, p, budget=budget))
+    for oracle in oracles:
+        oracle(space)
+        with pytest.raises(BudgetExceededError):
+            oracle(space - 1)
+
+
+def test_zset_witness_from_mismatching_slice():
+    # the mismatching slice keeps both words whole, so no hint applies; the
+    # witness comes from the slice's words over the plain semigroup (5^9
+    # evaluations) instead of the words over S^1 (6^9, over the budget)
+    p = r.word_of("a b c d e f g h i")
+    q = r.word_of("i h g f e d c b a")
+    S1 = r.combinatorial(I2, with_identity=True)
+    v = r.pol_zset_eq(I2, p, q, adjoin_identity=True)
+    assert v.kind == "not-equal" and v.witness is not None
+    w = v.witness.as_dict()
+    assert (r.evaluate(S1, p, w) == r.ZERO) != (r.evaluate(S1, q, w) == r.ZERO)

@@ -154,7 +154,7 @@ def test_zero_characterization_small():
                 def vertex_value(v):
                     if v[0] == "c":
                         return v[1]
-                    return e[v[1]].first if v[2] == 1 else e[v[1]].second
+                    return e[v[1]].i if v[2] == 1 else e[v[1]].lam
 
                 expected_zero = any(x.kind == "zero" for x in combo) or any(
                     M.entry(vertex_value(y), vertex_value(x)) == 0
