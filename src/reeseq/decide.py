@@ -15,10 +15,14 @@ Each fast procedure dispatches on the structure-matrix class:
 
 Every verdict carries a method tag, and negative (positive, for
 satisfiability) verdicts carry a witness evaluation that is re-checked
-through words.evaluate at emission time.  The exhaustive oracles at the
-bottom, the ground truth the fast paths are tested against, share one search
-kernel with the witness search; no fast-path decision calls it.
-value_vector is the one loop that builds full value tables.
+through words.evaluate at emission time.  On the all-ones, balanced and
+bordered classes the fast paths build every witness themselves: term-eq
+takes pol_eq's, term-eq with identity that of the first elimination slice
+on which the plain words differ.  The witness search serves only the
+general class and the group lift; it shares one search kernel with the
+exhaustive oracles at the bottom, the ground truth the fast paths are tested
+against, which never call a fast path.  value_vector is the one loop that
+builds full value tables.
 """
 
 from __future__ import annotations
@@ -195,12 +199,17 @@ def _term_slice(prof, cw: CompiledWord, W: int) -> tuple:
             cw.names[x >> 1] if prof.equal_cols else None)
 
 
+def _vertex(names, v: int) -> tuple:
+    """The ("v", name, side) vertex of a CompiledWord vertex number."""
+    return ("v", names[v >> 1], 1 + (v & 1))
+
+
 def _label_groups(names, labels) -> dict:
     """CompiledWord labels rendered as sets of ("v", name, side) vertices."""
     groups: dict = {}
     for v, c in enumerate(labels):
         if c is not None:
-            groups.setdefault(c, set()).add(("v", names[v >> 1], 1 + (v & 1)))
+            groups.setdefault(c, set()).add(_vertex(names, v))
     return {c: frozenset(vs) for c, vs in groups.items()}
 
 
@@ -261,6 +270,15 @@ def term_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
         return Verdict("equal", method, None, detail)
     if not find_witness:
         return Verdict("not-equal", method, None, detail)
+    prof = classify_matrix(M)
+    if prof.totally_balanced or prof.bordered:
+        # pol_eq is complete on these classes; it builds and re-checks a
+        # witness over the same semigroup
+        w = pol_eq(M, p, q).witness
+        if w is None:
+            raise WitnessSearchError(f"term profiles of {p} and {q} differ "
+                                     "but pol_eq finds them equal")
+        return Verdict("not-equal", method, w, detail)
     S = combinatorial(M)
     hints = _term_witness_hints(M, p, q, kp, kq)
     w = _search_distinguishing(S, p, q, hints, budget)
@@ -269,7 +287,12 @@ def term_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
 
 def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
                find_witness: bool = True, budget: int | None = None) -> Verdict:
-    """Decide p = q for terms over the semigroup of M with identity adjoined."""
+    """Decide p = q for terms over the semigroup of M with identity adjoined.
+
+    A witness comes from the first elimination slice on which the plain
+    words differ: the plain witness for that slice, with its eliminated
+    variables set to the identity.
+    """
     kp = term_profile(M, p, with_identity=True)
     kq = term_profile(M, q, with_identity=True)
     method = {"J1": "all-ones-sequencing",
@@ -281,9 +304,19 @@ def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     if not find_witness:
         return Verdict("not-equal", method, None, detail)
     S = combinatorial(M, with_identity=True)
-    hints = _slice_witness_hints(M, p, q, kp, kq) if kp[0] == "TB1" else ()
-    w = _search_distinguishing(S, p, q, hints, budget)
-    return _emit_eq(S, p, q, w, method, detail)
+    names = sorted(set(p.variables) | set(q.variables))
+    # slice 0 keeps both words whole, so words over different variables
+    # differ there; words over the same variables never empty out, as the
+    # slice eliminating every variable is left out
+    for mask in _slice_masks(len(names), False):
+        W = _mask_names(names, mask)
+        pw, qw = _eliminate_names(p, W), _eliminate_names(q, W)
+        if term_profile(M, pw) != term_profile(M, qw):
+            w = term_eq(M, pw, qw, budget=budget).witness.as_dict()
+            w.update(dict.fromkeys(W, ONE))
+            return _emit_eq(S, p, q, w, method, detail)
+    raise WitnessSearchError(f"no elimination slice of {p} and {q} differs; "
+                             "the term profiles are wrong")
 
 
 # -- targeted witnesses ------------------------------------------------------
@@ -297,8 +330,8 @@ def _nonzero_cell(M):
 
 
 def _term_witness_hints(M, p, q, kp, kq):
-    """Cheap candidate evaluations for a failed term-profile comparison."""
-    prof = classify_matrix(M)
+    """Cheap candidate evaluations for a failed comparison of general-class
+    term profiles."""
     hints = []
     union = sorted(set(p.variables) | set(q.variables))
     lam0, i0 = _nonzero_cell(M)
@@ -310,108 +343,22 @@ def _term_witness_hints(M, p, q, kp, kq):
         e[v] = ZERO
         hints.append(e)
 
-    if kp[0] == "J":
-        if kp[2] != kq[2] and M.n >= 2:  # left symbols differ
-            e = {u: pair(0, 0) for u in union}
-            e[q.leftmost.name] = pair(1, 0)
+    a, b, c, d = violating_submatrix(M)  # the class is not balanced
+    gp, gq = kp[1], kq[1]
+    for (x, y) in sorted(gp.edges ^ gq.edges, key=repr):
+        if x[0] == "v" and y[0] == "v":
+            e = {u: pair(c, a) for u in union}
+            e[x[1]] = pair(c, b)
+            e[y[1]] = pair(d, a)
             hints.append(e)
-        if kp[3] != kq[3] and M.m >= 2:
-            e = {u: pair(0, 0) for u in union}
-            e[q.rightmost.name] = pair(0, 1)
-            hints.append(e)
-
-    if kp[0] == "G":
-        cells = violating_submatrix(M)
-        if cells:
-            a, b, c, d = cells
-            gp, gq = kp[1], kq[1]
-            for (x, y) in sorted(gp.edges ^ gq.edges, key=repr):
-                if x[0] == "v" and y[0] == "v":
-                    e = {u: pair(c, a) for u in union}
-                    e[x[1]] = pair(c, b)
-                    e[y[1]] = pair(d, a)
-                    hints.append(e)
-            if kp[2] != kq[2]:  # left symbols
-                e = {u: pair(c, a) for u in union}
-                e[q.leftmost.name] = pair(d, a)
-                hints.append(e)
-            if kp[3] != kq[3]:
-                e = {u: pair(c, a) for u in union}
-                e[q.rightmost.name] = pair(c, b)
-                hints.append(e)
-
-    if kp[0] == "TB":
-        hints.extend(_balanced_term_hints(M, prof, p, q, kp, kq, union))
-    return hints
-
-
-def _balanced_term_hints(M, prof, p, q, kp, kq, union):
-    hints = []
-    plan = prof.plan
-    if kp[1] != kq[1] or plan.k < 2:
-        return hints  # different variables: the zero hints separate them
-    lift = lift_element_map(plan)
-    names, lab_p, lab_q = kp[1], kp[2], kq[2]
-
-    def from_values(value):
-        """Assignment giving vertex v the class value(v)."""
-        return {name: lift(triple(value(2 * j), 0, value(2 * j + 1)))
-                for j, name in enumerate(names)}
-
-    if lab_p != lab_q:
-        # two vertices glued in one word's graph and apart in the other's:
-        # class 1 on the second vertex's component and 0 elsewhere keeps
-        # the second word nonzero and kills the first
-        for glued, apart in ((lab_p, lab_q), (lab_q, lab_p)):
-            pair_ = next(((a, b) for a in range(len(glued))
-                          for b in range(a + 1, len(glued))
-                          if glued[a] == glued[b] and apart[a] != apart[b]),
-                         None)
-            if pair_ is not None:
-                mark = apart[pair_[1]]
-                hints.append(from_values(
-                    lambda v, apart=apart, mark=mark: int(apart[v] == mark)))
-    else:
-        # partitions agree; endpoint components or gated symbols differ
-        for slot in (3, 4):
-            if kp[slot] != kq[slot]:
-                mark = kq[slot]
-                hints.append(from_values(lambda v, mark=mark:
-                                         int(lab_p[v] == mark)))
-        if kp[5] is not None and kp[5] != kq[5] and prof.equal_rows:
-            rows = {}
-            for lam in range(M.m):
-                rows.setdefault(M.row(lam), []).append(lam)
-            alpha, beta = next(v[:2] for v in rows.values() if len(v) > 1)
-            istar = next(i for i in range(M.n) if M.entry(alpha, i))
-            e = {u: pair(istar, alpha) for u in union}
-            e[q.rightmost.name] = pair(istar, beta)
-            hints.append(e)
-        if kp[6] is not None and kp[6] != kq[6] and prof.equal_cols:
-            cols = {}
-            for i in range(M.n):
-                cols.setdefault(M.col(i), []).append(i)
-            c, d = next(v[:2] for v in cols.values() if len(v) > 1)
-            lstar = next(lam for lam in range(M.m) if M.entry(lam, c))
-            e = {u: pair(c, lstar) for u in union}
-            e[q.leftmost.name] = pair(d, lstar)
-            hints.append(e)
-    return hints
-
-
-def _slice_witness_hints(M, p, q, kp, kq):
-    """Hints for a failed TB1 comparison: the plain hints for the kept words
-    of the first mismatching slice, with its eliminated variables set to the
-    identity.  Words over different variables get the zero hints."""
-    t = _first_mismatch(kp, kq)
-    if t is None:
-        return _term_witness_hints(M, p, q, kp, kq)
-    W = _mask_names(kp[1], _slice_masks(len(kp[1]), False)[t])
-    pw, qw = _eliminate_names(p, W), _eliminate_names(q, W)
-    hints = _term_witness_hints(M, pw, qw, term_profile(M, pw),
-                                term_profile(M, qw))
-    for h in hints:
-        h.update(dict.fromkeys(W, ONE))
+    if kp[2] != kq[2]:  # left symbols
+        e = {u: pair(c, a) for u in union}
+        e[q.leftmost.name] = pair(d, a)
+        hints.append(e)
+    if kp[3] != kq[3]:
+        e = {u: pair(c, a) for u in union}
+        e[q.rightmost.name] = pair(c, b)
+        hints.append(e)
     return hints
 
 
@@ -455,7 +402,7 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
         w = dict.fromkeys(W, ONE)
         if pw is not None:
             w.update(_balanced_nonzero_witness(
-                prof.plan, hat_transform(pw, prof.plan), pw.variables))
+                prof.plan, hat_transform(pw, prof.plan), pw.variables, {}))
         return _emit_nonzero(S, p, w, method, detail)
 
     if prof.bordered:
@@ -477,11 +424,16 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
     return brute_zero(S, p, budget=budget)
 
 
-def _balanced_nonzero_witness(plan, ph, variables):
-    """Locally constant assignment over the identity matrix, lifted back."""
+def _balanced_nonzero_witness(plan, ph, variables, pins):
+    """Locally constant assignment over the identity matrix, lifted back.
+
+    A component takes the index of its constant, else that of a pinned
+    vertex in it (pins maps vertices to indices), else 0.
+    """
     values = {}
     for comp in components(build_identified(ph)):
         idxs = {v[1] for v in comp if v[0] == "m"}
+        idxs |= {pins[v] for v in comp if v in pins}
         x = idxs.pop() if idxs else 0
         for v in comp:
             values[v] = x
@@ -532,7 +484,7 @@ def pol_zset_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
         return _emit_eq_zset(S, p, q, e, "all-ones-variables", detail)
 
     if prof.totally_balanced:
-        return _zset_balanced(S, M, prof, p, q, union, find_witness, budget,
+        return _zset_balanced(S, prof, p, q, union, find_witness,
                               adjoin_identity)
 
     if prof.bordered and not adjoin_identity:
@@ -551,90 +503,98 @@ def _emit_eq_zset(S, p, q, witness, method, detail):
     return Verdict("not-equal", method, Evaluation.of(w), detail)
 
 
-def zset_constraints(M: StructureMatrix, p: Polynomial | None):
-    """Canonical description of where a word vanishes, over a balanced M.
+def _system(names, labels) -> tuple:
+    """A slice's CompiledWord labels, rendered as its constraint system.
 
     Two words have the same zero set exactly when these values agree:
-    either both are identically zero, or they share the variable set and
-    the same constraint system, namely which variable vertices each
+    either both are identically zero, or they keep the same variables and
+    have the same constraint system, namely which variable vertices each
     connected component glues together and which index (if any) it pins
     them to.  Components without variable vertices constrain nothing, and
-    so do unpinned singletons; both are dropped.  None stands for the empty
-    word (never zero, no variables).
+    so do unpinned singletons; both are dropped.
     """
-    if p is None:
-        return ("system", frozenset(), frozenset())
-    names = p.variables
-    cw = CompiledWord(hat_transform(p, classify_matrix(M).plan), names)
-    labels = cw.labels()
     if labels is None:
         return ("zero",)
-    system = frozenset((vv, -1 - c if c < 0 else None)
-                       for c, vv in _label_groups(names, labels).items()
-                       if c < 0 or len(vv) > 1)
-    return ("system", frozenset(names), system)
+    groups = _label_groups(names, labels)
+    kept = frozenset(v[1] for vs in groups.values() for v in vs)
+    return ("system", kept,
+            frozenset((vs, -1 - c if c < 0 else None)
+                      for c, vs in groups.items() if c < 0 or len(vs) > 1))
 
 
-def _zset_balanced(S, M, prof, p, q, union, find_witness, budget,
-                   with_identity):
+def _zset_balanced(S, prof, p, q, union, find_witness, with_identity):
     method = "balanced-constraint-systems"
     names = tuple(sorted(union))
-    cws = [CompiledWord(hat_transform(word, prof.plan), names)
-           for word in (p, q)]
+    cwp, cwq = (CompiledWord(hat_transform(word, prof.plan), names)
+                for word in (p, q))
     # labels over shared vertex numbers are the constraint systems: None
     # entries give the kept variables, the rest the components and pins
-    masks = _slice_masks(len(names)) if with_identity else (0,)
-    mismatch = next((W for W in masks
-                     if cws[0].labels(W) != cws[1].labels(W)), None)
-    if mismatch is None:
+    for mask in _slice_masks(len(names)) if with_identity else (0,):
+        lp, lq = cwp.labels(mask), cwq.labels(mask)
+        if lp != lq:
+            break
+    else:
         return Verdict("equal", method, None,
                        (("constraint systems", "agree on every slice"),))
-    W = _mask_names(names, mismatch)
-    pw, qw = _eliminate_names(p, W), _eliminate_names(q, W)
-    cp, cq = zset_constraints(M, pw), zset_constraints(M, qw)
-    detail = (("identity slice", W), ("constraints", cp, cq, False))
+    W = _mask_names(names, mask)
+    detail = (("identity slice", W),
+              ("constraints", _system(names, lp), _system(names, lq), False))
     if not find_witness:
         return Verdict("not-equal", method, None, detail)
 
-    hint = _zset_balanced_hint(prof, pw, qw, union, W, cp, cq)
-    if hint is not None:
-        w = dict(hint)
-        if (evaluate(S, p, w) == ZERO) != (evaluate(S, q, w) == ZERO):
-            return _emit_eq_zset(S, p, q, w, method, detail)
-    # pw and qw differ in zero set over the plain semigroup, and with W set
-    # to the identity a witness for them is one for p and q.  Neither is
-    # empty: a word made only of W's variables would make an earlier slice,
-    # the empty one, mismatch first.
-    w = _first(combinatorial(M), (pw, qw), _zero_differs, budget)
-    if w is None:
-        raise WitnessSearchError("zero sets agree under exhaustion; "
-                                 "the fast path is wrong")
+    # A plain evaluation separating the slice words pw and qw, with W set to
+    # the identity, separates p and q.  Neither slice word is empty: a word
+    # made only of W's variables would make an earlier slice, the empty
+    # one, mismatch first.
+    pw, qw = _eliminate_names(p, W), _eliminate_names(q, W)
+    pin = kill = None
+    if lp is None or lq is None:
+        live = qw if lp is None else pw
+    elif set(pw.variables) != set(qw.variables):
+        kill = sorted(set(pw.variables) ^ set(qw.variables))[0]
+        live = qw if kill in pw.variables else pw
+    else:
+        live, pin = pw, _separator(lp, lq)
+        if pin is None:
+            live, pin = qw, _separator(lq, lp)
+    pins = {} if pin is None else {_vertex(names, pin[0]): pin[1]}
+    w = _balanced_nonzero_witness(prof.plan, hat_transform(live, prof.plan),
+                                  live.variables, pins)
+    base = lift_element_map(prof.plan)(triple(0, 0, 0))
+    for u in union:
+        w.setdefault(u, base)
     w.update(dict.fromkeys(W, ONE))
+    if kill is not None:
+        w[kill] = ZERO
     return _emit_eq_zset(S, p, q, w, method, detail)
 
 
-def _zset_balanced_hint(prof, pw, qw, union, W, cp, cq):
-    """Candidate separating evaluation for a failed slice comparison of the
-    slice words pw and qw (None for an empty word), with W set to ONE."""
-    kill = None
-    if cp == ("zero",) and qw is not None:
-        nz_word = qw
-    elif cq == ("zero",) and pw is not None:
-        nz_word = pw
-    elif cp[0] == "system" and cq[0] == "system" and cp[1] != cq[1]:
-        kill = sorted(cp[1] ^ cq[1])[0]
-        nz_word = qw if kill in cp[1] else pw
-    else:
-        return None
-    hint = _balanced_nonzero_witness(
-        prof.plan, hat_transform(nz_word, prof.plan), nz_word.variables)
-    base = lift_element_map(prof.plan)(triple(0, 0, 0))
-    for u in union:
-        hint.setdefault(u, base)
-    hint.update(dict.fromkeys(W, ONE))
-    if kill is not None:
-        hint[kill] = ZERO
-    return hint
+def _separator(live, dead):
+    """A pin (vertex, class) that the live constraint system allows and the
+    dead one forbids, or None when the dead system allows all the live one
+    does.
+
+    live and dead are the labels of two nonzero slices over the same
+    variables.  The witness built around the pin gives every other unpinned
+    live component class 0, so a free vertex is pinned to a class other
+    than its partner's; a balanced matrix that is not all-ones retracts
+    onto an identity matrix of size at least 2, so that class exists.
+    """
+    cls = [None if c is None else -1 - c if c < 0 else 0 for c in live]
+    for v, d in enumerate(dead):
+        if d is None:
+            continue
+        if d < 0:
+            if live[v] >= 0:  # a pin the live word lacks
+                return v, int(d == -1)
+            if live[v] != d:  # two differing pins
+                return v, cls[v]
+        else:
+            u = dead.index(d)
+            if live[u] != live[v]:  # a gluing the live word lacks
+                x, y = (v, u) if live[v] >= 0 else (u, v)
+                return x, int(cls[y] == 0) if live[x] >= 0 else cls[x]
+    return None
 
 
 # -- bordered matrices -------------------------------------------------------

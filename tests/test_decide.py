@@ -3,11 +3,14 @@ facts each procedure is pinned to."""
 
 import itertools
 import random
+import types
+from functools import partial
 
 import pytest
 
 import reeseq as r
 from conftest import all_terms, matrix_classes
+from reeseq import decide
 from reeseq.core import ReesSemigroup, StructureMatrix
 from reeseq.errors import (BudgetExceededError, ReesError,
                            UnsupportedMatrixError)
@@ -66,17 +69,18 @@ def test_term_eq_s1_examples():
 
 
 def test_term_eq_s1_witness_from_first_mismatching_slice():
-    # decided from the slice profiles; the witness comes from the plain
-    # hints of the first mismatching slice, not from exhausting 11^7
-    # assignments, so even a budget of 10 suffices
-    I3 = r.identity(3)
+    # decided from the slice profiles; the witness is the plain witness of
+    # the first elimination slice on which the words differ, not the first
+    # of 11^7 assignments, so even a budget of 10 suffices: balanced (TB1),
+    # general (G1, where the plain hints hit), bordered and all-ones (J1)
     p = r.word_of("a b c d e f g a b c d e f g")
     q = r.word_of("a b c d e f g g f e d c b a")
-    v = r.term_eq_s1(I3, p, q, budget=10)
-    assert v.kind == "not-equal"
-    S1 = r.combinatorial(I3, True)
-    w = v.witness.as_dict()
-    assert r.evaluate(S1, p, w) != r.evaluate(S1, q, w)
+    for M in (r.identity(3), H3, r.border(I2), r.all_ones(2, 2)):
+        v = r.term_eq_s1(M, p, q, budget=10)
+        assert v.kind == "not-equal", M
+        S1 = r.combinatorial(M, True)
+        w = v.witness.as_dict()
+        assert r.evaluate(S1, p, w) != r.evaluate(S1, q, w), M
 
 
 def test_term_oracle_agreement_2x2():
@@ -484,13 +488,113 @@ def test_kernel_budget_is_the_space(name):
 
 
 def test_zset_witness_from_mismatching_slice():
-    # the mismatching slice keeps both words whole, so no hint applies; the
-    # witness comes from the slice's words over the plain semigroup (5^9
-    # evaluations) instead of the words over S^1 (6^9, over the budget)
+    # the mismatching slice keeps both words whole, over the same variables;
+    # the witness is built from one pin that separates their constraint
+    # systems, with no search, so a budget of 1 suffices (the words over
+    # S^1 span 6^9 evaluations)
     p = r.word_of("a b c d e f g h i")
     q = r.word_of("i h g f e d c b a")
     S1 = r.combinatorial(I2, with_identity=True)
-    v = r.pol_zset_eq(I2, p, q, adjoin_identity=True)
+    v = r.pol_zset_eq(I2, p, q, adjoin_identity=True, budget=1)
     assert v.kind == "not-equal" and v.witness is not None
     w = v.witness.as_dict()
     assert (r.evaluate(S1, p, w) == r.ZERO) != (r.evaluate(S1, q, w) == r.ZERO)
+
+
+# ---------------------------------------------------------------------------
+# witnesses from the complete fast paths
+
+def _no_search(*args):
+    raise AssertionError("a fast path called the search kernel")
+
+
+def _same_variables(rng, pool, p):
+    return rng.choice([q for q in pool if set(q.variables) == set(p.variables)])
+
+
+def test_fast_paths_never_search(monkeypatch):
+    # on balanced, all-ones and bordered matrices every witness comes from
+    # the complete fast paths; half the pairs share their variables, so the
+    # first slice alone does not separate them
+    rng = random.Random(13)
+    terms = all_terms(("x", "y", "z"), 4)
+    cases = []
+    for M in matrix_classes(3, 3):
+        balanced = r.is_totally_balanced(M)
+        if not (balanced or r.is_bordered(M)):
+            continue
+        S, S1 = r.combinatorial(M), r.combinatorial(M, True)
+        pool = random_words(M, rng, 40)
+        for k in range(24):
+            p = rng.choice(terms)
+            q = _same_variables(rng, terms, p) if k % 2 else rng.choice(terms)
+            cases.append((partial(r.term_eq, M, p, q),
+                          r.brute_eq(S, p, q).kind))
+            cases.append((partial(r.term_eq_s1, M, p, q),
+                          r.brute_eq(S1, p, q).kind))
+            p = rng.choice(pool)
+            q = _same_variables(rng, pool, p) if k % 2 else rng.choice(pool)
+            cases.append((partial(r.pol_zset_eq, M, p, q),
+                          r.brute_zset_eq(S, p, q).kind))
+            if balanced:
+                cases.append((partial(r.pol_zset_eq, M, p, q,
+                                      adjoin_identity=True),
+                              r.brute_zset_eq(S1, p, q).kind))
+    monkeypatch.setattr(decide, "_first", _no_search)
+    for run, expected in cases:
+        v = run()
+        assert v.kind == expected, run
+        assert v.positive or v.witness is not None, run
+
+
+@pytest.mark.parametrize("live,dead", [
+    ("x", "[1,1] x"),
+    ("[1,1] x", "[2,2] x"),
+    ("x y", "x x y"),
+    ("[1,1] y x", "x y"),
+    ("x [1,2] y", "x y"),
+], ids=["pin-live-lacks", "differing-pins", "gluing-live-lacks",
+        "gluing-one-pinned", "gluing-both-pinned"])
+def test_zset_separator_cases(monkeypatch, live, dead):
+    # slice words over the same variables whose constraint systems differ:
+    # one pin that the live word allows and the dead word forbids separates
+    # them, whichever side the live word is on
+    live, dead = (r.parse_polynomial(t, S_I2) for t in (live, dead))
+    monkeypatch.setattr(decide, "_first", _no_search)
+    for p, q in ((live, dead), (dead, live)):
+        v = r.pol_zset_eq(I2, p, q)
+        assert v.kind == "not-equal"
+        w = v.witness.as_dict()
+        assert (r.evaluate(S_I2, p, w) == r.ZERO) != \
+            (r.evaluate(S_I2, q, w) == r.ZERO)
+
+
+def _fast_path_name(name):
+    return name in ("term_profile", "classify_matrix", "CompiledWord",
+                    "hat_transform") or name.startswith(("pol_", "_zset_"))
+
+
+def _global_names(code):
+    yield from code.co_names
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _global_names(const)
+
+
+def test_oracles_never_reach_fast_paths():
+    # the oracles certify the fast paths, so no fast-path name may be
+    # reachable from them through the functions of decide
+    start = [n for n in vars(decide) if n.startswith("brute_")]
+    via = dict.fromkeys(start + ["value_vector", "_first"])
+    todo = list(via)
+    while todo:
+        name = todo.pop()
+        assert not _fast_path_name(name), (name, "reached from", via[name])
+        fn = getattr(decide, name, None)
+        if isinstance(fn, types.FunctionType) and \
+                fn.__module__ == decide.__name__:
+            for ref in _global_names(fn.__code__):
+                if ref not in via:
+                    via[ref] = name
+                    todo.append(ref)
+    assert "_emit_eq" in via and "_fold" in via
