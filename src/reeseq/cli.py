@@ -25,10 +25,13 @@ def _add_common(sub, matrix_arg=True):
     sub.add_argument("--adjoin-identity", action="store_true",
                      help="work over the semigroup with identity adjoined")
     sub.add_argument("--budget", type=int, default=None,
-                     help="evaluation budget for exhaustive search "
+                     help="evaluation budget for exhaustive search, search "
+                          "nodes for homomorphism search "
                           "(default REESEQ_BUDGET or 10^7)")
     sub.add_argument("--brute", action="store_true",
-                     help="allow brute-force fallback on unsupported matrices")
+                     help="decide matrices with no fast path: homomorphism "
+                          "search for pol-zero and pol-sat without identity, "
+                          "the exhaustive oracle otherwise")
     sub.add_argument("--explain", action="store_true",
                      help="print the dispatch path and certificate")
     sub.add_argument("--format", choices=("plain", "json"), default="plain")
@@ -216,6 +219,10 @@ def _run_pol_sat(ns):
 
 def _run_brute_check(ns):
     M, S = _load_context(ns)
+    need = 1 if ns.op == "pol-zero" else 2
+    if len(ns.words) != need:
+        raise ParseError(f"brute-check --op {ns.op} expects {need} "
+                         f"argument(s), got {len(ns.words)}")
     p = parse_polynomial(ns.words[0], S)
     if ns.op == "term-eq":
         q = parse_polynomial(ns.words[1], S)

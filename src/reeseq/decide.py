@@ -10,18 +10,24 @@ Each fast procedure dispatches on the structure-matrix class:
 * bordered matrices (all-ones last row and column): the border completion of
   a partial assignment is the most permissive extension, so zero-ness and
   matchability questions need only single evaluations;
-* anything else falls back to the exhaustive oracle, under a budget, and the
-  verdict records that it did.
+* anything else, when allow_brute is set: pol-zero and pol-sat over the
+  plain semigroup go to a homomorphism search (arc consistency plus
+  depth-first search, budgeted in search nodes), since p is nonzero exactly
+  when its bipartite graph, constants pinned, maps into the support pattern
+  of M; the other questions, and all with the identity adjoined, fall back
+  to the exhaustive oracle, under a budget, and the verdict records that it
+  did.
 
 Every verdict carries a method tag, and negative (positive, for
 satisfiability) verdicts carry a witness evaluation that is re-checked
 through words.evaluate at emission time.  On the all-ones, balanced and
 bordered classes the fast paths build every witness themselves: term-eq
 takes pol_eq's, term-eq with identity that of the first elimination slice
-on which the plain words differ.  The witness search serves only the
-general class and the group lift; it shares one search kernel with the
-exhaustive oracles at the bottom, the ground truth the fast paths are tested
-against, which never call a fast path.  value_vector is the one loop that
+on which the plain words differ; homomorphism search returns its own.  The
+witness search serves only the general class and the group lift; it shares
+one search kernel with the exhaustive oracles at the bottom, the ground
+truth the fast paths are tested against, which never call a fast path (nor
+does the homomorphism search call them).  value_vector is the one loop that
 builds full value tables.
 """
 
@@ -348,8 +354,11 @@ def _term_witness_hints(M, p, q, kp, kq):
     for (x, y) in sorted(gp.edges ^ gq.edges, key=repr):
         if x[0] == "v" and y[0] == "v":
             e = {u: pair(c, a) for u in union}
-            e[x[1]] = pair(c, b)
-            e[y[1]] = pair(d, a)
+            if x == y:  # a loop: only the x x factor meets the zero (b, d)
+                e[x[1]] = pair(d, b)
+            else:
+                e[x[1]] = pair(c, b)
+                e[y[1]] = pair(d, a)
             hints.append(e)
     if kp[2] != kq[2]:  # left symbols
         e = {u: pair(c, a) for u in union}
@@ -421,7 +430,14 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
         raise UnsupportedMatrixError(
             "matrix is neither totally balanced nor bordered; "
             "pass allow_brute to use the oracle")
-    return brute_zero(S, p, budget=budget)
+    if adjoin_identity:
+        return brute_zero(S, p, budget=budget)
+    w = _homomorphism(M, p, {}, budget)
+    if w is None:
+        return Verdict("zero", "homomorphism-search")
+    if not find_witness:
+        return Verdict("not-zero", "homomorphism-search")
+    return _emit_nonzero(S, p, w, "homomorphism-search")
 
 
 def _balanced_nonzero_witness(plan, ph, variables, pins):
@@ -831,7 +847,13 @@ def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
         if not allow_brute:
             raise UnsupportedMatrixError("no fast satisfiability procedure "
                                          "for this matrix class")
-        return brute_sat(S, p, b, budget=budget)
+        if adjoin_identity:
+            return brute_sat(S, p, b, budget=budget)
+        pins = _end_pins(p, b)
+        w = None if pins is None else _homomorphism(M, p, pins, budget)
+        if w is None:
+            return Verdict("unsat", "homomorphism-search")
+        return _emit_sat(S, p, b, w, "homomorphism-search")
 
     method = "endpoint-zero-tests"
     left, right = p.leftmost, p.rightmost
@@ -858,6 +880,154 @@ def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
             return _emit_sat(S, p, b, w, method,
                              (("pinned endpoints", Evaluation.of(f)),))
     return Verdict("unsat", method)
+
+
+# ---------------------------------------------------------------------------
+# Homomorphism search
+
+def _end_pins(p: Polynomial, b: Element) -> dict | None:
+    """Pins that make a nonzero value of p equal to the nonzero target b:
+    the leftmost symbol's column vertex on b.i and the rightmost's row
+    vertex on b.lam.  None when a constant end already misses b."""
+    left, right = p.leftmost, p.rightmost
+    if not left.is_var and left.elem.i != b.i:
+        return None
+    if not right.is_var and right.elem.lam != b.lam:
+        return None
+    pins = {}
+    if left.is_var:
+        pins[("v", left.name, 1)] = b.i
+    if right.is_var:
+        pins[("v", right.name, 2)] = b.lam
+    return pins
+
+
+def _homomorphism(M: StructureMatrix, p: Polynomial, pins: dict,
+                  budget: int | None) -> dict | None:
+    """A nonzero evaluation of p over the plain combinatorial semigroup of
+    M, as a name -> element dict, or None when p is identically zero.
+
+    p is nonzero exactly when every adjacent pair s t of its word has
+    M(lam_s, i_t) != 0: a map of p's bipartite graph, constants pinned, into
+    the support pattern of M.  Variable j owns vertex 2j (its column index
+    i) and vertex 2j+1 (its row index lam); domains are bitmasks of indices,
+    narrowed by constant neighbours and by pins, a ("v", name, side) ->
+    index mapping.  Arc consistency (AC-3) runs up front and after every
+    choice of a depth-first search over each connected component of the
+    undecided vertices; it picks the smallest domain, ties to the vertex
+    with most neighbours, and undoes its choices from a trail.  Every value
+    tried is a search node; more than budget of them raise
+    BudgetExceededError.
+    """
+    limit = default_budget() if budget is None else budget
+    names = p.variables
+    index = {u: j for j, u in enumerate(names)}
+    # support[side][k]: the indices of the other side that index k of a
+    # column (side 0) or row (side 1) vertex allows its neighbours
+    support = (tuple(sum(1 << lam for lam in range(M.m) if M.entry(lam, i))
+                     for i in range(M.n)),
+               tuple(sum(1 << i for i in range(M.n) if M.entry(lam, i))
+                     for lam in range(M.m)))
+    doms = [(1 << (M.m if v & 1 else M.n)) - 1 for v in range(2 * len(names))]
+    nbrs = [set() for _ in doms]
+    for s, t in zip(p.word, p.word[1:]):
+        if s.is_var and t.is_var:
+            y, x = 2 * index[s.name] + 1, 2 * index[t.name]
+            nbrs[y].add(x)
+            nbrs[x].add(y)
+        elif s.is_var:
+            doms[2 * index[s.name] + 1] &= support[0][t.elem.i]
+        elif t.is_var:
+            doms[2 * index[t.name]] &= support[1][s.elem.lam]
+        elif not M.entry(s.elem.lam, t.elem.i):
+            return None
+    for (_, name, side), k in pins.items():
+        doms[2 * index[name] + side - 1] &= 1 << k
+    if not all(doms):
+        return None
+
+    trail: list = []  # (vertex, domain before a change)
+
+    def allowed(v):
+        """The neighbour indices that some value in v's domain supports."""
+        out, rest, sup = 0, doms[v], support[v & 1]
+        while rest:
+            low = rest & -rest
+            out |= sup[low.bit_length() - 1]
+            rest ^= low
+        return out
+
+    def consistent(queue) -> bool:
+        """Narrow the neighbours of the queued vertices to a fixpoint;
+        False on an empty domain."""
+        while queue:
+            v = queue.pop()
+            a = allowed(v)
+            for u in nbrs[v]:
+                d = doms[u]
+                if d & a != d:
+                    if not d & a:
+                        return False
+                    trail.append((u, d))
+                    doms[u] = d & a
+                    queue.append(u)
+        return True
+
+    if not consistent(list(range(len(doms)))):
+        return None
+
+    def undecided(v):
+        return doms[v] & (doms[v] - 1)
+
+    # arc consistency leaves every value of a vertex supported by its
+    # decided neighbours, so only the undecided vertices need searching,
+    # and each of their connected components on its own
+    nodes = 0
+    seen = set()
+    for root in range(len(doms)):
+        if root in seen or not undecided(root):
+            continue
+        comp, stack = [], [root]
+        seen.add(root)
+        while stack:
+            v = stack.pop()
+            comp.append(v)
+            for u in nbrs[v]:
+                if u not in seen and undecided(u):
+                    seen.add(u)
+                    stack.append(u)
+        trail.clear()
+        frames: list = []  # [vertex, values left to try, trail mark]
+        while True:
+            open_ = [v for v in comp if undecided(v)]
+            if not open_:
+                break
+            v = min(open_, key=lambda u: (doms[u].bit_count(), -len(nbrs[u])))
+            frames.append([v, doms[v], len(trail)])
+            while frames:
+                frame = frames[-1]
+                v, rest, mark = frame
+                while len(trail) > mark:
+                    u, d = trail.pop()
+                    doms[u] = d
+                if not rest:
+                    frames.pop()
+                    continue
+                nodes += 1
+                if nodes > limit:
+                    raise BudgetExceededError(
+                        f"homomorphism search exceeds budget {limit} nodes")
+                low = rest & -rest
+                frame[1] = rest ^ low
+                trail.append((v, doms[v]))
+                doms[v] = low
+                if consistent([v]):
+                    break
+            else:
+                return None
+    return {u: pair(doms[2 * j].bit_length() - 1,
+                    doms[2 * j + 1].bit_length() - 1)
+            for j, u in enumerate(names)}
 
 
 # ---------------------------------------------------------------------------

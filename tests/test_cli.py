@@ -1,8 +1,11 @@
 """Command-line interface: verdict output, exit codes, file tooling."""
 
+import itertools
 import json
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reeseq as r
 from reeseq.cli import main
@@ -171,6 +174,27 @@ def test_reduce_3col(tmp_path, capsys):
     assert mapping["variables"]["x#1"] == 1
 
 
+@pytest.mark.parametrize("n,code", [(3, 1), (4, 0)], ids=["K3", "K4"])
+def test_reduce_3col_then_pol_zero(tmp_path, capsys, n, code):
+    # the reduction's output decides end to end over H3: the triangle is
+    # colorable (not zero, exit 1 with a witness), K4 is not (zero, exit 0)
+    edges = list(itertools.combinations(range(1, n + 1), 2))
+    gfile = tmp_path / "G.graph"
+    gfile.write_text(f"{n} {len(edges)}\n"
+                     + "".join(f"{a} {b}\n" for a, b in edges),
+                     encoding="utf-8")
+    inst = tmp_path / "inst.poly"
+    assert main(["reduce", "3col", str(gfile), "--out", str(inst)]) == 0
+    h3 = tmp_path / "H3.mat"
+    h3.write_text(r.format_matrix_file(r.hollow(3)), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["pol-zero", "--brute", "--matrix", str(h3),
+                 inst.read_text(encoding="utf-8").strip()]) == code
+    out = capsys.readouterr().out
+    assert "method:  homomorphism-search" in out
+    assert ("witness:" in out) == (code == 1)
+
+
 def test_malformed_file_is_an_error(tmp_path, capsys):
     bad = tmp_path / "bad.mat"
     bad.write_text("2 2\n1 1\n", encoding="utf-8")
@@ -203,3 +227,126 @@ def test_crash_exits_2_not_1(i2_file, monkeypatch, capsys):
     monkeypatch.setattr(r.decide, "term_eq", boom)
     assert main(["term-eq", "--matrix", i2_file, "x y", "y x"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+# ---------------------------------------------------------------------------
+# exit-code fuzz: 1 only for a printed negative verdict, never a traceback
+
+_NEGATIVE = re.compile(r'^(verdict: |line \d+: |fast: +)(not-equal|not-zero|'
+                       r'unsat)\b|"verdict": "(not-equal|not-zero|unsat)"',
+                       re.MULTILINE)
+
+
+@st.composite
+def _word(draw):
+    """A word over x, y, z and small constants; one time in five, one token
+    is malformed or out of range."""
+    tokens = draw(st.lists(st.sampled_from(["x", "y", "z", "x^2", "[1,1]",
+                                            "[2,1]", "[1,2]"]),
+                           min_size=1, max_size=6))
+    if draw(st.sampled_from([False] * 4 + [True])):
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(
+            ["[3,3]", "[0,1]", "[1,1,2]", "x^0", "?"]))
+    return " ".join(tokens)
+
+
+_MATRICES = [r.identity(2), r.hollow(3), r.all_ones(2, 2),
+             r.border(r.hollow(2)),
+             r.matrix(((1, 1, 0), (0, 1, 1), (1, 0, 1))),
+             r.matrix(((1, 1, 0), (0, 1, 1)))]
+
+
+@st.composite
+def _matrix_text(draw):
+    """A small structure matrix file, broken in one of three ways one time
+    in four."""
+    text = r.format_matrix_file(draw(st.sampled_from(_MATRICES)))
+    how = draw(st.sampled_from(["keep"] * 9 + ["cut", "header", "grid"]))
+    if how == "cut":
+        return text[:draw(st.integers(0, len(text) - 1))]
+    if how == "header":
+        head = draw(st.sampled_from(["2", "2 2 cyclic2", "3 2", "2 2 nogroup",
+                                     "a b"]))
+        return head + text[text.index("\n"):]
+    if how == "grid":
+        m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        cell = st.integers(0, 2)
+        rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n),
+                             min_size=m, max_size=m))
+        return f"{m} {n}\n" + "".join(" ".join(map(str, row)) + "\n"
+                                      for row in rows)
+    return text
+
+
+@st.composite
+def _graph_text(draw):
+    n = draw(st.integers(0, 5))
+    edges = draw(st.lists(st.tuples(st.integers(0, n + 1),
+                                    st.integers(0, n + 1)), max_size=8))
+    head = draw(st.sampled_from([f"{n} {len(edges)}"] * 3
+                                + [f"{n} {len(edges) + 1}", f"{n}", "n m"]))
+    return head + "\n" + "".join(f"{a} {b}\n" for a, b in edges)
+
+
+_ARITY = {"term-eq": 2, "pol-eq": 2, "zset-eq": 2, "pol-zero": 1,
+          "pol-sat": 2, "brute-check": 2}
+
+
+@st.composite
+def _argv(draw):
+    cmd = draw(st.sampled_from(sorted(_ARITY) * 2 + [
+        "analyze-matrix", "graph", "reduce", "gen"]))
+    if cmd == "analyze-matrix":
+        return [cmd, "MAT"] + draw(st.sampled_from([[], ["--format", "json"]]))
+    if cmd == "reduce":
+        return [cmd, "3col", "GRAPH"]
+    if cmd == "gen":
+        kind = draw(st.sampled_from(["identity", "hollow", "all-ones",
+                                     "border", "direct-sum", "rank1",
+                                     "shadow"]))
+        return [cmd, kind] + draw(st.lists(
+            st.sampled_from(["1", "2", "3", "0", "-1", "x", "MAT"]),
+            max_size=3))
+    if cmd == "graph":
+        kind = draw(st.sampled_from(["adjacency", "bipartite", "identified"]))
+        return [cmd, "--matrix", "MAT", "--kind", kind, draw(_word())]
+    argv = [cmd, "--matrix", "MAT"]
+    if cmd == "brute-check":
+        argv += ["--op", draw(st.sampled_from(["term-eq", "pol-eq",
+                                               "pol-zero", "pol-sat"]))]
+    for flag in ("--adjoin-identity", "--brute", "--explain"):
+        if draw(st.booleans()):
+            argv.append(flag)
+    if draw(st.booleans()):
+        argv += ["--format", "json"]
+    if draw(st.integers(0, 3)) == 0:
+        argv += ["--budget", draw(st.sampled_from(["-1", "0", "1", "50",
+                                                   "100000"]))]
+    count = draw(st.sampled_from([_ARITY[cmd]] * 4 + [0, 1, 3]))
+    words = [draw(_word()) for _ in range(count)]
+    if cmd in ("pol-sat", "brute-check") and count == 2:
+        words[1] = draw(st.sampled_from(["0", "1", "[1,1]", "[2,1]", "[2,3]",
+                                         "x", words[1]]))
+    return argv + words
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=_argv(), mat=_matrix_text(), graph=_graph_text())
+def test_exit_codes_fuzz(tmp_path, capsys, argv, mat, graph):
+    # MAT and GRAPH in argv stand for the generated files
+    files = {"MAT": tmp_path / "fuzz.mat", "GRAPH": tmp_path / "fuzz.graph"}
+    files["MAT"].write_text(mat, encoding="utf-8")
+    files["GRAPH"].write_text(graph, encoding="utf-8")
+    argv = [str(files[a]) if a in files else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in out + err, (argv, err)
+    assert "error: internal" not in err, (argv, err)
+    assert "DISAGREEMENT" not in err, argv
+    if code == 1:
+        assert _NEGATIVE.search(out), (argv, out)

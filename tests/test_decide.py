@@ -99,6 +99,35 @@ def test_term_oracle_agreement_2x2():
                     r.brute_eq(S1, p, q).kind, (M, p, q)
 
 
+def _separates(S, p, q, v):
+    w = v.witness.as_dict()
+    return r.evaluate(S, p, w) != r.evaluate(S, q, w)
+
+
+@pytest.mark.parametrize("p,q", [
+    ("a b c d e f", "a a b c d e f"),
+    ("x x y", "x y"),
+    ("x y", "x x y"),
+], ids=["six-variables", "loop-left", "loop-right"])
+def test_loop_edge_hint(monkeypatch, p, q):
+    # the words differ only in the loop edge (a, a) or (x, x) of their
+    # adjacency graphs; the hint gives that variable the zero entry's pair
+    # of the violating submatrix and the rest a pair around it, so no
+    # search runs
+    p, q = r.word_of(p), r.word_of(q)
+    monkeypatch.setattr(decide, "_first", _no_search)
+    v = r.term_eq(H3, p, q)
+    assert v.kind == "not-equal" and _separates(S_H3, p, q, v)
+
+
+def test_loop_edge_pair_at_default_budget():
+    # without the loop hint this decided not-equal became a
+    # BudgetExceededError (10^8 evaluations)
+    p, q = r.word_of("a b c d e f g h"), r.word_of("a a b c d e f g h")
+    v = r.term_eq(H3, p, q)
+    assert v.kind == "not-equal" and _separates(S_H3, p, q, v)
+
+
 # ---------------------------------------------------------------------------
 # identically zero
 
@@ -198,8 +227,85 @@ def test_pol_zero_unsupported_class():
     p = r.parse_polynomial("x [1,1]", S)
     with pytest.raises(UnsupportedMatrixError):
         r.pol_zero(H3, p, allow_brute=False)
-    v = r.pol_zero(H3, p)  # oracle fallback is tagged
-    assert v.method == "brute-force"
+    v = r.pol_zero(H3, p)  # the general class goes to homomorphism search
+    assert v.method == "homomorphism-search"
+
+
+# ---------------------------------------------------------------------------
+# homomorphism search
+
+C3 = r.matrix(((1, 1, 0), (0, 1, 1), (1, 0, 1)))
+N23 = r.matrix(((1, 1, 0), (0, 1, 1)))
+
+
+def test_homomorphism_matches_oracles(monkeypatch):
+    # the engine on every class up to 3x3, balanced and bordered included,
+    # against brute_zero and, with the ends pinned, brute_sat for every
+    # nonzero target; the oracles run first, the engine with the search
+    # kernel patched to raise, and every witness is evaluated again
+    rng = random.Random(14)
+    cases = []
+    for M in matrix_classes(3, 3):
+        S = r.combinatorial(M)
+        for _ in range(10):
+            p = _random_word(rng, S, ("x", "y", "z")[:rng.randint(1, 3)])
+            sat = {b: r.brute_sat(S, p, b).kind == "sat"
+                   for b in S.nonzero_triples()}
+            cases.append((M, S, p, r.brute_zero(S, p).kind == "not-zero",
+                          sat))
+    monkeypatch.setattr(decide, "_first", _no_search)
+    for M, S, p, nonzero, sat in cases:
+        w = decide._homomorphism(M, p, {}, None)
+        assert (w is not None) == nonzero, (M, str(p))
+        if w is not None:
+            assert r.evaluate(S, p, w) != r.ZERO
+        for b, solvable in sat.items():
+            pins = decide._end_pins(p, b)
+            w = None if pins is None else decide._homomorphism(M, p, pins,
+                                                                None)
+            assert (w is not None) == solvable, (M, str(p), b)
+            if w is not None:
+                assert r.evaluate(S, p, w) == b
+
+
+@pytest.mark.parametrize("M", [H3, C3, r.hollow(4), N23,
+                               r.direct_sum(r.border(I2), H3)],
+                         ids=["H3", "C3", "H4", "N23", "BI2+H3"])
+def test_general_class_pol_zero_and_pol_sat(M):
+    # on a matrix neither balanced nor bordered, pol_zero and pol_sat with
+    # allow_brute go to the engine and agree with the oracles
+    assert not (r.is_totally_balanced(M) or r.is_bordered(M))
+    rng = random.Random(str(M))
+    S = r.combinatorial(M)
+    targets = S.nonzero_triples()
+    most = 3 if S.size <= 17 else 2
+    for _ in range(25):
+        p = _random_word(rng, S, ("x", "y", "z")[:rng.randint(1, most)])
+        v = r.pol_zero(M, p)
+        assert v.method == "homomorphism-search"
+        assert v.kind == r.brute_zero(S, p).kind, str(p)
+        for b in rng.sample(targets, 4):
+            v = r.pol_sat(M, p, b)
+            assert v.method == "homomorphism-search"
+            assert v.kind == r.brute_sat(S, p, b).kind, (str(p), b)
+
+
+def test_homomorphism_budget_counts_search_nodes():
+    # over H3, x y leaves four vertices undecided after arc consistency,
+    # and each costs one search node
+    p = r.parse_polynomial("x y", S_H3)
+    with pytest.raises(BudgetExceededError):
+        r.pol_zero(H3, p, budget=1)
+    assert r.pol_zero(H3, p, budget=4).kind == "not-zero"
+
+
+def test_homomorphism_long_chain():
+    # the search keeps an explicit stack: 1000 distinct variables in a row
+    # decide without recursion
+    p = r.word_of(" ".join(f"v{k}" for k in range(1000)))
+    v = r.pol_zero(H3, p)
+    assert v.kind == "not-zero"
+    assert r.evaluate(S_H3, p, v.witness.as_dict()) != r.ZERO
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +677,8 @@ def test_zset_separator_cases(monkeypatch, live, dead):
 
 def _fast_path_name(name):
     return name in ("term_profile", "classify_matrix", "CompiledWord",
-                    "hat_transform") or name.startswith(("pol_", "_zset_"))
+                    "hat_transform", "_homomorphism", "_end_pins") or \
+        name.startswith(("pol_", "_zset_"))
 
 
 def _global_names(code):

@@ -1,12 +1,13 @@
 """Coloring reduction and the hosted-gadget transformations."""
 
 import itertools
+import random
 
 import pytest
 
 import reeseq as r
 from reeseq import reductions as red
-from reeseq.errors import ReesError
+from reeseq.errors import BudgetExceededError, ReesError
 from reeseq.words import evaluate
 
 
@@ -161,6 +162,45 @@ def test_k3_nonzero_and_k4_zero():
     for coloring in itertools.product((1, 2, 3), repeat=4):
         assert any(coloring[a] == coloring[b]
                    for a, b in zip(walk, walk[1:]))
+
+
+def test_sigma_decided_end_to_end():
+    # pol_zero over H3 decides the instance itself: the triangle's witness
+    # decodes to a proper coloring, K4 and K5 are identically zero
+    H3 = r.hollow(3)
+    k3 = red.complete_graph(3)
+    v = r.pol_zero(H3, red.sigma(k3).polynomial)
+    assert v.kind == "not-zero" and v.method == "homomorphism-search"
+    assert is_proper(k3, red.decode_coloring(k3, v.witness.as_dict()))
+    for n in (4, 5):
+        v = r.pol_zero(H3, red.sigma(red.complete_graph(n)).polynomial)
+        assert v.kind == "zero", n
+
+
+def test_sigma_matches_three_colorability():
+    rng = random.Random(16)
+    checked = 0
+    while checked < 30:
+        n = rng.randint(3, 6)
+        edges = [e for e in itertools.combinations(range(n), 2)
+                 if rng.random() < 0.6]
+        try:
+            G = red.simple_graph(n, edges)
+        except ReesError:  # not connected
+            continue
+        checked += 1
+        v = r.pol_zero(r.hollow(3), red.sigma(G).polynomial)
+        assert (v.kind == "not-zero") == three_colorable(G), G
+        if v.witness is not None:
+            assert is_proper(G, red.decode_coloring(G, v.witness.as_dict()))
+
+
+def test_sigma_search_budget():
+    # the budget counts search nodes; arc consistency alone does not
+    # settle K4
+    p = red.sigma(red.complete_graph(4)).polynomial
+    with pytest.raises(BudgetExceededError):
+        r.pol_zero(r.hollow(3), p, budget=10)
 
 
 # ---------------------------------------------------------------------------
