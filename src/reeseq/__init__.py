@@ -13,9 +13,9 @@ from .core import (Element, ONE, ReesSemigroup, StructureMatrix, ZERO,
                    load_matrix, matrix, pair, parse_matrix_file,
                    quotient_element, transpose_element, triple)
 from .decide import (Verdict, brute_eq, brute_group_eq, brute_sat, brute_zero,
-                     brute_zset, brute_zset_eq, classify_matrix, p_matchable,
-                     pol_eq, pol_sat, pol_zero, pol_zset_eq, term_eq,
-                     term_eq_group, term_eq_s1, term_profile, value_vector)
+                     brute_zset, brute_zset_eq, classify_matrix, pol_eq,
+                     pol_sat, pol_zero, pol_zset_eq, term_eq, term_eq_group,
+                     term_eq_s1, term_profile, value_vector)
 from .errors import (BudgetExceededError, EmptyWordError, GroupTableError,
                      InvalidElementError, IrregularMatrixError,
                      MissingAssignmentError, ParseError, ReesError,

@@ -26,12 +26,13 @@ def _add_common(sub, matrix_arg=True):
                      help="work over the semigroup with identity adjoined")
     sub.add_argument("--budget", type=int, default=None,
                      help="evaluation budget for exhaustive search, search "
-                          "nodes for homomorphism search "
+                          "nodes for each homomorphism search; term-eq "
+                          "decides without one "
                           "(default REESEQ_BUDGET or 10^7)")
     sub.add_argument("--brute", action="store_true",
                      help="decide matrices with no fast path: homomorphism "
-                          "search for pol-zero and pol-sat without identity, "
-                          "the exhaustive oracle otherwise")
+                          "search without identity, the exhaustive oracle "
+                          "with it; term-eq needs neither")
     sub.add_argument("--explain", action="store_true",
                      help="print the dispatch path and certificate")
     sub.add_argument("--format", choices=("plain", "json"), default="plain")
@@ -165,9 +166,9 @@ def _run_eq(ns):
     q = parse_polynomial(ns.words[1], S)
     if op == "term-eq":
         if ns.adjoin_identity:
-            v = decide.term_eq_s1(M, p, q, budget=ns.budget)
+            v = decide.term_eq_s1(M, p, q)
         else:
-            v = decide.term_eq(M, p, q, budget=ns.budget)
+            v = decide.term_eq(M, p, q)
     elif op == "pol-eq":
         v = decide.pol_eq(M, p, q, adjoin_identity=ns.adjoin_identity,
                           allow_brute=ns.brute, budget=ns.budget)
@@ -227,7 +228,7 @@ def _run_brute_check(ns):
     if ns.op == "term-eq":
         q = parse_polynomial(ns.words[1], S)
         fast = (decide.term_eq_s1 if ns.adjoin_identity
-                else decide.term_eq)(M, p, q, budget=ns.budget)
+                else decide.term_eq)(M, p, q)
         oracle = decide.brute_eq(S, p, q, budget=ns.budget)
     elif ns.op == "pol-eq":
         q = parse_polynomial(ns.words[1], S)

@@ -1,34 +1,38 @@
 """Decision procedures for equivalence problems over Rees matrix semigroups.
 
-Each fast procedure dispatches on the structure-matrix class:
+Over the plain semigroup of a 0-1 matrix M, p is nonzero exactly when its
+bipartite graph, constants pinned, maps into the support pattern of M.  One
+homomorphism search (arc consistency plus depth-first search, budgeted in
+search nodes) answers that question under pins, and the plain questions
+reduce to it:
 
-* all-ones matrices: everything reduces to variable sets, endpoints and
-  sequencings;
-* totally balanced matrices: polynomials are relabeled onto an identity
-  matrix (hat transform), where zero behavior is governed by connected
-  components of the bipartite graph and their consistency;
-* bordered matrices (all-ones last row and column): the border completion of
-  a partial assignment is the most permissive extension, so zero-ness and
-  matchability questions need only single evaluations;
-* anything else, when allow_brute is set: pol-zero and pol-sat over the
-  plain semigroup go to a homomorphism search (arc consistency plus
-  depth-first search, budgeted in search nodes), since p is nonzero exactly
-  when its bipartite graph, constants pinned, maps into the support pattern
-  of M; the other questions, and all with the identity adjoined, fall back
-  to the exhaustive oracle, under a budget, and the verdict records that it
-  did.
+* pol-zero on a matrix neither totally balanced nor bordered is one
+  unpinned search;
+* pol-sat pins the leftmost column and the rightmost row to the target's;
+* zset-eq, on bordered matrices and (with allow_brute) on general ones,
+  searches for a nonzero evaluation of one word that pins an adjacent pair
+  of the other onto a zero entry of M;
+* pol-eq checks the zero sets, then searches with the two leftmost symbols
+  pinned to distinct columns or the two rightmost to distinct rows;
+* term-eq decides from term profiles and takes pol-eq's witness.
+
+The exceptions are the paper's polynomial certificates: pol-zero on totally
+balanced matrices (the hat transform relabels words onto an identity
+matrix, where zero-ness is consistency of graph components) and on
+bordered ones (the border evaluation), and zset-eq on all-ones and totally
+balanced matrices (variable sets and constraint systems).  Both hold with
+the identity adjoined too, walking the elimination slices on the balanced
+class; term-eq with identity decides from term profiles, and every other
+question with identity falls back to the exhaustive oracle, under a
+budget, when allow_brute is set, and the verdict records that it did.
 
 Every verdict carries a method tag, and negative (positive, for
 satisfiability) verdicts carry a witness evaluation that is re-checked
-through words.evaluate at emission time.  On the all-ones, balanced and
-bordered classes the fast paths build every witness themselves: term-eq
-takes pol_eq's, term-eq with identity that of the first elimination slice
-on which the plain words differ; homomorphism search returns its own.  The
-witness search serves only the general class and the group lift; it shares
-one search kernel with the exhaustive oracles at the bottom, the ground
-truth the fast paths are tested against, which never call a fast path (nor
-does the homomorphism search call them).  value_vector is the one loop that
-builds full value tables.
+through words.evaluate at emission time.  The witness search serves only
+the group lift; it shares one search kernel with the exhaustive oracles at
+the bottom, the ground truth the fast paths are tested against, which never
+call a fast path (nor does the homomorphism search call them).
+value_vector is the one loop that builds full value tables.
 """
 
 from __future__ import annotations
@@ -45,14 +49,12 @@ from .errors import (BudgetExceededError, InvalidElementError,
                      IrregularMatrixError, ReesError, UnsupportedMatrixError,
                      WitnessSearchError)
 from .graphs import (CompiledWord, antichain_table, build_adjacency,
-                     build_bipartite, build_identified, components)
+                     build_identified, components)
 from .groups import FiniteGroup
 from .matrices import (hat_transform, is_all_ones, is_bordered,
-                       is_totally_balanced, lift_element_map, retract,
-                       violating_submatrix)
+                       is_totally_balanced, lift_element_map, retract)
 from .words import (Evaluation, Polynomial, evaluate, left_sequencing,
-                    right_sequencing, substitute_elements,
-                    validate_polynomial)
+                    right_sequencing, validate_polynomial)
 
 
 def default_budget() -> int:
@@ -265,8 +267,13 @@ def _slices_detail(kp, kq) -> tuple:
 
 
 def term_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
-            find_witness: bool = True, budget: int | None = None) -> Verdict:
-    """Decide p = q for terms over the combinatorial semigroup of M."""
+            find_witness: bool = True) -> Verdict:
+    """Decide p = q for terms over the combinatorial semigroup of M.
+
+    The verdict comes from the term profiles; a witness from pol_eq, which
+    decides every 0-1 matrix by pinned homomorphism searches at the default
+    budget, so no decided verdict is lost to an evaluation budget.
+    """
     kp = term_profile(M, p)
     kq = term_profile(M, q)
     method = {"J": "all-ones-endpoints", "TB": "balanced-components",
@@ -276,23 +283,15 @@ def term_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
         return Verdict("equal", method, None, detail)
     if not find_witness:
         return Verdict("not-equal", method, None, detail)
-    prof = classify_matrix(M)
-    if prof.totally_balanced or prof.bordered:
-        # pol_eq is complete on these classes; it builds and re-checks a
-        # witness over the same semigroup
-        w = pol_eq(M, p, q).witness
-        if w is None:
-            raise WitnessSearchError(f"term profiles of {p} and {q} differ "
-                                     "but pol_eq finds them equal")
-        return Verdict("not-equal", method, w, detail)
-    S = combinatorial(M)
-    hints = _term_witness_hints(M, p, q, kp, kq)
-    w = _search_distinguishing(S, p, q, hints, budget)
-    return _emit_eq(S, p, q, w, method, detail)
+    w = pol_eq(M, p, q).witness
+    if w is None:
+        raise WitnessSearchError(f"term profiles of {p} and {q} differ "
+                                 "but pol_eq finds them equal")
+    return Verdict("not-equal", method, w, detail)
 
 
 def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
-               find_witness: bool = True, budget: int | None = None) -> Verdict:
+               find_witness: bool = True) -> Verdict:
     """Decide p = q for terms over the semigroup of M with identity adjoined.
 
     A witness comes from the first elimination slice on which the plain
@@ -318,57 +317,11 @@ def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
         W = _mask_names(names, mask)
         pw, qw = _eliminate_names(p, W), _eliminate_names(q, W)
         if term_profile(M, pw) != term_profile(M, qw):
-            w = term_eq(M, pw, qw, budget=budget).witness.as_dict()
+            w = term_eq(M, pw, qw).witness.as_dict()
             w.update(dict.fromkeys(W, ONE))
             return _emit_eq(S, p, q, w, method, detail)
     raise WitnessSearchError(f"no elimination slice of {p} and {q} differs; "
                              "the term profiles are wrong")
-
-
-# -- targeted witnesses ------------------------------------------------------
-
-def _nonzero_cell(M):
-    for lam in range(M.m):
-        for i in range(M.n):
-            if M.entry(lam, i):
-                return lam, i
-    raise IrregularMatrixError("no nonzero entry")
-
-
-def _term_witness_hints(M, p, q, kp, kq):
-    """Cheap candidate evaluations for a failed comparison of general-class
-    term profiles."""
-    hints = []
-    union = sorted(set(p.variables) | set(q.variables))
-    lam0, i0 = _nonzero_cell(M)
-    base = pair(i0, lam0)
-
-    vp, vq = set(p.variables), set(q.variables)
-    for v in sorted(vp ^ vq):
-        e = {u: base for u in union}
-        e[v] = ZERO
-        hints.append(e)
-
-    a, b, c, d = violating_submatrix(M)  # the class is not balanced
-    gp, gq = kp[1], kq[1]
-    for (x, y) in sorted(gp.edges ^ gq.edges, key=repr):
-        if x[0] == "v" and y[0] == "v":
-            e = {u: pair(c, a) for u in union}
-            if x == y:  # a loop: only the x x factor meets the zero (b, d)
-                e[x[1]] = pair(d, b)
-            else:
-                e[x[1]] = pair(c, b)
-                e[y[1]] = pair(d, a)
-            hints.append(e)
-    if kp[2] != kq[2]:  # left symbols
-        e = {u: pair(c, a) for u in union}
-        e[q.leftmost.name] = pair(d, a)
-        hints.append(e)
-    if kp[3] != kq[3]:
-        e = {u: pair(c, a) for u in union}
-        e[q.rightmost.name] = pair(c, b)
-        hints.append(e)
-    return hints
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +370,7 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
     if prof.bordered:
         # a dead border evaluation pins the zero on an adjacent constant
         # pair, which no assignment (identity included) can separate
-        e0 = _border_completion(M, p, {})
+        e0 = _border_completion(M, p)
         v = evaluate(combinatorial(M), p, e0)
         detail = (("border evaluation", Evaluation.of(e0)),)
         if v == ZERO:
@@ -459,18 +412,14 @@ def _balanced_nonzero_witness(plan, ph, variables, pins):
             for name in variables}
 
 
-def _border_completion(M, p, vertex_values):
-    """Extend a partial vertex assignment with border indices.
+def _border_completion(M, p):
+    """Every variable of p on the border indices.
 
-    The border row and column are all ones, so this completion keeps every
-    constraint involving an unassigned vertex satisfied; it reaches a nonzero
-    value whenever any extension does.
+    The border row and column are all ones, so no adjacent pair with a
+    variable in it meets a zero entry: p is nonzero here whenever it is
+    nonzero anywhere.
     """
-    e = {}
-    for name in p.variables:
-        e[name] = pair(vertex_values.get(("v", name, 1), M.n - 1),
-                       vertex_values.get(("v", name, 2), M.m - 1))
-    return e
+    return dict.fromkeys(p.variables, pair(M.n - 1, M.m - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -503,13 +452,13 @@ def pol_zset_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
         return _zset_balanced(S, prof, p, q, union, find_witness,
                               adjoin_identity)
 
-    if prof.bordered and not adjoin_identity:
-        return _zset_bordered(S, M, p, q, union, find_witness)
-
-    if not allow_brute:
-        raise UnsupportedMatrixError("no fast zero-set procedure for this "
-                                     "matrix class")
-    return brute_zset_eq(S, p, q, budget=budget)
+    if adjoin_identity or not prof.bordered:
+        if not allow_brute:
+            raise UnsupportedMatrixError("no fast zero-set procedure for "
+                                         "this matrix class")
+        if adjoin_identity:
+            return brute_zset_eq(S, p, q, budget=budget)
+    return _zset_zero_pairs(S, M, p, q, union, budget, find_witness)
 
 
 def _emit_eq_zset(S, p, q, witness, method, detail):
@@ -613,106 +562,79 @@ def _separator(live, dead):
     return None
 
 
-# -- bordered matrices -------------------------------------------------------
+def _zset_zero_pairs(S, M, p, q, union, budget, find_witness):
+    """Zero sets compared through homomorphism search under pins.
 
-def p_matchable(M: StructureMatrix, p: Polynomial, a, b) -> bool:
-    """Can a zero land on the non-edge (a, b) while p stays nonzero?
-
-    a is an X-side vertex, b a Y-side vertex of the bipartite graph of p
-    (or constant vertices of a companion word).  Only sensible over bordered
-    matrices, where the border completion decides extendability.
+    A word that is identically zero decides at once, and so does a variable
+    that only one word has: set to zero, it kills that word alone.
+    Otherwise, wherever a word is nonzero all its variables are, so Z(dst)
+    leaves Z(src) exactly when src stays nonzero while some adjacent pair
+    of dst meets a zero entry of M.
     """
-    return _matchable_witness(M, p, a, b) is not None
-
-
-def _matchable_witness(M, p, a, b):
-    bp = build_bipartite(p)
-    if (a, b) in bp.edges:
-        raise ReesError(f"({a}, {b}) is an edge of the bipartite graph")
-    avals = [a[1]] if a[0] == "c" else range(M.n)
-    bvals = [b[1]] if b[0] == "c" else range(M.m)
-    S = combinatorial(M)
-    for av in avals:
-        for bv in bvals:
-            if M.entry(bv, av) != 0:
-                continue
-            assign = {}
-            if a in bp.vertices:
-                assign[a] = av
-            if b in bp.vertices:
-                assign[b] = bv
-            e = _border_completion(M, p, assign)
-            if evaluate(S, p, e) != ZERO:
-                return e
-    return None
-
-
-def _zset_bordered(S, M, p, q, union, find_witness):
-    method = "border-matchability"
-    e0p = _border_completion(M, p, {})
-    e0q = _border_completion(M, q, {})
-    p_zero = evaluate(S, p, e0p) == ZERO
-    q_zero = evaluate(S, q, e0q) == ZERO
-    if p_zero and q_zero:
-        return Verdict("equal", method,
-                       None, (("both identically zero", True),))
-    if p_zero != q_zero:
-        detail = (("identically zero", p_zero, q_zero, False),)
-        if not find_witness:
-            return Verdict("not-equal", method, None, detail)
-        e = dict(e0q if p_zero else e0p)
-        for u in union:
-            e.setdefault(u, pair(M.n - 1, M.m - 1))
-        return _emit_eq_zset(S, p, q, e, method, detail)
-    if set(p.variables) != set(q.variables):
+    method = "homomorphism-search"
+    wp, wq = (_homomorphism(M, word, {}, budget) for word in (p, q))
+    if wp is None and wq is None:
+        return Verdict("equal", method, None,
+                       (("both identically zero", True),))
+    if wp is None or wq is None:
+        detail = (("identically zero", wp is None, wq is None, False),)
+        w = wq if wp is None else wp
+    elif set(p.variables) != set(q.variables):
         detail = (("variables", tuple(sorted(p.variables)),
                    tuple(sorted(q.variables)), False),)
-        if not find_witness:
-            return Verdict("not-equal", method, None, detail)
         v = sorted(set(p.variables) ^ set(q.variables))[0]
-        e = dict(e0q if v in p.variables else e0p)
-        for u in union:
-            e.setdefault(u, pair(M.n - 1, M.m - 1))
-        e[v] = ZERO
-        return _emit_eq_zset(S, p, q, e, method, detail)
+        w = wq if v in p.variables else wp
+        w[v] = ZERO
+    else:
+        hit = _zero_pair(M, p, q, budget) or _zero_pair(M, q, p, budget)
+        if hit is None:
+            return Verdict("equal", method, None,
+                           (("zero pairs", "none separates the words"),))
+        st, cell, w = hit
+        detail = (("zero pair", st, cell, False),)
+    if not find_witness:
+        return Verdict("not-equal", method, None, detail)
+    for u in union:
+        w.setdefault(u, ZERO)
+    return _emit_eq_zset(S, p, q, w, method, detail)
 
-    for src, dst in ((p, q), (q, p)):
-        # a violation of Z(dst) <= Z(src)
-        bsrc = build_bipartite(src)
-        for (a, b) in sorted(build_bipartite(dst).edges, key=repr):
-            if (a, b) in bsrc.edges:
-                continue
-            w = _matchable_witness(M, src, a, b)
+
+def _zero_pair(M, src, dst, budget):
+    """An adjacent pair s t of dst and a zero entry M(lam, i), as text,
+    and a nonzero evaluation of src with s's row pinned to lam and t's
+    column to i, under which dst is zero; None when there is none.  A pair
+    that src has too would kill src as well, so it is skipped.
+    """
+    zeros = [(lam, i) for lam in range(M.m) for i in range(M.n)
+             if not M.entry(lam, i)]
+    own = set(zip(src.word, src.word[1:]))
+    for s, t in dict.fromkeys(zip(dst.word, dst.word[1:])):
+        if (s, t) in own:
+            continue
+        for lam, i in zeros:
+            pins = _pins(((s, 2, lam), (t, 1, i)))
+            w = None if pins is None else _homomorphism(M, src, pins, budget)
             if w is not None:
-                detail = (("matchable pair", a, b, False),)
-                if not find_witness:
-                    return Verdict("not-equal", method, None, detail)
-                for u in union:
-                    w.setdefault(u, pair(M.n - 1, M.m - 1))
-                return _emit_eq_zset(S, p, q, w, method, detail)
-    return Verdict("equal", method, None,
-                   (("matchability", "no violating pair either way"),))
+                return (str(Polynomial((s, t))),
+                        f"M({lam + 1},{i + 1}) = 0", w)
+    return None
 
 
 # ---------------------------------------------------------------------------
 # Polynomial equivalence and satisfiability
 
-def _endpoint_symbols(p, q):
-    out = []
-    for s in (p.leftmost, q.leftmost, p.rightmost, q.rightmost):
-        if s not in out:
-            out.append(s)
-    return out
-
-
 def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
            adjoin_identity: bool = False, allow_brute: bool = True,
            budget: int | None = None, find_witness: bool = True) -> Verdict:
-    """Decide p = q as functions, for totally balanced or bordered matrices.
+    """Decide p = q as functions.
 
-    Zero-set equality plus an endpoint scan: every assignment of the (at
-    most four) end symbols to nonzero elements that mismatches the product
-    coordinates must kill both words identically.
+    Over the plain semigroup: zero-set equality, then the ends.  A nonzero
+    value is [i, lam] with i the column of the leftmost symbol and lam the
+    row of the rightmost.  Once the zero sets agree, q is nonzero wherever
+    p is, so p != q exactly when p stays nonzero with the two leftmost
+    symbols pinned to distinct columns, or the two rightmost to distinct
+    rows: one homomorphism search per pinned pair, at most n(n-1) + m(m-1)
+    of them.
     """
     prof = classify_matrix(M)
     S = combinatorial(M, adjoin_identity)
@@ -722,99 +644,34 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
         if not allow_brute:
             raise UnsupportedMatrixError("no fast equivalence procedure for "
                                          "this matrix class")
-        return brute_eq(S, p, q, budget=budget)
+        if adjoin_identity:
+            return brute_eq(S, p, q, budget=budget)
 
     method = "zset-plus-endpoints"
-    z = pol_zset_eq(M, p, q, allow_brute=False, find_witness=find_witness)
+    z = pol_zset_eq(M, p, q, budget=budget, find_witness=find_witness)
     if z.kind != "equal":
         return Verdict("not-equal", method, z.witness,
                        (("zero-sets equal", False),) + z.detail)
-
-    ends = _endpoint_symbols(p, q)
-    endvars = [s.name for s in ends if s.is_var]
-    nonzero = [pair(i, lam) for i in range(M.n) for lam in range(M.m)]
-    sides = [(side, _pin_test(M, prof, side)) for side in (p, q)]
-    for combo in itertools.product(nonzero, repeat=len(endvars)):
-        f = dict(zip(endvars, combo))
-
-        def val(sym):
-            return f[sym.name] if sym.is_var else sym.elem
-
-        if (val(p.leftmost).i == val(q.leftmost).i
-                and val(p.rightmost).lam == val(q.rightmost).lam):
-            continue
-        for side, alive in sides:
-            if not alive(f):
+    # past this test p is nonzero somewhere, so (zero sets agreeing) both
+    # words have the same variables and every pin names one of p's
+    if _homomorphism(M, p, {}, budget) is None:
+        return Verdict("equal", method, None, (("zero-sets equal", True),
+                                               ("identically zero", True)))
+    for side, a, b, size in ((1, p.leftmost, q.leftmost, M.n),
+                             (2, p.rightmost, q.rightmost, M.m)):
+        for x, y in itertools.permutations(range(size), 2):
+            pins = _pins(((a, side, x), (b, side, y)))
+            w = None if pins is None else _homomorphism(M, p, pins, budget)
+            if w is None:
                 continue
             detail = (("zero-sets equal", True),
-                      ("endpoint assignment", Evaluation.of(f)),
-                      ("mismatched coordinates survive", str(side)))
+                      ("distinct " + ("columns" if side == 1 else "rows")
+                       + " at the ends", x + 1, y + 1))
             if not find_witness:
                 return Verdict("not-equal", method, None, detail)
-            w = dict(f)
-            w.update(_pinned_witness(M, side, f))
-            for u in p.variables + q.variables:
-                w.setdefault(u, nonzero[0])
             return _emit_eq(S, p, q, w, method, detail)
     return Verdict("equal", method, None, (("zero-sets equal", True),
                                            ("endpoint scan", "clean")))
-
-
-def _pin_test(M, prof, p):
-    """Predicate on assignments f of some of p's variables to nonzero
-    elements: is p, with f substituted, not identically zero?
-
-    Only for the plain semigroup of a balanced or bordered M.  Substituting
-    a variable pins its two vertices and leaves every edge in place, so p's
-    graph is built once and each f is a check of pins.
-    """
-    if prof.totally_balanced:
-        plan = prof.plan
-        names = p.variables
-        labels = CompiledWord(hat_transform(p, plan), names).labels()
-        if labels is None:
-            return lambda f: False
-        index = {u: j for j, u in enumerate(names)}
-
-        def alive(f):
-            pins: dict = {}
-            for u, e in f.items():
-                j = index.get(u)
-                if j is None:
-                    continue
-                for v, c in ((2 * j, plan.col_class[e.i]),
-                             (2 * j + 1, plan.row_class[e.lam])):
-                    lab = labels[v]
-                    if lab < 0:
-                        if -1 - lab != c:
-                            return False
-                    elif pins.setdefault(lab, c) != c:
-                        return False
-            return True
-        return alive
-
-    # bordered: an unpinned variable takes border indices, whose row and
-    # column are all ones, so only a pair of constant or pinned symbols
-    # can meet a zero entry
-    pairs = tuple(zip(p.word, p.word[1:]))
-
-    def alive(f):
-        for s, t in pairs:
-            a = f.get(s.name) if s.is_var else s.elem
-            b = f.get(t.name) if t.is_var else t.elem
-            if a is not None and b is not None and not M.entry(a.lam, b.i):
-                return False
-        return True
-    return alive
-
-
-def _pinned_witness(M, p, f) -> dict:
-    """Witness for the rest of p once a pin test accepted f."""
-    v = pol_zero(M, substitute_elements(p, f), allow_brute=False)
-    if v.kind == "zero":
-        raise WitnessSearchError(f"pin test accepted {Evaluation.of(f)} "
-                                 f"but {p} is zero under it")
-    return v.witness.as_dict()
 
 
 def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
@@ -822,8 +679,9 @@ def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
             budget: int | None = None) -> Verdict:
     """Does p = b have a solution?
 
-    Nonzero targets reduce to identically-zero tests over the endpoint
-    symbols pinned to the target coordinates.
+    Over the plain semigroup a nonzero target is one homomorphism search,
+    with the leftmost symbol's column pinned to b's and the rightmost
+    symbol's row to b's.
     """
     S = combinatorial(M, adjoin_identity)
     validate_polynomial(S, p)
@@ -849,57 +707,34 @@ def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
                                          "for this matrix class")
         if adjoin_identity:
             return brute_sat(S, p, b, budget=budget)
-        pins = _end_pins(p, b)
-        w = None if pins is None else _homomorphism(M, p, pins, budget)
-        if w is None:
-            return Verdict("unsat", "homomorphism-search")
-        return _emit_sat(S, p, b, w, "homomorphism-search")
-
-    method = "endpoint-zero-tests"
-    left, right = p.leftmost, p.rightmost
-    alive = _pin_test(M, prof, p)
-    for alpha in range(M.m):
-        for r in range(M.n):
-            f = {}
-            if left.is_var:
-                f[left.name] = pair(b.i, alpha)
-            elif left.elem.i != b.i:
-                continue
-            if right.is_var:
-                prev = f.get(right.name)
-                cand = pair(r, b.lam)
-                if prev is not None and prev != cand:
-                    continue
-                f[right.name] = cand
-            elif right.elem.lam != b.lam:
-                continue
-            if not alive(f):
-                continue
-            w = dict(f)
-            w.update(_pinned_witness(M, p, f))
-            return _emit_sat(S, p, b, w, method,
-                             (("pinned endpoints", Evaluation.of(f)),))
-    return Verdict("unsat", method)
+    pins = _end_pins(p, b)
+    w = None if pins is None else _homomorphism(M, p, pins, budget)
+    if w is None:
+        return Verdict("unsat", "homomorphism-search")
+    return _emit_sat(S, p, b, w, "homomorphism-search")
 
 
 # ---------------------------------------------------------------------------
 # Homomorphism search
 
+def _pins(wants) -> dict | None:
+    """Pins for _homomorphism from (symbol, side, index) triples: side 1
+    puts the symbol's column on index, side 2 its row.  None when a
+    constant has another index or a variable is wanted on two."""
+    pins: dict = {}
+    for s, side, k in wants:
+        if s.is_var:
+            if pins.setdefault(("v", s.name, side), k) != k:
+                return None
+        elif (s.elem.i if side == 1 else s.elem.lam) != k:
+            return None
+    return pins
+
+
 def _end_pins(p: Polynomial, b: Element) -> dict | None:
     """Pins that make a nonzero value of p equal to the nonzero target b:
-    the leftmost symbol's column vertex on b.i and the rightmost's row
-    vertex on b.lam.  None when a constant end already misses b."""
-    left, right = p.leftmost, p.rightmost
-    if not left.is_var and left.elem.i != b.i:
-        return None
-    if not right.is_var and right.elem.lam != b.lam:
-        return None
-    pins = {}
-    if left.is_var:
-        pins[("v", left.name, 1)] = b.i
-    if right.is_var:
-        pins[("v", right.name, 2)] = b.lam
-    return pins
+    the leftmost symbol's column on b.i and the rightmost's row on b.lam."""
+    return _pins(((p.leftmost, 1, b.i), (p.rightmost, 2, b.lam)))
 
 
 def _homomorphism(M: StructureMatrix, p: Polynomial, pins: dict,
@@ -1032,6 +867,14 @@ def _homomorphism(M: StructureMatrix, p: Polynomial, pins: dict,
 
 # ---------------------------------------------------------------------------
 # Group lift
+
+def _nonzero_cell(M):
+    for lam in range(M.m):
+        for i in range(M.n):
+            if M.entry(lam, i):
+                return lam, i
+    raise IrregularMatrixError("no nonzero entry")
+
 
 def brute_group_eq(G: FiniteGroup, p: Polynomial, q: Polynomial, *,
                    budget: int | None = None):

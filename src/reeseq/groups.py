@@ -83,8 +83,13 @@ def finite_group(table, name="group", labels=None,
     return FiniteGroup(name, rows, identity, tuple(inverse), tuple(labels))
 
 
+_TRIVIAL = finite_group(((0,),), name="trivial")
+
+
 def trivial_group() -> FiniteGroup:
-    return finite_group(((0,),), name="trivial")
+    """The one-element group, shared: groups are frozen, and every
+    combinatorial semigroup is built over it."""
+    return _TRIVIAL
 
 
 def cyclic_group(k: int) -> FiniteGroup:

@@ -64,6 +64,13 @@ def test_group_table_validation():
         units_group(6)
 
 
+def test_trivial_group_is_shared():
+    # every combinatorial semigroup is built over it, so it is validated
+    # once, not on each call
+    assert r.trivial_group() is r.trivial_group()
+    assert r.combinatorial(r.identity(2)).group is r.trivial_group()
+
+
 @pytest.mark.parametrize("S", [
     r.combinatorial(r.identity(2)),
     r.combinatorial(r.hollow(3)),

@@ -68,15 +68,16 @@ def test_term_eq_s1_examples():
     assert v.kind == "not-equal"
 
 
-def test_term_eq_s1_witness_from_first_mismatching_slice():
+def test_term_eq_s1_witness_from_first_mismatching_slice(monkeypatch):
     # decided from the slice profiles; the witness is the plain witness of
     # the first elimination slice on which the words differ, not the first
-    # of 11^7 assignments, so even a budget of 10 suffices: balanced (TB1),
-    # general (G1, where the plain hints hit), bordered and all-ones (J1)
+    # of 11^7 assignments, so the search kernel never runs: balanced (TB1),
+    # general (G1), bordered and all-ones (J1)
     p = r.word_of("a b c d e f g a b c d e f g")
     q = r.word_of("a b c d e f g g f e d c b a")
+    monkeypatch.setattr(decide, "_first", _no_search)
     for M in (r.identity(3), H3, r.border(I2), r.all_ones(2, 2)):
-        v = r.term_eq_s1(M, p, q, budget=10)
+        v = r.term_eq_s1(M, p, q)
         assert v.kind == "not-equal", M
         S1 = r.combinatorial(M, True)
         w = v.witness.as_dict()
@@ -308,6 +309,64 @@ def test_homomorphism_long_chain():
     assert r.evaluate(S_H3, p, v.witness.as_dict()) != r.ZERO
 
 
+def _check_witness(S, p, q, v, zset):
+    w = v.witness.as_dict()
+    a, b = r.evaluate(S, p, w), r.evaluate(S, q, w)
+    return (a == r.ZERO) != (b == r.ZERO) if zset else a != b
+
+
+def test_pinned_search_matches_oracles(monkeypatch):
+    # plain zset-eq, pol-eq and term-eq on every class up to 3x3, general
+    # ones included, against brute_zset_eq and brute_eq; the oracles run
+    # first, the fast paths with the search kernel patched to raise, and
+    # every witness is evaluated again
+    rng = random.Random(15)
+    terms = all_terms(("x", "y", "z"), 4)
+    cases = []
+    for M in matrix_classes(3, 3):
+        S = r.combinatorial(M)
+        pool = random_words(M, rng, 30)
+        for k in range(12):
+            p = rng.choice(pool)
+            q = _same_variables(rng, pool, p) if k % 2 else rng.choice(pool)
+            cases.append((S, p, q, partial(r.pol_zset_eq, M, p, q), True,
+                          r.brute_zset_eq(S, p, q).kind))
+            cases.append((S, p, q, partial(r.pol_eq, M, p, q), False,
+                          r.brute_eq(S, p, q).kind))
+        for k in range(6):
+            p = rng.choice(terms)
+            q = _same_variables(rng, terms, p) if k % 2 else rng.choice(terms)
+            cases.append((S, p, q, partial(r.term_eq, M, p, q), False,
+                          r.brute_eq(S, p, q).kind))
+    monkeypatch.setattr(decide, "_first", _no_search)
+    for S, p, q, run, zset, expected in cases:
+        v = run()
+        assert v.kind == expected, run
+        if v.kind == "not-equal":
+            assert _check_witness(S, p, q, v, zset), run
+
+
+def test_general_class_pairs_at_scale(monkeypatch):
+    # twenty variables over the hollow 3x3 matrix, a general class: the
+    # engine decides each pair in a few pinned runs, where enumeration
+    # would cover 10^20 evaluations
+    names = [f"v{k}" for k in range(20)]
+    p = r.word_of(" ".join(names))
+    q = r.word_of(" ".join(names[:19] + ["v18"] + names[19:]))
+    monkeypatch.setattr(decide, "_first", _no_search)
+    for run, zset in ((r.pol_eq, False), (r.pol_zset_eq, True),
+                      (r.term_eq, False)):
+        v = run(H3, p, q)
+        assert v.kind == "not-equal", run
+        assert _check_witness(S_H3, p, q, v, zset), run
+    # u u = u u u: both are u's idempotent value or zero
+    p = r.word_of(" ".join(n + " " + n for n in names))
+    q = r.word_of(" ".join(n + " " + n + (" " + n if k % 3 == 0 else "")
+                           for k, n in enumerate(names)))
+    for run in (r.pol_eq, r.pol_zset_eq, r.term_eq):
+        assert run(H3, p, q).kind == "equal", run
+
+
 # ---------------------------------------------------------------------------
 # zero-set equality and matchability
 
@@ -326,21 +385,6 @@ def test_zset_distinct_variables():
         (r.evaluate(S_I2, r.word_of("y"), w) == r.ZERO)
 
 
-def test_matchability():
-    S = r.combinatorial(BORDER_H3)
-    p = r.parse_polynomial("x y", S)
-    # the one edge of the bipartite graph joins y's first and x's second
-    with pytest.raises(ReesError):
-        r.p_matchable(BORDER_H3, p, ("v", "y", 1), ("v", "x", 2))
-    # a zero can land on the non-edge (x1, y2) while p stays nonzero:
-    # pin x = [1,.], y = [.,1] and complete the rest with border indices
-    assert r.p_matchable(BORDER_H3, p, ("v", "x", 1), ("v", "y", 2))
-    # constant vertices are forced, so a nonzero entry between them is
-    # never matchable
-    q = r.parse_polynomial("x [1,2] y", S)
-    assert not r.p_matchable(BORDER_H3, q, ("c", 0, 1), ("c", 1, 2))
-
-
 def test_zset_bordered_constants():
     S = r.combinatorial(BORDER_H3)
     p = r.parse_polynomial("x [1,2] y", S)
@@ -348,7 +392,7 @@ def test_zset_bordered_constants():
     fast = r.pol_zset_eq(BORDER_H3, p, q)
     oracle = r.brute_zset_eq(S, p, q)
     assert fast.kind == oracle.kind
-    assert fast.method == "border-matchability"
+    assert fast.method == "homomorphism-search"
 
 
 @pytest.mark.parametrize("N", [BORDER_H3, r.border(I2)],
@@ -677,7 +721,8 @@ def test_zset_separator_cases(monkeypatch, live, dead):
 
 def _fast_path_name(name):
     return name in ("term_profile", "classify_matrix", "CompiledWord",
-                    "hat_transform", "_homomorphism", "_end_pins") or \
+                    "hat_transform", "_homomorphism", "_end_pins", "_pins",
+                    "_zero_pair") or \
         name.startswith(("pol_", "_zset_"))
 
 
