@@ -38,36 +38,39 @@ def _add_common(sub, matrix_arg=True):
     sub.add_argument("--format", choices=("plain", "json"), default="plain")
 
 
+# op -> (number of polynomials, fast procedure, exhaustive oracle), named
+# in decide and looked up per call, so that rebinding them reaches the CLI
+_OPS = {"term-eq": (2, "term_eq", "brute_eq"),
+        "pol-eq": (2, "pol_eq", "brute_eq"),
+        "zset-eq": (2, "pol_zset_eq", None),
+        "pol-zero": (1, "pol_zero", "brute_zero"),
+        "pol-sat": (1, "pol_sat", "brute_sat")}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="reeseq",
         description="equivalence procedures for finite Rees matrix semigroups")
     subs = ap.add_subparsers(dest="command", required=True)
 
-    for name, nargs, func in (("term-eq", 2, _run_eq), ("pol-eq", 2, _run_eq),
-                              ("zset-eq", 2, _run_eq),
-                              ("pol-zero", 1, _run_pol_zero)):
-        sub = subs.add_parser(name)
-        sub.set_defaults(func=func)
+    for op in _OPS:
+        sub = subs.add_parser(op)
+        sub.set_defaults(func=_run_op)
         _add_common(sub)
-        sub.add_argument("words", nargs="*" if name in ("pol-eq", "pol-zero")
-                         else nargs, help="polynomial text")
-        if name in ("pol-eq", "pol-zero"):
+        batch = op in ("pol-eq", "pol-zero")
+        sub.add_argument("words", nargs="*" if batch else 2,
+                         help=("polynomial text and target element "
+                               "(0, 1 or [i,lam])") if op == "pol-sat"
+                         else "polynomial text")
+        if batch:
             sub.add_argument("--file", help="instance file (one polynomial "
                              "per line, or 'EQ p | q' lines)")
-
-    sub = subs.add_parser("pol-sat")
-    sub.set_defaults(func=_run_pol_sat)
-    _add_common(sub)
-    sub.add_argument("words", nargs=2,
-                     help="polynomial text and target element "
-                          "(0, 1 or [i,lam])")
 
     sub = subs.add_parser("brute-check")
     sub.set_defaults(func=_run_brute_check)
     _add_common(sub)
     sub.add_argument("--op", required=True,
-                     choices=("term-eq", "pol-eq", "pol-zero", "pol-sat"))
+                     choices=[op for op, row in _OPS.items() if row[2]])
     sub.add_argument("words", nargs="+")
 
     sub = subs.add_parser("analyze-matrix")
@@ -155,95 +158,53 @@ def _parse_target(text, S):
     return p.word[0].elem
 
 
-def _run_eq(ns):
-    op = ns.command
+def _args(op, texts, S):
+    """The polynomials of op parsed from texts, plus pol-sat's target."""
+    count = _OPS[op][0]
+    need = count + (op == "pol-sat")
+    if len(texts) != need:
+        raise ParseError(f"{op} expects {need} argument(s), got {len(texts)}")
+    args = [parse_polynomial(t, S) for t in texts[:count]]
+    if op == "pol-sat":
+        args.append(_parse_target(texts[-1], S))
+    return args
+
+
+def _fast(op, M, args, ns, allow_brute):
+    """The fast procedure of op on parsed args, with the options of ns."""
+    name = _OPS[op][1]
+    if op == "term-eq":  # decided from term profiles, with no budget
+        return getattr(decide, name + "_s1" if ns.adjoin_identity
+                       else name)(M, *args)
+    return getattr(decide, name)(M, *args, adjoin_identity=ns.adjoin_identity,
+                                 allow_brute=allow_brute, budget=ns.budget)
+
+
+def _run_op(ns):
     M, S = _load_context(ns)
     if getattr(ns, "file", None):
-        return _run_batch(ns, op, M, S)
-    if len(ns.words) != 2:
-        raise ParseError(f"{op} expects two polynomials (or --file)")
-    p = parse_polynomial(ns.words[0], S)
-    q = parse_polynomial(ns.words[1], S)
-    if op == "term-eq":
-        if ns.adjoin_identity:
-            v = decide.term_eq_s1(M, p, q)
-        else:
-            v = decide.term_eq(M, p, q)
-    elif op == "pol-eq":
-        v = decide.pol_eq(M, p, q, adjoin_identity=ns.adjoin_identity,
-                          allow_brute=ns.brute, budget=ns.budget)
-    else:
-        v = decide.pol_zset_eq(M, p, q, adjoin_identity=ns.adjoin_identity,
-                               allow_brute=ns.brute, budget=ns.budget)
-    return _print_verdict(ns, op, v)
+        return _run_batch(ns, M, S)
+    v = _fast(ns.command, M, _args(ns.command, ns.words, S), ns, ns.brute)
+    return _print_verdict(ns, ns.command, v)
 
 
-def _run_batch(ns, op, M, S):
+def _run_batch(ns, M, S):
     with open(ns.file, encoding="utf-8") as fh:
         records = parse_instance_lines(fh.read())
     worst = 0
-    for k, rec in enumerate(records, start=1):
-        if rec[0] == "eq":
-            p = parse_polynomial(rec[1], S)
-            q = parse_polynomial(rec[2], S)
-            v = decide.pol_eq(M, p, q, adjoin_identity=ns.adjoin_identity,
-                              allow_brute=ns.brute, budget=ns.budget)
-        else:
-            p = parse_polynomial(rec[1], S)
-            v = decide.pol_zero(M, p, adjoin_identity=ns.adjoin_identity,
-                                allow_brute=ns.brute, budget=ns.budget)
+    for k, (kind, *texts) in enumerate(records, start=1):
+        op = "pol-eq" if kind == "eq" else "pol-zero"
+        v = _fast(op, M, _args(op, texts, S), ns, ns.brute)
         print(f"line {k}: {v.kind} [{v.method}]")
         worst = max(worst, 0 if v.positive else 1)
     return worst
 
 
-def _run_pol_zero(ns):
-    M, S = _load_context(ns)
-    if ns.file:
-        return _run_batch(ns, "pol-zero", M, S)
-    if len(ns.words) != 1:
-        raise ParseError("pol-zero expects one polynomial (or --file)")
-    p = parse_polynomial(ns.words[0], S)
-    v = decide.pol_zero(M, p, adjoin_identity=ns.adjoin_identity,
-                        allow_brute=ns.brute, budget=ns.budget)
-    return _print_verdict(ns, "pol-zero", v)
-
-
-def _run_pol_sat(ns):
-    M, S = _load_context(ns)
-    p = parse_polynomial(ns.words[0], S)
-    b = _parse_target(ns.words[1], S)
-    v = decide.pol_sat(M, p, b, adjoin_identity=ns.adjoin_identity,
-                       allow_brute=ns.brute, budget=ns.budget)
-    return _print_verdict(ns, "pol-sat", v)
-
-
 def _run_brute_check(ns):
     M, S = _load_context(ns)
-    need = 1 if ns.op == "pol-zero" else 2
-    if len(ns.words) != need:
-        raise ParseError(f"brute-check --op {ns.op} expects {need} "
-                         f"argument(s), got {len(ns.words)}")
-    p = parse_polynomial(ns.words[0], S)
-    if ns.op == "term-eq":
-        q = parse_polynomial(ns.words[1], S)
-        fast = (decide.term_eq_s1 if ns.adjoin_identity
-                else decide.term_eq)(M, p, q)
-        oracle = decide.brute_eq(S, p, q, budget=ns.budget)
-    elif ns.op == "pol-eq":
-        q = parse_polynomial(ns.words[1], S)
-        fast = decide.pol_eq(M, p, q, adjoin_identity=ns.adjoin_identity,
-                             budget=ns.budget)
-        oracle = decide.brute_eq(S, p, q, budget=ns.budget)
-    elif ns.op == "pol-zero":
-        fast = decide.pol_zero(M, p, adjoin_identity=ns.adjoin_identity,
-                               budget=ns.budget)
-        oracle = decide.brute_zero(S, p, budget=ns.budget)
-    else:
-        b = _parse_target(ns.words[1], S)
-        fast = decide.pol_sat(M, p, b, adjoin_identity=ns.adjoin_identity,
-                              budget=ns.budget)
-        oracle = decide.brute_sat(S, p, b, budget=ns.budget)
+    args = _args(ns.op, ns.words, S)
+    fast = _fast(ns.op, M, args, ns, allow_brute=True)
+    oracle = getattr(decide, _OPS[ns.op][2])(S, *args, budget=ns.budget)
     print(f"fast:   {fast.kind} [{fast.method}]")
     print(f"oracle: {oracle.kind} [{oracle.method}]")
     if fast.kind != oracle.kind:

@@ -28,11 +28,11 @@ budget, when allow_brute is set, and the verdict records that it did.
 
 Every verdict carries a method tag, and negative (positive, for
 satisfiability) verdicts carry a witness evaluation that is re-checked
-through words.evaluate at emission time.  The witness search serves only
-the group lift; it shares one search kernel with the exhaustive oracles at
-the bottom, the ground truth the fast paths are tested against, which never
-call a fast path (nor does the homomorphism search call them).
-value_vector is the one loop that builds full value tables.
+through words.evaluate at emission time.  The exhaustive oracles at the
+bottom, the ground truth the fast paths are tested against, share one
+search kernel that only they and value_vector (the one loop that builds
+full value tables) use; they never call a fast path, and no fast path
+calls the kernel.
 """
 
 from __future__ import annotations
@@ -45,9 +45,8 @@ from functools import lru_cache, partial
 
 from .core import (Element, ONE, ReesSemigroup, StructureMatrix, ZERO,
                    combinatorial, element_str, is_regular, pair, triple)
-from .errors import (BudgetExceededError, InvalidElementError,
-                     IrregularMatrixError, ReesError, UnsupportedMatrixError,
-                     WitnessSearchError)
+from .errors import (BudgetExceededError, IrregularMatrixError, ReesError,
+                     UnsupportedMatrixError, WitnessSearchError)
 from .graphs import (CompiledWord, antichain_table, build_adjacency,
                      build_identified, components)
 from .groups import FiniteGroup
@@ -117,6 +116,9 @@ class MatrixProfile:
     plan: object
     equal_rows: bool
     equal_cols: bool
+    # support[side][k]: the indices of the other side that index k of a
+    # column (side 0) or row (side 1) allows, as a bitmask
+    support: tuple
 
 
 @lru_cache(maxsize=256)
@@ -129,8 +131,12 @@ def classify_matrix(M: StructureMatrix) -> MatrixProfile:
     plan = retract(M)[0] if balanced else None
     rows = len(set(M.entries)) < M.m
     cols = len({M.col(i) for i in range(M.n)}) < M.n
+    support = (tuple(sum(1 << lam for lam in range(M.m) if M.entry(lam, i))
+                     for i in range(M.n)),
+               tuple(sum(1 << i for i in range(M.n) if M.entry(lam, i))
+                     for lam in range(M.m)))
     return MatrixProfile(M, is_all_ones(M), balanced, is_bordered(M),
-                         plan, rows, cols)
+                         plan, rows, cols, support)
 
 
 # ---------------------------------------------------------------------------
@@ -757,12 +763,7 @@ def _homomorphism(M: StructureMatrix, p: Polynomial, pins: dict,
     limit = default_budget() if budget is None else budget
     names = p.variables
     index = {u: j for j, u in enumerate(names)}
-    # support[side][k]: the indices of the other side that index k of a
-    # column (side 0) or row (side 1) vertex allows its neighbours
-    support = (tuple(sum(1 << lam for lam in range(M.m) if M.entry(lam, i))
-                     for i in range(M.n)),
-               tuple(sum(1 << i for i in range(M.n) if M.entry(lam, i))
-                     for lam in range(M.m)))
+    support = classify_matrix(M).support
     doms = [(1 << (M.m if v & 1 else M.n)) - 1 for v in range(2 * len(names))]
     nbrs = [set() for _ in doms]
     for s, t in zip(p.word, p.word[1:]):
@@ -900,11 +901,16 @@ def brute_group_eq(G: FiniteGroup, p: Polynomial, q: Polynomial, *,
 
 def term_eq_group(M: StructureMatrix, G: FiniteGroup, p: Polynomial,
                   q: Polynomial, group_oracle=None, *,
-                  find_witness: bool = True, budget: int | None = None) -> Verdict:
+                  find_witness: bool = True) -> Verdict:
     """Term equivalence over M(G, M) for a 0-1 matrix M.
 
     Splits into the combinatorial shadow and the group reading of the words;
     the group side is decided by a pluggable oracle (exhaustive by default).
+    The witness comes from the side that differs, with no search: the group
+    counterexample g placed on a nonzero cell M(lam0, i0), where every word
+    takes the value [i0, w(g), lam0]; else the shadow witness with the group
+    identity in every coordinate, since forgetting the group coordinate is a
+    homomorphism onto the shadow.
     """
     if not M.is_zero_one:
         raise UnsupportedMatrixError("the group lift expects a 0-1 matrix")
@@ -918,19 +924,19 @@ def term_eq_group(M: StructureMatrix, G: FiniteGroup, p: Polynomial,
               ("group equal", gw is None))
     if shadow.kind == "equal" and gw is None:
         return Verdict("equal", method, None, detail)
+    if not find_witness:
+        return Verdict("not-equal", method, None, detail)
 
     entries = tuple(tuple(G.identity + 1 if v else 0 for v in row)
                     for row in M.entries)
     S = ReesSemigroup(StructureMatrix(entries), G)
-    if not find_witness:
-        return Verdict("not-equal", method, None, detail)
-    hints = []
     if gw is not None:
         lam0, i0 = _nonzero_cell(M)
-        union = tuple(dict.fromkeys(p.variables + q.variables))
-        hints.append({v: triple(i0, gw.get(v, G.identity), lam0)
-                      for v in union})
-    w = _search_distinguishing(S, p, q, hints, budget)
+        w = {v: triple(i0, gw.get(v, G.identity), lam0)
+             for v in dict.fromkeys(p.variables + q.variables)}
+    else:
+        w = {v: e if e == ZERO else triple(e.i, G.identity, e.lam)
+             for v, e in term_eq(M, p, q).witness.assignment}
     return _emit_eq(S, p, q, w, method, detail)
 
 
@@ -1078,19 +1084,3 @@ def value_vector(S: ReesSemigroup, p: Polynomial, var_order, *,
                  for combo in itertools.product(range(len(els)),
                                                 repeat=len(var_order)))
 
-
-# ---------------------------------------------------------------------------
-# Witness search
-
-def _search_distinguishing(S, p, q, hints, budget):
-    for h in hints:
-        try:
-            if evaluate(S, p, h) != evaluate(S, q, h):
-                return h
-        except (InvalidElementError, KeyError):
-            continue
-    w = _first(S, (p, q), operator.ne, budget)
-    if w is None:
-        raise WitnessSearchError("no distinguishing evaluation exists; "
-                                 "the fast path disagrees with exhaustion")
-    return w

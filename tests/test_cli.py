@@ -104,9 +104,17 @@ def test_adjoin_identity_flag(i2_file):
 
 
 def test_brute_check_agreement(i2_file, capsys):
-    assert main(["brute-check", "--matrix", i2_file, "--op", "term-eq",
-                 "x x y y", "y y x x"]) == 0
-    assert "agree" in capsys.readouterr().out
+    # every --op, plain and with the identity adjoined, goes through the
+    # same fast procedures as the single calls and agrees with its oracle
+    for op, words, code in (("term-eq", ["x x y y", "y y x x"], 0),
+                            ("pol-eq", ["[1,1] x x [2,2]", "[1,1] x [2,2]"], 1),
+                            ("pol-zero", ["[1,2] x [1,1] x [2,2]"], 0),
+                            ("pol-sat", ["[1,1] x", "[2,1]"], 1)):
+        for extra in ([], ["--adjoin-identity"]):
+            argv = ["brute-check", "--matrix", i2_file, "--op", op, *extra]
+            assert main(argv + words) == code, (op, extra)
+            out = capsys.readouterr().out
+            assert out.endswith("agree\n"), (op, extra, out)
 
 
 def test_batch_file(i2_file, tmp_path, capsys):

@@ -495,6 +495,48 @@ def test_custom_group_oracle_is_used():
     assert calls
 
 
+def _group_semigroup(M, G):
+    """M(G, M): the 0-1 matrix M with the group identity for its ones."""
+    return ReesSemigroup(StructureMatrix(tuple(
+        tuple(G.identity + 1 if e else 0 for e in row) for row in M.entries)),
+        G)
+
+
+def test_group_lift_witnesses_without_search(monkeypatch):
+    # the witness comes from the side that differs, never from a search:
+    # verdicts from the oracle first, then the search kernel is forbidden.
+    # The named cases differ on one side each: x y vs y x in the shadow of
+    # I2 only, x vs x x in the group reading only.
+    rng = random.Random(5)
+    cases = [(I2, 2, "x y", "y x", (False, True)),
+             (r.all_ones(1, 1), 2, "x", "x x", (True, False))]
+    for M in (I2, H3, r.all_ones(2, 2), r.matrix(((1, 1, 0), (0, 1, 1)))):
+        for order in (2, 3):
+            for _ in range(10):
+                p = [rng.choice("xyz") for _ in range(rng.randint(1, 4))]
+                q = [rng.choice("xyz") for _ in range(rng.randint(1, 4))]
+                if rng.random() < 0.5:  # a cube: equal when the order is 2
+                    k = rng.randrange(len(p))
+                    q = p[:k] + [p[k]] * 3 + p[k + 1:]
+                cases.append((M, order, " ".join(p), " ".join(q), None))
+    runs = []
+    for M, order, p, q, sides in cases:
+        G = cyclic_group(order)
+        S = _group_semigroup(M, G)
+        p, q = r.word_of(p), r.word_of(q)
+        runs.append((M, G, S, p, q, sides, r.brute_eq(S, p, q).kind))
+    assert {kind for *_, kind in runs} == {"equal", "not-equal"}
+    monkeypatch.setattr(decide, "_first", _no_search)
+    for M, G, S, p, q, sides, kind in runs:
+        v = r.term_eq_group(M, G, p, q)
+        assert v.kind == kind, (M, G.name, p, q)
+        if sides is not None:
+            assert tuple(ok for _, ok in v.detail) == sides
+        if kind == "not-equal":
+            w = v.witness.as_dict()
+            assert r.evaluate(S, p, w) != r.evaluate(S, q, w), (p, q, w)
+
+
 # ---------------------------------------------------------------------------
 # oracle plumbing
 
@@ -750,3 +792,27 @@ def test_oracles_never_reach_fast_paths():
                     via[ref] = name
                     todo.append(ref)
     assert "_emit_eq" in via and "_fold" in via
+
+
+def test_fast_paths_never_reach_the_kernel():
+    # the converse: the fast paths reach the oracles' search kernel only
+    # through the brute_* fallbacks they declare, where the walk stops
+    kernel = {"_first", "_fold", "_space", "_tables", "value_vector"}
+    via = dict.fromkeys(("pol_zero", "pol_zset_eq", "pol_eq", "pol_sat",
+                         "term_eq", "term_eq_s1", "term_eq_group",
+                         "term_profile"))
+    todo = list(via)
+    while todo:
+        name = todo.pop()
+        assert name not in kernel, (name, "reached from", via[name])
+        if name.startswith("brute_"):
+            continue
+        fn = getattr(decide, name, None)
+        fn = getattr(fn, "__wrapped__", fn)  # classify_matrix is cached
+        if isinstance(fn, types.FunctionType) and \
+                fn.__module__ == decide.__name__:
+            for ref in _global_names(fn.__code__):
+                if ref not in via:
+                    via[ref] = name
+                    todo.append(ref)
+    assert {"_homomorphism", "classify_matrix", "brute_eq"} <= set(via)
