@@ -21,18 +21,17 @@ from .errors import (BudgetExceededError, EmptyWordError, GroupTableError,
                      MissingAssignmentError, ParseError, ReesError,
                      UnsupportedMatrixError, WitnessSearchError)
 from .graphs import (antichain, antichain_table, build_adjacency,
-                     build_bipartite, build_identified, component_of,
-                     component_sequencing, components, factor_variable_sets,
-                     is_consistent, to_dot)
+                     build_bipartite, build_identified, components,
+                     factor_variable_sets, is_consistent, to_dot)
 from .groups import (FiniteGroup, cyclic_group, finite_group, group_from_name,
                      trivial_group, units_group)
 from .matrices import (RetractionPlan, all_ones, border, direct_sum,
                        hat_transform, hollow, identity, is_all_ones,
                        is_bordered, is_totally_balanced, permute, retract)
-from .words import (Evaluation, Polynomial, Symbol, const, eliminate_variable,
-                    evaluate, instance_size, left_sequencing, parse_polynomial,
-                    permute_polynomial, poly, polynomial_str,
-                    right_sequencing, substitute, substitute_elements,
+from .words import (Evaluation, Polynomial, Symbol, const,
+                    eliminate_variables, evaluate, left_sequencing,
+                    parse_polynomial, permute_polynomial, poly,
+                    polynomial_str, right_sequencing, substitute,
                     transpose_polynomial, var, word_of)
 
 __version__ = "0.1.0"

@@ -19,9 +19,8 @@ from .words import (Evaluation, parse_instance_lines, parse_polynomial,
                     polynomial_str)
 
 
-def _add_common(sub, matrix_arg=True):
-    if matrix_arg:
-        sub.add_argument("--matrix", required=True, help="structure matrix file")
+def _add_common(sub):
+    sub.add_argument("--matrix", required=True, help="structure matrix file")
     sub.add_argument("--adjoin-identity", action="store_true",
                      help="work over the semigroup with identity adjoined")
     sub.add_argument("--budget", type=int, default=None,

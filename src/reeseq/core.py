@@ -69,12 +69,12 @@ def transpose_element(e: Element) -> Element:
     return triple(e.lam, e.g, e.i)
 
 
-def element_str(e: Element, show_group: bool = False) -> str:
+def element_str(e: Element) -> str:
     if e.kind == "zero":
         return "0"
     if e.kind == "one":
         return "1"
-    if show_group or e.g != 0:
+    if e.g != 0:
         return f"[{e.i + 1},{e.g + 1},{e.lam + 1}]"
     return f"[{e.i + 1},{e.lam + 1}]"
 

@@ -52,8 +52,8 @@ from .graphs import (CompiledWord, antichain_table, build_adjacency,
 from .groups import FiniteGroup
 from .matrices import (hat_transform, is_all_ones, is_bordered,
                        is_totally_balanced, lift_element_map, retract)
-from .words import (Evaluation, Polynomial, evaluate, left_sequencing,
-                    right_sequencing, validate_polynomial)
+from .words import (Evaluation, Polynomial, eliminate_variables, evaluate,
+                    left_sequencing, right_sequencing, validate_polynomial)
 
 
 def default_budget() -> int:
@@ -272,8 +272,7 @@ def _slices_detail(kp, kq) -> tuple:
     return tuple(rows)
 
 
-def term_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
-            find_witness: bool = True) -> Verdict:
+def term_eq(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
     """Decide p = q for terms over the combinatorial semigroup of M.
 
     The verdict comes from the term profiles; a witness from pol_eq, which
@@ -287,8 +286,6 @@ def term_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     detail = _profile_detail(kp, kq)
     if kp == kq:
         return Verdict("equal", method, None, detail)
-    if not find_witness:
-        return Verdict("not-equal", method, None, detail)
     w = pol_eq(M, p, q).witness
     if w is None:
         raise WitnessSearchError(f"term profiles of {p} and {q} differ "
@@ -296,8 +293,7 @@ def term_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     return Verdict("not-equal", method, w, detail)
 
 
-def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
-               find_witness: bool = True) -> Verdict:
+def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
     """Decide p = q for terms over the semigroup of M with identity adjoined.
 
     A witness comes from the first elimination slice on which the plain
@@ -312,8 +308,6 @@ def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     detail = _profile_detail(kp, kq)
     if kp == kq:
         return Verdict("equal", method, None, detail)
-    if not find_witness:
-        return Verdict("not-equal", method, None, detail)
     S = combinatorial(M, with_identity=True)
     names = sorted(set(p.variables) | set(q.variables))
     # slice 0 keeps both words whole, so words over different variables
@@ -321,7 +315,7 @@ def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     # slice eliminating every variable is left out
     for mask in _slice_masks(len(names), False):
         W = _mask_names(names, mask)
-        pw, qw = _eliminate_names(p, W), _eliminate_names(q, W)
+        pw, qw = eliminate_variables(p, W), eliminate_variables(q, W)
         if term_profile(M, pw) != term_profile(M, qw):
             w = term_eq(M, pw, qw).witness.as_dict()
             w.update(dict.fromkeys(W, ONE))
@@ -333,16 +327,9 @@ def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
 # ---------------------------------------------------------------------------
 # Identically-zero
 
-def _eliminate_names(p: Polynomial, names) -> Polynomial | None:
-    """Drop every occurrence of the given variables; None for the empty word."""
-    kept = tuple(s for s in p.word
-                 if not (s.is_var and s.name in names))
-    return Polynomial(kept) if kept else None
-
-
 def pol_zero(M: StructureMatrix, p: Polynomial, *,
              adjoin_identity: bool = False, allow_brute: bool = True,
-             budget: int | None = None, find_witness: bool = True) -> Verdict:
+             budget: int | None = None) -> Verdict:
     """Is p identically zero over the combinatorial semigroup of M?
 
     With the identity adjoined, an identity-valued variable drops out of the
@@ -363,10 +350,8 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
         detail = (("plan size", prof.plan.k), ("surviving slice", W))
         if W is None:
             return Verdict("zero", method, None, detail)
-        if not find_witness:
-            return Verdict("not-zero", method, None, detail)
         # the witness slice alone goes through the explicit graph
-        pw = _eliminate_names(p, W)
+        pw = eliminate_variables(p, W)
         w = dict.fromkeys(W, ONE)
         if pw is not None:
             w.update(_balanced_nonzero_witness(
@@ -381,8 +366,6 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
         detail = (("border evaluation", Evaluation.of(e0)),)
         if v == ZERO:
             return Verdict("zero", "border-evaluation", None, detail)
-        if not find_witness:
-            return Verdict("not-zero", "border-evaluation", None, detail)
         return _emit_nonzero(S, p, e0, "border-evaluation", detail)
 
     if not allow_brute:
@@ -394,8 +377,6 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
     w = _homomorphism(M, p, {}, budget)
     if w is None:
         return Verdict("zero", "homomorphism-search")
-    if not find_witness:
-        return Verdict("not-zero", "homomorphism-search")
     return _emit_nonzero(S, p, w, "homomorphism-search")
 
 
@@ -433,7 +414,7 @@ def _border_completion(M, p):
 
 def pol_zset_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
                 adjoin_identity: bool = False, allow_brute: bool = True,
-                budget: int | None = None, find_witness: bool = True) -> Verdict:
+                budget: int | None = None) -> Verdict:
     """Do p and q vanish on exactly the same evaluations?"""
     prof = classify_matrix(M)
     S = combinatorial(M, adjoin_identity)
@@ -447,16 +428,13 @@ def pol_zset_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
                    tuple(sorted(q.variables)), same),)
         if same:
             return Verdict("equal", "all-ones-variables", None, detail)
-        if not find_witness:
-            return Verdict("not-equal", "all-ones-variables", None, detail)
         v = sorted(set(p.variables) ^ set(q.variables))[0]
         e = {u: pair(0, 0) for u in union}
         e[v] = ZERO
         return _emit_eq_zset(S, p, q, e, "all-ones-variables", detail)
 
     if prof.totally_balanced:
-        return _zset_balanced(S, prof, p, q, union, find_witness,
-                              adjoin_identity)
+        return _zset_balanced(S, prof, p, q, union, adjoin_identity)
 
     if adjoin_identity or not prof.bordered:
         if not allow_brute:
@@ -464,7 +442,7 @@ def pol_zset_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
                                          "this matrix class")
         if adjoin_identity:
             return brute_zset_eq(S, p, q, budget=budget)
-    return _zset_zero_pairs(S, M, p, q, union, budget, find_witness)
+    return _zset_zero_pairs(S, M, p, q, union, budget)
 
 
 def _emit_eq_zset(S, p, q, witness, method, detail):
@@ -493,7 +471,7 @@ def _system(names, labels) -> tuple:
                       for c, vs in groups.items() if c < 0 or len(vs) > 1))
 
 
-def _zset_balanced(S, prof, p, q, union, find_witness, with_identity):
+def _zset_balanced(S, prof, p, q, union, with_identity):
     method = "balanced-constraint-systems"
     names = tuple(sorted(union))
     cwp, cwq = (CompiledWord(hat_transform(word, prof.plan), names)
@@ -510,14 +488,12 @@ def _zset_balanced(S, prof, p, q, union, find_witness, with_identity):
     W = _mask_names(names, mask)
     detail = (("identity slice", W),
               ("constraints", _system(names, lp), _system(names, lq), False))
-    if not find_witness:
-        return Verdict("not-equal", method, None, detail)
 
     # A plain evaluation separating the slice words pw and qw, with W set to
     # the identity, separates p and q.  Neither slice word is empty: a word
     # made only of W's variables would make an earlier slice, the empty
     # one, mismatch first.
-    pw, qw = _eliminate_names(p, W), _eliminate_names(q, W)
+    pw, qw = eliminate_variables(p, W), eliminate_variables(q, W)
     pin = kill = None
     if lp is None or lq is None:
         live = qw if lp is None else pw
@@ -568,7 +544,7 @@ def _separator(live, dead):
     return None
 
 
-def _zset_zero_pairs(S, M, p, q, union, budget, find_witness):
+def _zset_zero_pairs(S, M, p, q, union, budget):
     """Zero sets compared through homomorphism search under pins.
 
     A word that is identically zero decides at once, and so does a variable
@@ -598,8 +574,6 @@ def _zset_zero_pairs(S, M, p, q, union, budget, find_witness):
                            (("zero pairs", "none separates the words"),))
         st, cell, w = hit
         detail = (("zero pair", st, cell, False),)
-    if not find_witness:
-        return Verdict("not-equal", method, None, detail)
     for u in union:
         w.setdefault(u, ZERO)
     return _emit_eq_zset(S, p, q, w, method, detail)
@@ -631,7 +605,7 @@ def _zero_pair(M, src, dst, budget):
 
 def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
            adjoin_identity: bool = False, allow_brute: bool = True,
-           budget: int | None = None, find_witness: bool = True) -> Verdict:
+           budget: int | None = None) -> Verdict:
     """Decide p = q as functions.
 
     Over the plain semigroup: zero-set equality, then the ends.  A nonzero
@@ -654,7 +628,7 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
             return brute_eq(S, p, q, budget=budget)
 
     method = "zset-plus-endpoints"
-    z = pol_zset_eq(M, p, q, budget=budget, find_witness=find_witness)
+    z = pol_zset_eq(M, p, q, budget=budget)
     if z.kind != "equal":
         return Verdict("not-equal", method, z.witness,
                        (("zero-sets equal", False),) + z.detail)
@@ -673,8 +647,6 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
             detail = (("zero-sets equal", True),
                       ("distinct " + ("columns" if side == 1 else "rows")
                        + " at the ends", x + 1, y + 1))
-            if not find_witness:
-                return Verdict("not-equal", method, None, detail)
             return _emit_eq(S, p, q, w, method, detail)
     return Verdict("equal", method, None, (("zero-sets equal", True),
                                            ("endpoint scan", "clean")))
@@ -881,10 +853,7 @@ def brute_group_eq(G: FiniteGroup, p: Polynomial, q: Polynomial, *,
                    budget: int | None = None):
     """Counterexample assignment for the group reading of two terms, or None."""
     union = tuple(dict.fromkeys(p.variables + q.variables))
-    budget = budget or default_budget()
-    if G.order ** len(union) > budget:
-        raise BudgetExceededError(f"{G.order}^{len(union)} group assignments "
-                                  f"exceed budget {budget}")
+    _space(G.order, len(union), budget)
 
     def run(word, e):
         acc = G.identity
@@ -900,13 +869,12 @@ def brute_group_eq(G: FiniteGroup, p: Polynomial, q: Polynomial, *,
 
 
 def term_eq_group(M: StructureMatrix, G: FiniteGroup, p: Polynomial,
-                  q: Polynomial, group_oracle=None, *,
-                  find_witness: bool = True) -> Verdict:
+                  q: Polynomial) -> Verdict:
     """Term equivalence over M(G, M) for a 0-1 matrix M.
 
-    Splits into the combinatorial shadow and the group reading of the words;
-    the group side is decided by a pluggable oracle (exhaustive by default).
-    The witness comes from the side that differs, with no search: the group
+    Splits into the combinatorial shadow, compared by term profiles, and
+    the group reading of the words, decided by brute_group_eq.  The witness
+    comes from the side that differs, with no search: the group
     counterexample g placed on a nonzero cell M(lam0, i0), where every word
     takes the value [i0, w(g), lam0]; else the shadow witness with the group
     identity in every coordinate, since forgetting the group coordinate is a
@@ -916,16 +884,12 @@ def term_eq_group(M: StructureMatrix, G: FiniteGroup, p: Polynomial,
         raise UnsupportedMatrixError("the group lift expects a 0-1 matrix")
     if not (p.is_term and q.is_term):
         raise ReesError("term procedures expect constant-free words")
-    group_oracle = group_oracle or brute_group_eq
-    shadow = term_eq(M, p, q, find_witness=False)
-    gw = group_oracle(G, p, q)
+    shadow_equal = term_profile(M, p) == term_profile(M, q)
+    gw = brute_group_eq(G, p, q)
     method = "shadow-plus-group"
-    detail = (("shadow equal", shadow.kind == "equal"),
-              ("group equal", gw is None))
-    if shadow.kind == "equal" and gw is None:
+    detail = (("shadow equal", shadow_equal), ("group equal", gw is None))
+    if shadow_equal and gw is None:
         return Verdict("equal", method, None, detail)
-    if not find_witness:
-        return Verdict("not-equal", method, None, detail)
 
     entries = tuple(tuple(G.identity + 1 if v else 0 for v in row)
                     for row in M.entries)
@@ -980,13 +944,15 @@ def _fold(word, assign, mul):
     return acc
 
 
-def _space(S, nvars, budget):
+def _space(base, nvars, budget):
+    """Refuse a nonpositive budget, or a space of base^nvars evaluations
+    larger than it."""
     budget = budget if budget is not None else default_budget()
     if budget <= 0:
         raise BudgetExceededError(f"budget must be positive, got {budget}")
-    size = S.size ** nvars
+    size = base ** nvars
     if size > budget:
-        raise BudgetExceededError(f"{S.size}^{nvars} = {size} evaluations "
+        raise BudgetExceededError(f"{base}^{nvars} = {size} evaluations "
                                   f"exceed budget {budget}")
 
 
@@ -1008,7 +974,7 @@ def _first(S: ReesSemigroup, words, test, budget) -> dict | None:
     space exceeds budget.
     """
     names = tuple(dict.fromkeys(v for p in words for v in p.variables))
-    _space(S, len(names), budget)
+    _space(S.size, len(names), budget)
     els, index, mul = _tables(S)
     varpos = {v: k for k, v in enumerate(names)}
     code = [_compiled(p.word, varpos, index) for p in words]
@@ -1076,7 +1042,7 @@ def value_vector(S: ReesSemigroup, p: Polynomial, var_order, *,
     """
     if set(p.variables) - set(var_order):
         raise ReesError("var_order must cover the variables of p")
-    _space(S, len(var_order), budget)
+    _space(S.size, len(var_order), budget)
     els, index, mul = _tables(S)
     varpos = {v: k for k, v in enumerate(var_order)}
     wp = _compiled(p.word, varpos, index)

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ReesError
 from .words import Polynomial
 
 
@@ -191,31 +190,6 @@ class CompiledWord:
         """X vertex of the first kept position, Y vertex of the last."""
         kept = [pos for pos in self.positions if not pos[0] & drop]
         return kept[0][1], kept[-1][2]
-
-
-def component_of(partition, vertex) -> frozenset:
-    for c in partition:
-        if vertex in c:
-            return c
-    raise ReesError(f"vertex {vertex!r} not in partition")
-
-
-def component_sequencing(p: Polynomial, side: str) -> tuple:
-    """Components of the bipartite graph in order of first appearance.
-
-    Scanning left to right, a position contributes its first-coordinate
-    vertex before its second; right to left, the mirror order.
-    """
-    part = components(build_bipartite(p))
-    word = p.word if side == "left" else tuple(reversed(p.word))
-    sides = (1, 2) if side == "left" else (2, 1)
-    seen: list = []
-    for s in word:
-        for sd in sides:
-            c = component_of(part, _sym_vertex(s, sd))
-            if c not in seen:
-                seen.append(c)
-    return tuple(seen)
 
 
 # ---------------------------------------------------------------------------

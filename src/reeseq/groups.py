@@ -39,8 +39,7 @@ class FiniteGroup:
         return len(self.table) == 1
 
 
-def finite_group(table, name="group", labels=None,
-                 assoc_limit=ASSOCIATIVITY_CHECK_LIMIT) -> FiniteGroup:
+def finite_group(table, name="group", labels=None) -> FiniteGroup:
     """Build a validated group from a Cayley table (rows of element indices)."""
     n = len(table)
     rows = tuple(tuple(row) for row in table)
@@ -67,7 +66,7 @@ def finite_group(table, name="group", labels=None,
             raise GroupTableError(f"element {a} has no inverse")
         inverse.append(b)
 
-    if n <= assoc_limit:
+    if n <= ASSOCIATIVITY_CHECK_LIMIT:
         for a in range(n):
             for b in range(n):
                 for c in range(n):
@@ -76,7 +75,7 @@ def finite_group(table, name="group", labels=None,
                             f"not associative at ({a}, {b}, {c})")
     else:
         warnings.warn(f"group of order {n}: associativity not checked "
-                      f"(limit {assoc_limit})", stacklevel=2)
+                      f"(limit {ASSOCIATIVITY_CHECK_LIMIT})", stacklevel=2)
 
     if labels is None:
         labels = tuple(str(i + 1) for i in range(n))

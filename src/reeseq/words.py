@@ -106,11 +106,6 @@ def word_of(names: str) -> Polynomial:
     return Polynomial(tuple(var(t) for t in names.split()))
 
 
-def instance_size(*polys: Polynomial) -> int:
-    """Size of a problem instance: the lengths of its words, added up."""
-    return sum(p.length for p in polys)
-
-
 # ---------------------------------------------------------------------------
 # Parsing and printing
 
@@ -150,8 +145,8 @@ def parse_polynomial(text: str, S: ReesSemigroup) -> Polynomial:
     return Polynomial(tuple(out))
 
 
-def polynomial_str(p: Polynomial, show_group: bool = False) -> str:
-    return " ".join(s.name if s.is_var else element_str(s.elem, show_group)
+def polynomial_str(p: Polynomial) -> str:
+    return " ".join(s.name if s.is_var else element_str(s.elem)
                     for s in p.word)
 
 
@@ -208,16 +203,11 @@ def substitute(p: Polynomial, mapping: dict[str, Polynomial]) -> Polynomial:
     return Polynomial(tuple(out))
 
 
-def substitute_elements(p: Polynomial, partial: dict[str, Element]) -> Polynomial:
-    """Replace mapped variables by constant symbols (a partial evaluation)."""
-    return substitute(p, {k: poly(const(v)) for k, v in partial.items()})
-
-
-def eliminate_variable(p: Polynomial, name: str) -> Polynomial:
-    kept = tuple(s for s in p.word if not (s.is_var and s.name == name))
-    if not kept:
-        raise EmptyWordError(f"eliminating {name!r} empties the word")
-    return Polynomial(kept)
+def eliminate_variables(p: Polynomial, names) -> Polynomial | None:
+    """Drop every occurrence of the named variables, as an identity value
+    would; None when nothing is left."""
+    kept = tuple(s for s in p.word if not (s.is_var and s.name in names))
+    return Polynomial(kept) if kept else None
 
 
 def left_sequencing(p: Polynomial) -> tuple[str, ...]:

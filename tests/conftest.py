@@ -64,3 +64,11 @@ def first_partition_conflict(items, key_a, key_b):
             if (key_a(p) == key_a(q)) != (key_b(p) == key_b(q)):
                 return p, q
     return None
+
+
+def checked_kind(v):
+    """The kind of a verdict, once it is seen to carry a witness exactly
+    when the kind calls for one."""
+    assert (v.witness is not None) == \
+        (v.kind in ("not-equal", "not-zero", "sat")), v
+    return v.kind

@@ -15,8 +15,8 @@ from contextlib import contextmanager
 import pytest
 
 import reeseq as r
-from conftest import (all_terms, matrix_classes, partitions_match,
-                      regular_grids)
+from conftest import (all_terms, checked_kind, matrix_classes,
+                      partitions_match, regular_grids)
 from reeseq import reductions as red
 from reeseq.core import ReesSemigroup, StructureMatrix
 from reeseq.errors import UnsupportedMatrixError
@@ -122,13 +122,13 @@ def test_criterion_04_balanced_polynomial_suite():
             S = r.combinatorial(M)
             pool = poly_pool(S, seed=4)
             for p in pool:
-                assert r.pol_zero(M, p, find_witness=False).kind == \
+                assert checked_kind(r.pol_zero(M, p)) == \
                     r.brute_zero(S, p).kind, (M.entries, str(p))
             for p in pool[:60]:
                 for q in pool[:60]:
-                    assert r.pol_zset_eq(M, p, q, find_witness=False).kind \
-                        == r.brute_zset_eq(S, p, q).kind, (str(p), str(q))
-                    assert r.pol_eq(M, p, q, find_witness=False).kind == \
+                    assert checked_kind(r.pol_zset_eq(M, p, q)) == \
+                        r.brute_zset_eq(S, p, q).kind, (str(p), str(q))
+                    assert checked_kind(r.pol_eq(M, p, q)) == \
                         r.brute_eq(S, p, q).kind, (str(p), str(q))
             targets = [r.pair(i, lam) for i in range(M.n)
                        for lam in range(M.m)] + [r.ZERO]
@@ -166,11 +166,11 @@ def test_criterion_05_bordered_class():
                                   for _ in range(length)))
         pool = [r.parse_polynomial(t, S) for t in dict.fromkeys(texts)]
         for p in pool:
-            assert r.pol_zero(N, p, find_witness=False).kind == \
+            assert checked_kind(r.pol_zero(N, p)) == \
                 r.brute_zero(S, p).kind, str(p)
         for p in pool[:55]:
             for q in pool[:55]:
-                assert r.pol_eq(N, p, q, find_witness=False).kind == \
+                assert checked_kind(r.pol_eq(N, p, q)) == \
                     r.brute_eq(S, p, q).kind, (str(p), str(q))
 
         # the alternating chain: bordered members take the fast path, the
@@ -306,16 +306,15 @@ def test_criterion_11_transfer_invariance():
                 M = rng.choice(term_mats)
                 p, q = rng.choice(terms), rng.choice(terms)
                 decide = r.term_eq_s1 if rng.random() < 0.4 else r.term_eq
-                base = decide(M, p, q, find_witness=False).kind
-                flipped = decide(M.transpose(), transpose_polynomial(p),
-                                 transpose_polynomial(q),
-                                 find_witness=False).kind
+                base = checked_kind(decide(M, p, q))
+                flipped = checked_kind(decide(M.transpose(),
+                                              transpose_polynomial(p),
+                                              transpose_polynomial(q)))
                 rp = list(range(M.m))
                 cp = list(range(M.n))
                 rng.shuffle(rp)
                 rng.shuffle(cp)
-                relabeled = decide(r.permute(M, rp, cp), p, q,
-                                   find_witness=False).kind
+                relabeled = checked_kind(decide(r.permute(M, rp, cp), p, q))
                 assert base == flipped == relabeled, (M.entries, p, q)
             else:
                 M = rng.choice(poly_mats)
@@ -329,34 +328,22 @@ def test_criterion_11_transfer_invariance():
                 rng.shuffle(cp_shuffled)
                 op = rng.choice(("zero", "zset", "eq"))
                 if op == "zero":
-                    base = r.pol_zero(M, p, find_witness=False).kind
-                    flipped = r.pol_zero(M.transpose(),
-                                         transpose_polynomial(p),
-                                         find_witness=False).kind
-                    relabeled = r.pol_zero(
+                    base = checked_kind(r.pol_zero(M, p))
+                    flipped = checked_kind(r.pol_zero(
+                        M.transpose(), transpose_polynomial(p)))
+                    relabeled = checked_kind(r.pol_zero(
                         r.permute(M, rp, cp_shuffled),
-                        permute_polynomial(p, rp, cp_shuffled),
-                        find_witness=False).kind
-                elif op == "zset":
-                    base = r.pol_zset_eq(M, p, q, find_witness=False).kind
-                    flipped = r.pol_zset_eq(
-                        M.transpose(), transpose_polynomial(p),
-                        transpose_polynomial(q), find_witness=False).kind
-                    relabeled = r.pol_zset_eq(
-                        r.permute(M, rp, cp_shuffled),
-                        permute_polynomial(p, rp, cp_shuffled),
-                        permute_polynomial(q, rp, cp_shuffled),
-                        find_witness=False).kind
+                        permute_polynomial(p, rp, cp_shuffled)))
                 else:
-                    base = r.pol_eq(M, p, q, find_witness=False).kind
-                    flipped = r.pol_eq(
+                    decide = r.pol_zset_eq if op == "zset" else r.pol_eq
+                    base = checked_kind(decide(M, p, q))
+                    flipped = checked_kind(decide(
                         M.transpose(), transpose_polynomial(p),
-                        transpose_polynomial(q), find_witness=False).kind
-                    relabeled = r.pol_eq(
+                        transpose_polynomial(q)))
+                    relabeled = checked_kind(decide(
                         r.permute(M, rp, cp_shuffled),
                         permute_polynomial(p, rp, cp_shuffled),
-                        permute_polynomial(q, rp, cp_shuffled),
-                        find_witness=False).kind
+                        permute_polynomial(q, rp, cp_shuffled)))
                 assert base == flipped == relabeled, \
                     (M.entries, str(p), str(q), op)
             checked += 1

@@ -9,7 +9,7 @@ from functools import partial
 import pytest
 
 import reeseq as r
-from conftest import all_terms, matrix_classes
+from conftest import all_terms, checked_kind, matrix_classes
 from reeseq import decide
 from reeseq.core import ReesSemigroup, StructureMatrix
 from reeseq.errors import (BudgetExceededError, ReesError,
@@ -94,9 +94,9 @@ def test_term_oracle_agreement_2x2():
         S1 = r.combinatorial(M, True)
         for p in terms:
             for q in terms:
-                assert r.term_eq(M, p, q, find_witness=False).kind == \
+                assert checked_kind(r.term_eq(M, p, q)) == \
                     r.brute_eq(S, p, q).kind, (M, p, q)
-                assert r.term_eq_s1(M, p, q, find_witness=False).kind == \
+                assert checked_kind(r.term_eq_s1(M, p, q)) == \
                     r.brute_eq(S1, p, q).kind, (M, p, q)
 
 
@@ -188,9 +188,8 @@ def test_identity_slices_match_oracles(M):
             r.brute_zero(S1, p).kind, str(p)
     for _ in range(2500):
         p, q = rng.choice(pool), rng.choice(pool)
-        assert r.pol_zset_eq(M, p, q, adjoin_identity=True,
-                             find_witness=False).kind == \
-            r.brute_zset_eq(S1, p, q).kind, (str(p), str(q))
+        assert checked_kind(r.pol_zset_eq(M, p, q, adjoin_identity=True)) \
+            == r.brute_zset_eq(S1, p, q).kind, (str(p), str(q))
     for _ in range(200):
         p, q = rng.choice(pool), rng.choice(pool)
         v = r.pol_zset_eq(M, p, q, adjoin_identity=True)
@@ -412,9 +411,9 @@ def test_bordered_suite_matches_oracles(N):
         assert r.pol_zero(N, p).kind == r.brute_zero(S, p).kind, str(p)
     for p in pool:
         for q in pool:
-            assert r.pol_zset_eq(N, p, q, find_witness=False).kind == \
+            assert checked_kind(r.pol_zset_eq(N, p, q)) == \
                 r.brute_zset_eq(S, p, q).kind, (str(p), str(q))
-            assert r.pol_eq(N, p, q, find_witness=False).kind == \
+            assert checked_kind(r.pol_eq(N, p, q)) == \
                 r.brute_eq(S, p, q).kind, (str(p), str(q))
     targets = [r.pair(i, lam) for i in range(N.n) for lam in range(N.m)]
     for p in pool[:8]:
@@ -481,18 +480,6 @@ def test_group_lift_uses_group_side():
     assert v.kind == "equal"  # x = x^3 in a group of exponent 2 and J is a point
     v2 = r.term_eq_group(J, Z2, r.word_of("x"), r.word_of("x x"))
     assert v2.kind == "not-equal"
-
-
-def test_custom_group_oracle_is_used():
-    calls = []
-
-    def oracle(G, p, q):
-        calls.append((p, q))
-        return r.brute_group_eq(G, p, q)
-
-    r.term_eq_group(I2, cyclic_group(2), r.word_of("x"), r.word_of("x"),
-                    group_oracle=oracle)
-    assert calls
 
 
 def _group_semigroup(M, G):
@@ -565,6 +552,13 @@ def test_budget_refusal():
     with pytest.raises(BudgetExceededError):
         r.brute_eq(S_H3, r.word_of("a b c d e"), r.word_of("e d c b a"),
                    budget=100)
+    # the group oracle refuses the same way: 2^3 assignments fit in 8, and
+    # a zero budget is refused, not read as the default
+    Z2, p, q = cyclic_group(2), r.word_of("x y z"), r.word_of("z y x")
+    assert r.brute_group_eq(Z2, p, q, budget=8) is None
+    for budget in (7, 0):
+        with pytest.raises(BudgetExceededError):
+            r.brute_group_eq(Z2, p, q, budget=budget)
 
 
 def test_budget_environment_default(monkeypatch):

@@ -1,14 +1,11 @@
 """Graph encodings: adjacency digraph, bipartite graphs, components,
-consistency, sequencings and antichain families."""
+consistency and antichain families."""
 
 import itertools
 import random
 
-import pytest
-
 import reeseq as r
 from conftest import all_terms, matrix_classes, partitions_match
-from reeseq.errors import ReesError
 from reeseq.graphs import build_adjacency, build_bipartite, build_identified
 
 
@@ -163,18 +160,6 @@ def test_zero_characterization_small():
                 assert (r.evaluate(S, p, e) == r.ZERO) == expected_zero
 
 
-def test_component_sequencing():
-    p = r.word_of("x y x")
-    left = r.component_sequencing(p, "left")
-    parts = r.components(build_bipartite(p))
-    assert set(left) == parts
-    assert left[0] != left[-1]
-    single = r.word_of("x x")
-    assert len(r.component_sequencing(single, "left")) == 1
-    assert (r.component_sequencing(r.word_of("x y"), "left")
-            != r.component_sequencing(r.word_of("y x"), "left"))
-
-
 def test_antichain_examples():
     assert r.antichain(r.word_of("x y"), "x", "y") == {frozenset()}
     p = r.word_of("x z y x y")
@@ -234,10 +219,3 @@ def test_dot_export():
     assert dot.count("--") == len(build_bipartite(p).edges)
     dot2 = r.to_dot(build_adjacency(p))
     assert "->" in dot2 and dot2.startswith("digraph")
-
-
-def test_component_of_missing_vertex():
-    p = r.word_of("x")
-    parts = r.components(build_bipartite(p))
-    with pytest.raises(ReesError):
-        r.component_of(parts, ("v", "zz", 1))

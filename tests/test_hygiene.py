@@ -34,3 +34,72 @@ def test_no_unused_imports(path):
 def test_unused_import_is_caught():
     tree = ast.parse("import os, sys\nfrom x import a as b, c\nprint(sys, c)\n")
     assert _unused_imports(tree) == [(1, "os"), (2, "b")]
+
+
+def _loads(node):
+    return {n.id for n in ast.walk(node)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _unreferenced_private(tree):
+    """Module-level _private functions and classes that no other statement
+    of the module refers to."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)) and node.name.startswith("_") \
+                and not node.name.startswith("__"):
+            used = set().union(*(_loads(other) for other in tree.body
+                                 if other is not node))
+            if node.name not in used:
+                out.append((node.lineno, node.name))
+    return out
+
+
+def _unread_parameters(tree):
+    """(line, function, parameter) for every parameter of a function or
+    lambda that its body never reads; a method's self or cls is the
+    receiver its class hands it, so it does not count."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + \
+            [x for x in (a.vararg, a.kwarg) if x is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = set().union(*(_loads(stmt) for stmt in body))
+        name = getattr(node, "name", "<lambda>")
+        out += [(node.lineno, name, x.arg) for x in params
+                if x.arg not in read and x.arg not in ("self", "cls")]
+    return out
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unreferenced_private_definitions(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert _unreferenced_private(tree) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unread_parameters(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert _unread_parameters(tree) == []
+
+
+def test_unreferenced_private_is_caught():
+    tree = ast.parse("def _a():\n    return _a()\n\n"
+                     "def _b():\n    pass\n\n"
+                     "class _C:\n    pass\n\n"
+                     "def f():\n    return _b()\n")
+    assert _unreferenced_private(tree) == [(1, "_a"), (7, "_C")]
+
+
+def test_unread_parameter_is_caught():
+    tree = ast.parse("def f(a, b=1, *c, d, **e):\n    return a + d\n\n"
+                     "g = lambda x, y: x\n\n"
+                     "class K:\n    def m(self, z):\n        return 0\n")
+    assert _unread_parameters(tree) == [(1, "f", "b"), (1, "f", "c"),
+                                        (1, "f", "e"), (4, "<lambda>", "y"),
+                                        (7, "m", "z")]

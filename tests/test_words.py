@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 import reeseq as r
-from reeseq.errors import EmptyWordError, MissingAssignmentError, ParseError
+from reeseq.errors import MissingAssignmentError, ParseError
 
 
 I2 = r.identity(2)
@@ -84,10 +84,14 @@ def test_substitute():
 
 
 def test_eliminate_variable():
-    assert r.eliminate_variable(r.word_of("x y x"), "x") == r.word_of("y")
-    assert r.eliminate_variable(r.word_of("x y"), "z") == r.word_of("x y")
-    with pytest.raises(EmptyWordError):
-        r.eliminate_variable(r.word_of("x x"), "x")
+    assert r.eliminate_variables(r.word_of("x y x"), {"x"}) == r.word_of("y")
+    assert r.eliminate_variables(r.word_of("x y z y"), ("x", "y")) == \
+        r.word_of("z")
+    assert r.eliminate_variables(r.word_of("x y"), ("z",)) == r.word_of("x y")
+    p = r.parse_polynomial("x [1,1] y", S2)
+    assert r.eliminate_variables(p, ("x", "y")) == \
+        r.parse_polynomial("[1,1]", S2)
+    assert r.eliminate_variables(r.word_of("x y x"), ("x", "y")) is None
 
 
 def test_sequencings():
@@ -138,9 +142,3 @@ EQ x y | y x
     assert recs == [("pol", "x y"), ("eq", "x y", "y x"), ("pol", "[1,1] u")]
     with pytest.raises(ParseError):
         parse_instance_lines("EQ x y")
-
-
-def test_instance_size():
-    p = r.word_of("x y")
-    q = r.parse_polynomial("[1,1] u^2 [1,1]", S2)
-    assert r.instance_size(p, q) == 2 + 4
