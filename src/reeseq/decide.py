@@ -3,17 +3,19 @@
 Over the plain semigroup of a 0-1 matrix M, p is nonzero exactly when its
 bipartite graph, constants pinned, maps into the support pattern of M.  One
 homomorphism search (arc consistency plus depth-first search, budgeted in
-search nodes) answers that question under pins, and the plain questions
-reduce to it:
+search nodes) answers that question as a list homomorphism: a symbol's
+column or row may be kept to a mask of indices, its list.  The plain
+questions reduce to it:
 
 * pol-zero on a matrix neither totally balanced nor bordered is one
-  unpinned search;
-* pol-sat pins the leftmost column and the rightmost row to the target's;
+  search with no masks;
+* pol-sat masks the leftmost column and the rightmost row to the target's;
 * zset-eq, on bordered matrices and (with allow_brute) on general ones,
-  searches for a nonzero evaluation of one word that pins an adjacent pair
-  of the other onto a zero entry of M;
-* pol-eq checks the zero sets, then searches with the two leftmost symbols
-  pinned to distinct columns or the two rightmost to distinct rows;
+  searches for a nonzero evaluation of one word that puts an adjacent pair
+  of the other on a zero entry of M, one search per row with a zero;
+* pol-eq checks the zero sets, then runs one search per index x, with p's
+  leftmost symbol on column x and q's on any other column (likewise rows
+  at the right ends);
 * term-eq decides from term profiles and takes pol-eq's witness.
 
 The exceptions are the paper's polynomial certificates: pol-zero on totally
@@ -22,9 +24,10 @@ matrix, where zero-ness is consistency of graph components) and on
 bordered ones (the border evaluation), and zset-eq on all-ones and totally
 balanced matrices (variable sets and constraint systems).  Both hold with
 the identity adjoined too, walking the elimination slices on the balanced
-class; term-eq with identity decides from term profiles, and every other
-question with identity falls back to the exhaustive oracle, under a
-budget, when allow_brute is set, and the verdict records that it did.
+class; term-eq with identity decides from term profiles and takes the
+witness of the elimination slice they name, and every other question with
+identity falls back to the exhaustive oracle, under a budget, when
+allow_brute is set, and the verdict records that it did.
 
 Every verdict carries a method tag, and negative (positive, for
 satisfiability) verdicts carry a witness evaluation that is re-checked
@@ -47,8 +50,8 @@ from .core import (Element, ONE, ReesSemigroup, StructureMatrix, ZERO,
                    combinatorial, element_str, is_regular, pair, triple)
 from .errors import (BudgetExceededError, IrregularMatrixError, ReesError,
                      UnsupportedMatrixError, WitnessSearchError)
-from .graphs import (CompiledWord, antichain_table, build_adjacency,
-                     build_identified, components)
+from .graphs import (CompiledWord, antichain_table, build_identified,
+                     components)
 from .groups import FiniteGroup
 from .matrices import (hat_transform, is_all_ones, is_bordered,
                        is_totally_balanced, lift_element_map, retract)
@@ -147,7 +150,7 @@ _PROFILE_FIELDS = {
     "TB": ("variables", "graph components", "left-endpoint component",
            "right-endpoint component", "right symbol (equal rows)",
            "left symbol (equal columns)"),
-    "G": ("adjacency graph", "left symbol", "right symbol"),
+    "G": ("adjacency arcs", "left symbol", "right symbol"),
     "J1": ("variables", "left sequencing", "right sequencing"),
     "G1": ("left sequencing", "right sequencing", "antichain families"),
 }
@@ -183,7 +186,9 @@ def term_profile(M: StructureMatrix, p: Polynomial,
         return ("TB1", names, tuple(_term_slice(prof, cw, W)
                                     for W in _slice_masks(len(names), False)))
     if not with_identity:
-        return ("G", build_adjacency(p), p.leftmost.name, p.rightmost.name)
+        # the arcs and the two end symbols fix the variables too
+        arcs = frozenset((s.name, t.name) for s, t in zip(p.word, p.word[1:]))
+        return ("G", arcs, p.leftmost.name, p.rightmost.name)
     return ("G1", left_sequencing(p), right_sequencing(p), antichain_table(p))
 
 
@@ -245,13 +250,35 @@ def _profile_detail(kp, kq):
     return tuple(out)
 
 
-def _first_mismatch(kp, kq):
-    """Index of the first elimination slice on which two TB1 profiles
-    differ, or None when they agree (or have different variables)."""
-    if kp[1] != kq[1]:
-        return None
-    return next((t for t, (a, b) in enumerate(zip(kp[2], kq[2])) if a != b),
-                None)
+def _differing(a, b) -> int:
+    """Index of the first position at which two sequences differ."""
+    return next(t for t, (u, v) in enumerate(zip(a, b)) if u != v)
+
+
+def _witness_slice(kp, kq) -> tuple[str, ...]:
+    """Variables to set to the identity so that the plain profiles of the
+    two slice words differ, read off two differing profiles with identity.
+
+    Words over different variables differ whole; a TB1 profile names its
+    first differing slice.  Sequencings that first differ at position t
+    lose the t variables before it, after which the leftmost (or
+    rightmost) variables differ.  Otherwise (G1) the antichain families of
+    some ordered pair x y differ, and a smallest set A in their symmetric
+    difference goes: x y is then a factor of the slice word whose family
+    has A, and of the other word's only if that family had a member inside
+    A, which would be smaller than A or make A no antichain member.
+    """
+    if set(kp[1]) != set(kq[1]):  # each profile's variables, in some order
+        return ()
+    if kp[0] == "TB1":
+        t = _differing(kp[2], kq[2])
+        return _mask_names(kp[1], _slice_masks(len(kp[1]), False)[t])
+    seqs = (kp[2:], kq[2:]) if kp[0] == "J1" else (kp[1:3], kq[1:3])
+    for a, b in zip(*seqs):
+        if a != b:
+            return a[:_differing(a, b)]
+    fp, fq = next((a, b) for (_, a), (_, b) in zip(kp[3], kq[3]) if a != b)
+    return tuple(sorted(min(fp ^ fq, key=lambda A: (len(A), sorted(A)))))
 
 
 def _slices_detail(kp, kq) -> tuple:
@@ -259,12 +286,10 @@ def _slices_detail(kp, kq) -> tuple:
     else the first mismatching slice with its two plain-slice profiles."""
     if kp == kq:
         return (("identity-elimination slices compared", len(kp[2])),)
-    t = _first_mismatch(kp, kq)
-    if t is None:
+    if kp[1] != kq[1]:
         return (("variables", kp[1], kq[1], False),)
-    W = _slice_masks(len(kp[1]), False)[t]
-    rows = [("first mismatching slice, eliminated",
-             _mask_names(kp[1], W))]
+    t = _differing(kp[2], kq[2])
+    rows = [("first mismatching slice, eliminated", _witness_slice(kp, kq))]
     fields = _PROFILE_FIELDS["TB"][1:]
     a = _readable_slice(kp[1], kp[2][t])
     b = _readable_slice(kq[1], kq[2][t])
@@ -296,9 +321,9 @@ def term_eq(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
 def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
     """Decide p = q for terms over the semigroup of M with identity adjoined.
 
-    A witness comes from the first elimination slice on which the plain
-    words differ: the plain witness for that slice, with its eliminated
-    variables set to the identity.
+    A witness comes from an elimination slice on which the plain words
+    differ, read off the two profiles by _witness_slice: the plain witness
+    for that slice, with its eliminated variables set to the identity.
     """
     kp = term_profile(M, p, with_identity=True)
     kq = term_profile(M, q, with_identity=True)
@@ -308,20 +333,15 @@ def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
     detail = _profile_detail(kp, kq)
     if kp == kq:
         return Verdict("equal", method, None, detail)
-    S = combinatorial(M, with_identity=True)
-    names = sorted(set(p.variables) | set(q.variables))
-    # slice 0 keeps both words whole, so words over different variables
-    # differ there; words over the same variables never empty out, as the
-    # slice eliminating every variable is left out
-    for mask in _slice_masks(len(names), False):
-        W = _mask_names(names, mask)
-        pw, qw = eliminate_variables(p, W), eliminate_variables(q, W)
-        if term_profile(M, pw) != term_profile(M, qw):
-            w = term_eq(M, pw, qw).witness.as_dict()
-            w.update(dict.fromkeys(W, ONE))
-            return _emit_eq(S, p, q, w, method, detail)
-    raise WitnessSearchError(f"no elimination slice of {p} and {q} differs; "
-                             "the term profiles are wrong")
+    W = _witness_slice(kp, kq)
+    v = term_eq(M, eliminate_variables(p, W), eliminate_variables(q, W))
+    if v.witness is None:
+        raise WitnessSearchError(f"{p} and {q} agree with {W} eliminated; "
+                                 "the term profiles are wrong")
+    w = v.witness.as_dict()
+    w.update(dict.fromkeys(W, ONE))
+    return _emit_eq(combinatorial(M, with_identity=True), p, q, w, method,
+                    detail)
 
 
 # ---------------------------------------------------------------------------
@@ -374,7 +394,7 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
             "pass allow_brute to use the oracle")
     if adjoin_identity:
         return brute_zero(S, p, budget=budget)
-    w = _homomorphism(M, p, {}, budget)
+    w = _homomorphism(M, p, (), budget)
     if w is None:
         return Verdict("zero", "homomorphism-search")
     return _emit_nonzero(S, p, w, "homomorphism-search")
@@ -554,7 +574,7 @@ def _zset_zero_pairs(S, M, p, q, union, budget):
     of dst meets a zero entry of M.
     """
     method = "homomorphism-search"
-    wp, wq = (_homomorphism(M, word, {}, budget) for word in (p, q))
+    wp, wq = (_homomorphism(M, word, (), budget) for word in (p, q))
     if wp is None and wq is None:
         return Verdict("equal", method, None,
                        (("both identically zero", True),))
@@ -581,20 +601,24 @@ def _zset_zero_pairs(S, M, p, q, union, budget):
 
 def _zero_pair(M, src, dst, budget):
     """An adjacent pair s t of dst and a zero entry M(lam, i), as text,
-    and a nonzero evaluation of src with s's row pinned to lam and t's
-    column to i, under which dst is zero; None when there is none.  A pair
-    that src has too would kill src as well, so it is skipped.
+    and a nonzero evaluation of src with s's row on lam and t's column on
+    i, under which dst is zero; None when there is none.  One search per
+    row lam with a zero keeps t's column among that row's zeros, and i is
+    read off the witness.  A pair that src has too would kill src as well,
+    so it is skipped.
     """
-    zeros = [(lam, i) for lam in range(M.m) for i in range(M.n)
-             if not M.entry(lam, i)]
+    full = (1 << M.n) - 1
+    rows = [(lam, ones) for lam, ones in
+            enumerate(classify_matrix(M).support[1]) if ones != full]
     own = set(zip(src.word, src.word[1:]))
     for s, t in dict.fromkeys(zip(dst.word, dst.word[1:])):
         if (s, t) in own:
             continue
-        for lam, i in zeros:
-            pins = _pins(((s, 2, lam), (t, 1, i)))
-            w = None if pins is None else _homomorphism(M, src, pins, budget)
+        for lam, ones in rows:
+            w = _homomorphism(M, src, ((s, 2, 1 << lam), (t, 1, full ^ ones)),
+                              budget)
             if w is not None:
+                i = (w[t.name] if t.is_var else t.elem).i
                 return (str(Polynomial((s, t))),
                         f"M({lam + 1},{i + 1}) = 0", w)
     return None
@@ -612,9 +636,10 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     value is [i, lam] with i the column of the leftmost symbol and lam the
     row of the rightmost.  Once the zero sets agree, q is nonzero wherever
     p is, so p != q exactly when p stays nonzero with the two leftmost
-    symbols pinned to distinct columns, or the two rightmost to distinct
-    rows: one homomorphism search per pinned pair, at most n(n-1) + m(m-1)
-    of them.
+    symbols on distinct columns, or the two rightmost on distinct rows:
+    one homomorphism search per index x, p's end on x and q's on any
+    other, at most n + m of them.  A side whose two ends are one symbol
+    is skipped.
     """
     prof = classify_matrix(M)
     S = combinatorial(M, adjoin_identity)
@@ -633,17 +658,22 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
         return Verdict("not-equal", method, z.witness,
                        (("zero-sets equal", False),) + z.detail)
     # past this test p is nonzero somewhere, so (zero sets agreeing) both
-    # words have the same variables and every pin names one of p's
-    if _homomorphism(M, p, {}, budget) is None:
+    # words have the same variables and every want names one of p's
+    if _homomorphism(M, p, (), budget) is None:
         return Verdict("equal", method, None, (("zero-sets equal", True),
                                                ("identically zero", True)))
     for side, a, b, size in ((1, p.leftmost, q.leftmost, M.n),
                              (2, p.rightmost, q.rightmost, M.m)):
-        for x, y in itertools.permutations(range(size), 2):
-            pins = _pins(((a, side, x), (b, side, y)))
-            w = None if pins is None else _homomorphism(M, p, pins, budget)
+        if a == b:
+            continue
+        full = (1 << size) - 1
+        for x in range(size):
+            w = _homomorphism(M, p, ((a, side, 1 << x),
+                                     (b, side, full ^ 1 << x)), budget)
             if w is None:
                 continue
+            e = w[b.name] if b.is_var else b.elem
+            y = e.i if side == 1 else e.lam
             detail = (("zero-sets equal", True),
                       ("distinct " + ("columns" if side == 1 else "rows")
                        + " at the ends", x + 1, y + 1))
@@ -685,8 +715,8 @@ def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
                                          "for this matrix class")
         if adjoin_identity:
             return brute_sat(S, p, b, budget=budget)
-    pins = _end_pins(p, b)
-    w = None if pins is None else _homomorphism(M, p, pins, budget)
+    w = _homomorphism(M, p, ((p.leftmost, 1, 1 << b.i),
+                             (p.rightmost, 2, 1 << b.lam)), budget)
     if w is None:
         return Verdict("unsat", "homomorphism-search")
     return _emit_sat(S, p, b, w, "homomorphism-search")
@@ -695,27 +725,7 @@ def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
 # ---------------------------------------------------------------------------
 # Homomorphism search
 
-def _pins(wants) -> dict | None:
-    """Pins for _homomorphism from (symbol, side, index) triples: side 1
-    puts the symbol's column on index, side 2 its row.  None when a
-    constant has another index or a variable is wanted on two."""
-    pins: dict = {}
-    for s, side, k in wants:
-        if s.is_var:
-            if pins.setdefault(("v", s.name, side), k) != k:
-                return None
-        elif (s.elem.i if side == 1 else s.elem.lam) != k:
-            return None
-    return pins
-
-
-def _end_pins(p: Polynomial, b: Element) -> dict | None:
-    """Pins that make a nonzero value of p equal to the nonzero target b:
-    the leftmost symbol's column on b.i and the rightmost's row on b.lam."""
-    return _pins(((p.leftmost, 1, b.i), (p.rightmost, 2, b.lam)))
-
-
-def _homomorphism(M: StructureMatrix, p: Polynomial, pins: dict,
+def _homomorphism(M: StructureMatrix, p: Polynomial, wants,
                   budget: int | None) -> dict | None:
     """A nonzero evaluation of p over the plain combinatorial semigroup of
     M, as a name -> element dict, or None when p is identically zero.
@@ -724,19 +734,25 @@ def _homomorphism(M: StructureMatrix, p: Polynomial, pins: dict,
     M(lam_s, i_t) != 0: a map of p's bipartite graph, constants pinned, into
     the support pattern of M.  Variable j owns vertex 2j (its column index
     i) and vertex 2j+1 (its row index lam); domains are bitmasks of indices,
-    narrowed by constant neighbours and by pins, a ("v", name, side) ->
-    index mapping.  Arc consistency (AC-3) runs up front and after every
-    choice of a depth-first search over each connected component of the
-    undecided vertices; it picks the smallest domain, ties to the vertex
-    with most neighbours, and undoes its choices from a trail.  Every value
-    tried is a search node; more than budget of them raise
-    BudgetExceededError.
+    narrowed by constant neighbours and by wants, (symbol, side, mask)
+    triples: side 1 keeps the symbol's column in mask, side 2 its row, and
+    a constant outside its mask leaves no evaluation.  Arc consistency
+    (AC-3) runs up front and after every choice of a depth-first search
+    over each connected component of the undecided vertices; it picks the
+    smallest domain, ties to the vertex with most neighbours, and undoes
+    its choices from a trail.  Every value tried is a search node; more
+    than budget of them raise BudgetExceededError.
     """
     limit = default_budget() if budget is None else budget
     names = p.variables
     index = {u: j for j, u in enumerate(names)}
     support = classify_matrix(M).support
     doms = [(1 << (M.m if v & 1 else M.n)) - 1 for v in range(2 * len(names))]
+    for s, side, mask in wants:
+        if s.is_var:
+            doms[2 * index[s.name] + side - 1] &= mask
+        elif not mask >> (s.elem.i if side == 1 else s.elem.lam) & 1:
+            return None
     nbrs = [set() for _ in doms]
     for s, t in zip(p.word, p.word[1:]):
         if s.is_var and t.is_var:
@@ -749,8 +765,6 @@ def _homomorphism(M: StructureMatrix, p: Polynomial, pins: dict,
             doms[2 * index[t.name]] &= support[1][s.elem.lam]
         elif not M.entry(s.elem.lam, t.elem.i):
             return None
-    for (_, name, side), k in pins.items():
-        doms[2 * index[name] + side - 1] &= 1 << k
     if not all(doms):
         return None
 
@@ -885,7 +899,7 @@ def term_eq_group(M: StructureMatrix, G: FiniteGroup, p: Polynomial,
     if not (p.is_term and q.is_term):
         raise ReesError("term procedures expect constant-free words")
     shadow_equal = term_profile(M, p) == term_profile(M, q)
-    gw = brute_group_eq(G, p, q)
+    gw = None if p == q else brute_group_eq(G, p, q)
     method = "shadow-plus-group"
     detail = (("shadow equal", shadow_equal), ("group equal", gw is None))
     if shadow_equal and gw is None:

@@ -2,7 +2,10 @@
 
 import itertools
 import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -91,6 +94,43 @@ def test_explain_identity_slices(i2_file, capsys):
                  "--explain", "x y z x", "x y z x"]) == 0
     out = capsys.readouterr().out
     assert "identity-elimination slices compared | 7" in out
+
+
+def test_explain_is_the_same_under_every_hash_seed(tmp_path):
+    # detail rows hold sets; the printed explanation must not follow their
+    # hash order.  One process per hash seed runs every call, and the
+    # outputs compare byte for byte
+    argvs = []
+    for name, M in (("I2", r.identity(2)), ("H3", r.hollow(3)),
+                    ("BI2", r.border(r.identity(2)))):
+        path = tmp_path / f"{name}.mat"
+        path.write_text(r.format_matrix_file(M), encoding="utf-8")
+        for op, extra in (("term-eq", []), ("term-eq", ["--adjoin-identity"]),
+                          ("pol-eq", ["--brute"]), ("zset-eq", ["--brute"])):
+            for fmt in ("plain", "json"):
+                for p, q in (("x y z x", "x z y x"), ("x y z", "z y x"),
+                             ("x [1,2] y x", "x y [1,2] x")):
+                    if op != "term-eq" or "[" not in p:
+                        argvs.append([op, "--matrix", str(path), "--explain",
+                                      "--format", fmt, *extra, p, q])
+    script = ("import json, sys\nfrom reeseq.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    print('exit', main(argv))\n")
+    src = os.path.dirname(os.path.dirname(r.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+
+    def run(seed):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", script,
+                               json.dumps(argvs)], env=env, check=True,
+                              capture_output=True, text=True, timeout=120)
+        return done.stdout, done.stderr
+
+    first = run(1)
+    assert first[0].count("exit") == len(argvs)
+    assert "adjacency arcs | {(x, y), (y, z), (z, x)}" in first[0]
+    for seed in (2, 3):
+        assert run(seed) == first, seed
 
 
 def test_zset_eq(i2_file):

@@ -3,6 +3,7 @@ facts each procedure is pinned to."""
 
 import itertools
 import random
+import re
 import types
 from functools import partial
 
@@ -70,9 +71,9 @@ def test_term_eq_s1_examples():
 
 def test_term_eq_s1_witness_from_first_mismatching_slice(monkeypatch):
     # decided from the slice profiles; the witness is the plain witness of
-    # the first elimination slice on which the words differ, not the first
-    # of 11^7 assignments, so the search kernel never runs: balanced (TB1),
-    # general (G1), bordered and all-ones (J1)
+    # an elimination slice on which the words differ, the one the profiles
+    # name, not the first of 11^7 assignments, so the search kernel never
+    # runs: balanced (TB1), general (G1), bordered and all-ones (J1)
     p = r.word_of("a b c d e f g a b c d e f g")
     q = r.word_of("a b c d e f g g f e d c b a")
     monkeypatch.setattr(decide, "_first", _no_search)
@@ -82,6 +83,27 @@ def test_term_eq_s1_witness_from_first_mismatching_slice(monkeypatch):
         S1 = r.combinatorial(M, True)
         w = v.witness.as_dict()
         assert r.evaluate(S1, p, w) != r.evaluate(S1, q, w), M
+
+
+def _no_slice_walk(*args):
+    raise AssertionError("walked the elimination slices")
+
+
+def test_term_eq_s1_witness_slice_read_off_profiles(monkeypatch):
+    # outside the balanced class the witness slice is read off the two
+    # profiles, with no walk over the 2^k slices.  The k = 20 pair first
+    # differs in its left sequencings at position 20; x x x y and
+    # x x y y have the same sequencings and differ only in the antichain
+    # family of the pair (y, y)
+    xs = " ".join(f"x{j}" for j in range(20))
+    k20 = (r.word_of(f"{xs} y z {xs}"), r.word_of(f"{xs} z y {xs}"))
+    antichains = (r.word_of("x x x y"), r.word_of("x x y y"))
+    monkeypatch.setattr(decide, "_slice_masks", _no_slice_walk)
+    for M, (p, q) in ((r.all_ones(2, 2), k20), (H3, k20), (H3, antichains)):
+        v = r.term_eq_s1(M, p, q)
+        assert v.kind == "not-equal", (M, p, q)
+        assert _separates(r.combinatorial(M, True), p, q, v), (M, p, q)
+    assert [agree for *_, agree in v.detail[1:]] == [True, True, False]
 
 
 def test_term_oracle_agreement_2x2():
@@ -255,14 +277,13 @@ def test_homomorphism_matches_oracles(monkeypatch):
                           sat))
     monkeypatch.setattr(decide, "_first", _no_search)
     for M, S, p, nonzero, sat in cases:
-        w = decide._homomorphism(M, p, {}, None)
+        w = decide._homomorphism(M, p, (), None)
         assert (w is not None) == nonzero, (M, str(p))
         if w is not None:
             assert r.evaluate(S, p, w) != r.ZERO
         for b, solvable in sat.items():
-            pins = decide._end_pins(p, b)
-            w = None if pins is None else decide._homomorphism(M, p, pins,
-                                                                None)
+            ends = ((p.leftmost, 1, 1 << b.i), (p.rightmost, 2, 1 << b.lam))
+            w = decide._homomorphism(M, p, ends, None)
             assert (w is not None) == solvable, (M, str(p), b)
             if w is not None:
                 assert r.evaluate(S, p, w) == b
@@ -314,15 +335,46 @@ def _check_witness(S, p, q, v, zset):
     return (a == r.ZERO) != (b == r.ZERO) if zset else a != b
 
 
+def _at(s, w, side):
+    """The column (side 1) or row (side 2) of symbol s under w."""
+    e = w[s.name] if s.is_var else s.elem
+    return e.i if side == 1 else e.lam
+
+
+def _check_detail(S, p, q, v):
+    """The names of the detail rows that locate the witness, once the zero
+    cell and the end indices they report are seen to be the witness's."""
+    w = v.witness.as_dict()
+    seen = set()
+    for name, *row in v.detail:
+        if name == "zero pair":
+            s, t = r.parse_polynomial(row[0], S).word
+            lam, i = (int(k) - 1 for k in
+                      re.fullmatch(r"M\((\d+),(\d+)\) = 0", row[1]).groups())
+            assert S.matrix.entry(lam, i) == 0, row
+            assert (_at(s, w, 2), _at(t, w, 1)) == (lam, i), row
+        elif name.endswith("at the ends"):
+            side = 1 if "columns" in name else 2
+            a, b = ((p.leftmost, q.leftmost) if side == 1
+                    else (p.rightmost, q.rightmost))
+            assert row[0] != row[1], row
+            assert (_at(a, w, side) + 1, _at(b, w, side) + 1) == tuple(row)
+        else:
+            continue
+        seen.add(name)
+    return seen
+
+
 def test_pinned_search_matches_oracles(monkeypatch):
     # plain zset-eq, pol-eq and term-eq on every class up to 3x3, general
-    # ones included, against brute_zset_eq and brute_eq; the oracles run
-    # first, the fast paths with the search kernel patched to raise, and
-    # every witness is evaluated again
+    # ones included, and on H4 and I4, against brute_zset_eq and brute_eq;
+    # the oracles run first, the fast paths with the search kernel patched
+    # to raise, and every witness is evaluated again, with the zero cell
+    # and the end indices its detail reports
     rng = random.Random(15)
     terms = all_terms(("x", "y", "z"), 4)
     cases = []
-    for M in matrix_classes(3, 3):
+    for M in matrix_classes(3, 3) + [r.hollow(4), r.identity(4)]:
         S = r.combinatorial(M)
         pool = random_words(M, rng, 30)
         for k in range(12):
@@ -338,11 +390,33 @@ def test_pinned_search_matches_oracles(monkeypatch):
             cases.append((S, p, q, partial(r.term_eq, M, p, q), False,
                           r.brute_eq(S, p, q).kind))
     monkeypatch.setattr(decide, "_first", _no_search)
+    located = set()
     for S, p, q, run, zset, expected in cases:
         v = run()
         assert v.kind == expected, run
         if v.kind == "not-equal":
             assert _check_witness(S, p, q, v, zset), run
+            located |= _check_detail(S, p, q, v)
+    assert located == {"zero pair", "distinct columns at the ends",
+                       "distinct rows at the ends"}
+
+
+def test_pol_eq_end_test_runs_once_per_index(monkeypatch):
+    # one engine run per index of p's end, with q's end on every other
+    # index, and none on a side whose two ends are one symbol: over I4,
+    # one identically-zero check and one run per column for the left ends
+    # y and x, the right ends being x and x
+    runs = []
+    engine = decide._homomorphism
+
+    def counted(*args):
+        runs.append(args)
+        return engine(*args)
+
+    monkeypatch.setattr(decide, "_homomorphism", counted)
+    v = r.pol_eq(r.identity(4), r.word_of("y x y x x"), r.word_of("x y y x"))
+    assert v.kind == "equal"
+    assert len(runs) == 5
 
 
 def test_general_class_pairs_at_scale(monkeypatch):
@@ -464,6 +538,16 @@ def test_group_lift_examples():
     S = ReesSemigroup(StructureMatrix(entries), Z2)
     assert v.kind == r.brute_eq(S, p, q).kind
     assert r.term_eq_group(I2, Z2, p, p).kind == "equal"
+    # a word equals itself over every group, so its 4^12 group readings are
+    # not enumerated; words that differ still are, past the default budget
+    names = [f"v{k}" for k in range(12)]
+    p12 = r.word_of(" ".join(names))
+    v = r.term_eq_group(I2, cyclic_group(4), p12, p12)
+    assert v.kind == "equal"
+    assert v.detail == (("shadow equal", True), ("group equal", True))
+    with pytest.raises(BudgetExceededError):
+        r.term_eq_group(I2, cyclic_group(4), p12,
+                        r.word_of(" ".join(reversed(names))))
     # the trivial group reduces to the plain procedure
     triv = r.term_eq_group(I2, r.trivial_group(), r.word_of("x y"),
                            r.word_of("y x"))
@@ -757,8 +841,7 @@ def test_zset_separator_cases(monkeypatch, live, dead):
 
 def _fast_path_name(name):
     return name in ("term_profile", "classify_matrix", "CompiledWord",
-                    "hat_transform", "_homomorphism", "_end_pins", "_pins",
-                    "_zero_pair") or \
+                    "hat_transform", "_homomorphism", "_zero_pair") or \
         name.startswith(("pol_", "_zset_"))
 
 
