@@ -23,11 +23,15 @@ balanced matrices (the hat transform relabels words onto an identity
 matrix, where zero-ness is consistency of graph components) and on
 bordered ones (the border evaluation), and zset-eq on all-ones and totally
 balanced matrices (variable sets and constraint systems).  Both hold with
-the identity adjoined too, walking the elimination slices on the balanced
-class; term-eq with identity decides from term profiles and takes the
-witness of the elimination slice they name, and every other question with
-identity falls back to the exhaustive oracle, under a budget, when
-allow_brute is set, and the verdict records that it did.
+the identity adjoined too, over every elimination slice on the balanced
+class.  There zset-eq and term-eq compare slice 0 and then the two words'
+families (graphs.CompiledWord.families), one scan that settles every
+slice when they are equal; only words whose families differ walk the
+slices, up to the first that differs.  Elsewhere term-eq with identity
+decides from term profiles and takes the witness of the elimination slice
+they name, and every other question with identity falls back to the
+exhaustive oracle, under a budget, when allow_brute is set, and the
+verdict records that it did.
 
 Every verdict carries a method tag, and negative (positive, for
 satisfiability) verdicts carry a witness evaluation that is re-checked
@@ -163,8 +167,7 @@ def term_profile(M: StructureMatrix, p: Polynomial,
     Two terms are equal over the semigroup exactly when their profiles are;
     the leading tag names the matrix class that was dispatched on.
     """
-    if not p.is_term:
-        raise ReesError("term procedures expect constant-free words")
+    _require_term(p)
     prof = classify_matrix(M)
     if prof.all_ones:
         if not with_identity:
@@ -192,6 +195,11 @@ def term_profile(M: StructureMatrix, p: Polynomial,
     return ("G1", left_sequencing(p), right_sequencing(p), antichain_table(p))
 
 
+def _require_term(p: Polynomial) -> None:
+    if not p.is_term:
+        raise ReesError("term procedures expect constant-free words")
+
+
 def _slice_masks(n: int, full: bool = True) -> list[int]:
     """Masks of eliminated variables in size-then-lexicographic order.
 
@@ -204,7 +212,8 @@ def _slice_masks(n: int, full: bool = True) -> list[int]:
 
 
 def _mask_names(names, mask: int) -> tuple[str, ...]:
-    return tuple(u for j, u in enumerate(names) if mask >> j & 1)
+    # a list first, as in words.eliminate_variables
+    return tuple([u for j, u in enumerate(names) if mask >> j & 1])
 
 
 def _term_slice(prof, cw: CompiledWord, W: int) -> tuple:
@@ -240,8 +249,6 @@ def _readable_slice(names, key) -> tuple:
 
 def _profile_detail(kp, kq):
     out = [("matrix class", kp[0], kq[0], kp[0] == kq[0])]
-    if kp[0] == "TB1":
-        return tuple(out) + _slices_detail(kp, kq)
     if kp[0] == "TB":
         kp = kp[:2] + _readable_slice(kp[1], kp[2:])
         kq = kq[:2] + _readable_slice(kq[1], kq[2:])
@@ -257,22 +264,18 @@ def _differing(a, b) -> int:
 
 def _witness_slice(kp, kq) -> tuple[str, ...]:
     """Variables to set to the identity so that the plain profiles of the
-    two slice words differ, read off two differing profiles with identity.
+    two slice words differ, read off two differing J1 or G1 profiles.
 
-    Words over different variables differ whole; a TB1 profile names its
-    first differing slice.  Sequencings that first differ at position t
-    lose the t variables before it, after which the leftmost (or
-    rightmost) variables differ.  Otherwise (G1) the antichain families of
-    some ordered pair x y differ, and a smallest set A in their symmetric
-    difference goes: x y is then a factor of the slice word whose family
-    has A, and of the other word's only if that family had a member inside
-    A, which would be smaller than A or make A no antichain member.
+    Words over different variables differ whole.  Sequencings that first
+    differ at position t lose the t variables before it, after which the
+    leftmost (or rightmost) variables differ.  Otherwise (G1) the antichain
+    families of some ordered pair x y differ, and a smallest set A in their
+    symmetric difference goes: x y is then a factor of the slice word whose
+    family has A, and of the other word's only if that family had a member
+    inside A, which would be smaller than A or make A no antichain member.
     """
     if set(kp[1]) != set(kq[1]):  # each profile's variables, in some order
         return ()
-    if kp[0] == "TB1":
-        t = _differing(kp[2], kq[2])
-        return _mask_names(kp[1], _slice_masks(len(kp[1]), False)[t])
     seqs = (kp[2:], kq[2:]) if kp[0] == "J1" else (kp[1:3], kq[1:3])
     for a, b in zip(*seqs):
         if a != b:
@@ -281,20 +284,50 @@ def _witness_slice(kp, kq) -> tuple[str, ...]:
     return tuple(sorted(min(fp ^ fq, key=lambda A: (len(A), sorted(A)))))
 
 
-def _slices_detail(kp, kq) -> tuple:
-    """TB1 rows: the number of slices compared when the profiles agree,
-    else the first mismatching slice with its two plain-slice profiles."""
-    if kp == kq:
-        return (("identity-elimination slices compared", len(kp[2])),)
-    if kp[1] != kq[1]:
-        return (("variables", kp[1], kq[1], False),)
-    t = _differing(kp[2], kq[2])
-    rows = [("first mismatching slice, eliminated", _witness_slice(kp, kq))]
+def _slice_mismatch(key, cwp, cwq, full: bool):
+    """The first elimination slice on which two compiled words over the same
+    names differ, as (mask, key of p, key of q), or None when every slice
+    agrees; key(cw, mask) reads one slice, and full is _slice_masks'.
+
+    Slice 0 goes first.  When it agrees, the two words' variables and
+    families (CompiledWord.families) decide: equal ones make every slice
+    agree, and only otherwise are the other slices walked, in _slice_masks
+    order, up to the first that differs.
+    """
+    a, b = key(cwp, 0), key(cwq, 0)
+    if a != b:
+        return 0, a, b
+    if cwp.varmask == cwq.varmask and cwp.families() == cwq.families():
+        return None
+    for mask in _slice_masks(len(cwp.names), full)[1:]:
+        a, b = key(cwp, mask), key(cwq, mask)
+        if a != b:
+            return mask, a, b
+    return None
+
+
+def _balanced_s1_detail(prof, p, q):
+    """TB1 detail rows for two terms, and the variables of their first
+    mismatching slice (None when they agree on every slice): the number of
+    slices compared, else that slice with its two plain-slice profiles."""
+    rows = [("matrix class", "TB1", "TB1", True)]
+    names, other = (tuple(sorted(word.variables)) for word in (p, q))
+    if names != other:
+        rows.append(("variables", names, other, False))
+        return tuple(rows), ()
+    cwp, cwq = (CompiledWord(word, names) for word in (p, q))
+    hit = _slice_mismatch(partial(_term_slice, prof), cwp, cwq, False)
+    if hit is None:
+        rows.append(("identity-elimination slices compared",
+                     2 ** len(names) - 1))
+        return tuple(rows), None
+    mask, a, b = hit
+    W = _mask_names(names, mask)
+    rows.append(("first mismatching slice, eliminated", W))
     fields = _PROFILE_FIELDS["TB"][1:]
-    a = _readable_slice(kp[1], kp[2][t])
-    b = _readable_slice(kq[1], kq[2][t])
-    rows += [(name, x, y, x == y) for name, x, y in zip(fields, a, b)]
-    return tuple(rows)
+    rows += [(name, x, y, x == y) for name, x, y in
+             zip(fields, _readable_slice(names, a), _readable_slice(names, b))]
+    return tuple(rows), W
 
 
 def term_eq(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
@@ -322,18 +355,30 @@ def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
     """Decide p = q for terms over the semigroup of M with identity adjoined.
 
     A witness comes from an elimination slice on which the plain words
-    differ, read off the two profiles by _witness_slice: the plain witness
-    for that slice, with its eliminated variables set to the identity.
+    differ: the plain witness for that slice, with its eliminated variables
+    set to the identity.  On the balanced class (TB1) the verdict is that
+    of the TB1 profiles, reached without building them: slice 0, then the
+    words' families, and only when those differ a walk up to the first
+    mismatching slice.  Elsewhere the slice is read off the two profiles
+    by _witness_slice.
     """
-    kp = term_profile(M, p, with_identity=True)
-    kq = term_profile(M, q, with_identity=True)
-    method = {"J1": "all-ones-sequencing",
-              "TB1": "balanced-elimination-slices",
-              "G1": "sequencing-antichains"}[kp[0]]
-    detail = _profile_detail(kp, kq)
-    if kp == kq:
-        return Verdict("equal", method, None, detail)
-    W = _witness_slice(kp, kq)
+    _require_term(p)  # first, as term_profile checks it
+    prof = classify_matrix(M)
+    if prof.totally_balanced and not prof.all_ones:
+        _require_term(q)
+        method = "balanced-elimination-slices"
+        detail, W = _balanced_s1_detail(prof, p, q)
+        if W is None:
+            return Verdict("equal", method, None, detail)
+    else:
+        kp = term_profile(M, p, with_identity=True)
+        kq = term_profile(M, q, with_identity=True)
+        method = {"J1": "all-ones-sequencing",
+                  "G1": "sequencing-antichains"}[kp[0]]
+        detail = _profile_detail(kp, kq)
+        if kp == kq:
+            return Verdict("equal", method, None, detail)
+        W = _witness_slice(kp, kq)
     v = term_eq(M, eliminate_variables(p, W), eliminate_variables(q, W))
     if v.witness is None:
         raise WitnessSearchError(f"{p} and {q} agree with {W} eliminated; "
@@ -364,7 +409,12 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
         method = "balanced-consistency"
         names = tuple(sorted(p.variables))
         cw = CompiledWord(hat_transform(p, prof.plan), names)
-        masks = _slice_masks(len(names)) if adjoin_identity else (0,)
+        # two adjacent constants that conflict kill every slice alike, and
+        # slice 0 alone shows it
+        pairs = zip(cw.positions, cw.positions[1:])
+        walk = adjoin_identity and not any(not a[0] | b[0] and a[2] != b[1]
+                                           for a, b in pairs)
+        masks = _slice_masks(len(names)) if walk else (0,)
         alive = next((W for W in masks if cw.labels(W) is not None), None)
         W = None if alive is None else _mask_names(names, alive)
         detail = (("plan size", prof.plan.k), ("surviving slice", W))
@@ -498,13 +548,15 @@ def _zset_balanced(S, prof, p, q, union, with_identity):
                 for word in (p, q))
     # labels over shared vertex numbers are the constraint systems: None
     # entries give the kept variables, the rest the components and pins
-    for mask in _slice_masks(len(names)) if with_identity else (0,):
-        lp, lq = cwp.labels(mask), cwq.labels(mask)
-        if lp != lq:
-            break
+    if with_identity:
+        hit = _slice_mismatch(CompiledWord.labels, cwp, cwq, True)
     else:
+        lp, lq = cwp.labels(), cwq.labels()
+        hit = None if lp == lq else (0, lp, lq)
+    if hit is None:
         return Verdict("equal", method, None,
                        (("constraint systems", "agree on every slice"),))
+    mask, lp, lq = hit
     W = _mask_names(names, mask)
     detail = (("identity slice", W),
               ("constraints", _system(names, lp), _system(names, lq), False))
@@ -896,8 +948,8 @@ def term_eq_group(M: StructureMatrix, G: FiniteGroup, p: Polynomial,
     """
     if not M.is_zero_one:
         raise UnsupportedMatrixError("the group lift expects a 0-1 matrix")
-    if not (p.is_term and q.is_term):
-        raise ReesError("term procedures expect constant-free words")
+    _require_term(p)
+    _require_term(q)
     shadow_equal = term_profile(M, p) == term_profile(M, q)
     gw = None if p == q else brute_group_eq(G, p, q)
     method = "shadow-plus-group"

@@ -19,13 +19,15 @@ Vertices are plain tuples: ("v", name, side) for variables,
 with side 1 = X and side 2 = Y.
 
 Procedures that test many slices of one word (its variables partly
-eliminated) or many pinnings of its end variables use CompiledWord instead:
-the identified graph on integer vertices, one union-find pass per slice.
+eliminated) use CompiledWord instead: the identified graph on integer
+vertices, one union-find pass per slice, and the word's families, one scan
+that settles every slice at once when two words share them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 
 from .words import Polynomial
 
@@ -118,6 +120,10 @@ def is_consistent(component) -> bool:
     return len(_indices_of(component)) <= 1
 
 
+# the ends of a word, as vertices of CompiledWord.families
+START, END = -1, -2
+
+
 class CompiledWord:
     """A word over an identity matrix, compiled for integer union-find passes.
 
@@ -127,7 +133,9 @@ class CompiledWord:
     is stored as (variable bit, X vertex, Y vertex), with bit 0 for a
     constant.  A slice drops the positions whose bit is in a mask; dropping
     removes only variables and never relabels a constant, so one compilation
-    of the hat-transformed word serves every slice of it.
+    of the hat-transformed word serves every slice of it.  labels and ends
+    read one slice; families reads all 2^V of them in one scan, as far as
+    comparing two words goes.
     """
 
     def __init__(self, p: Polynomial, names):
@@ -191,6 +199,51 @@ class CompiledWord:
         kept = [pos for pos in self.positions if not pos[0] & drop]
         return kept[0][1], kept[-1][2]
 
+    def families(self) -> dict:
+        """Minimal separating masks of the vertex pairs a slice can join.
+
+        Maps (y, x), the Y vertex of a position and the X vertex of a later
+        one, to the inclusion-minimal bitmasks of the variables strictly
+        between two such positions; START (-1) as y stands for the start
+        of the word and END (-2) as x for its end.  One forward scan from
+        each position and from START records them.  A scan stops at a
+        constant or at its own variable again, and passes over a variable
+        it has met already, whose mask would hold that of its first
+        occurrence.
+
+        Two kept positions are adjacent in slice `drop` exactly when all
+        between them are dropped variables, so the slice has the edge
+        {x, y} exactly when a mask of (y, x) lies inside drop and neither
+        vertex is dropped, and its first and last kept positions are read
+        off START and END alike.  Words with the same variables and equal
+        families therefore have the same labels and ends in every slice.
+        """
+        fam: dict = {}
+        positions = self.positions
+        scans = [(START, 0, 0)] + [(y, bit, a + 1) for a, (bit, _, y)
+                                   in enumerate(positions)]
+        for y, own, start in scans:
+            mask = 0
+            for bit, x, _ in positions[start:]:
+                if not bit & mask:
+                    _keep_minimal(fam, (y, x), mask)
+                if not bit or bit == own:
+                    break
+                mask |= bit
+            else:
+                _keep_minimal(fam, (y, END), mask)
+        return {key: frozenset(masks) for key, masks in fam.items()}
+
+
+def _keep_minimal(fam: dict, key, mask: int) -> None:
+    """Add mask to the antichain of minimal masks kept under key."""
+    masks = fam.get(key)
+    if masks is None:
+        fam[key] = [mask]
+    elif all(m & mask != m for m in masks):
+        masks[:] = [m for m in masks if m & mask != mask]
+        masks.append(mask)
+
 
 # ---------------------------------------------------------------------------
 # Separating-set families for ordered variable pairs
@@ -229,9 +282,29 @@ def antichain(p: Polynomial, x: str, y: str) -> frozenset:
 
 
 def antichain_table(p: Polynomial) -> tuple:
-    """Canonical table of antichain families over all ordered variable pairs."""
+    """Canonical table of antichain families over all ordered variable pairs.
+
+    The antichain of (x, y) is the family of x's Y vertex and y's X vertex
+    in the compiled word of p's variables: a factor skips constants, so
+    they are left out, and then the two scans stop at the same places.
+    """
     names = sorted(p.variables)
-    return tuple(((x, y), antichain(p, x, y)) for x in names for y in names)
+    if not names:
+        return ()
+    fam = CompiledWord(Polynomial(tuple([s for s in p.word if s.is_var])),
+                       names).families()
+
+    # a mask's names, read off its binary digits, most significant first
+    high_first = names[::-1]
+    digit_bits = bytes.maketrans(b"01", b"\0\1")
+
+    def named(mask):
+        digits = f"{mask:0{len(names)}b}".encode().translate(digit_bits)
+        return frozenset(compress(high_first, digits))
+
+    return tuple(((x, y), frozenset(map(named, fam.get((2 * i + 1, 2 * j),
+                                                       ()))))
+                 for i, x in enumerate(names) for j, y in enumerate(names))
 
 
 # ---------------------------------------------------------------------------

@@ -206,8 +206,11 @@ def substitute(p: Polynomial, mapping: dict[str, Polynomial]) -> Polynomial:
 def eliminate_variables(p: Polynomial, names) -> Polynomial | None:
     """Drop every occurrence of the named variables, as an identity value
     would; None when nothing is left."""
-    kept = tuple(s for s in p.word if not (s.is_var and s.name in names))
-    return Polynomial(kept) if kept else None
+    # a list first: CPython resizes a tuple grown from a generator, and a
+    # process that calls this often then keeps ever more of them on the
+    # tuple free lists
+    kept = [s for s in p.word if not (s.is_var and s.name in names)]
+    return Polynomial(tuple(kept)) if kept else None
 
 
 def left_sequencing(p: Polynomial) -> tuple[str, ...]:

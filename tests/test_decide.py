@@ -106,6 +106,107 @@ def test_term_eq_s1_witness_slice_read_off_profiles(monkeypatch):
     assert [agree for *_, agree in v.detail[1:]] == [True, True, False]
 
 
+def test_identity_slices_settled_without_a_walk(monkeypatch):
+    # on the balanced class with identity, slice 0 and one families scan
+    # settle equal words, and a dead adjacent constant pair settles zero,
+    # with no walk over the 2^12 slices
+    xs = [f"x{j}" for j in range(12)]
+    monkeypatch.setattr(decide, "_slice_masks", _no_slice_walk)
+    for M in (r.identity(3), r.matrix(((1, 1, 0), (1, 1, 0), (0, 0, 1)))):
+        S = r.combinatorial(M)
+        for u in (["x3"], ["x3", "x7"]):
+            w = xs[:4] + u + u + xs[4:] + xs[::-1]
+            p = r.word_of(" ".join(w))
+            q = r.word_of(" ".join(w[:4] + u + w[4:]))
+            v = r.term_eq_s1(M, p, q)
+            assert v.kind == "equal", (M, u)
+            assert v.detail[-1] == ("identity-elimination slices compared",
+                                    2 ** 12 - 1)
+        live = " ".join(xs[:6] + ["[1,1]", "x5", "x5"] + xs[6:] + ["[3,3]"])
+        p = r.parse_polynomial(live, S)
+        q = r.parse_polynomial(live.replace("x5 x5", "x5 x5 x5"), S)
+        v = r.pol_zset_eq(M, p, q, adjoin_identity=True, allow_brute=False)
+        assert v.kind == "equal", M
+        dead = r.parse_polynomial(" ".join(xs[:6] + ["[1,1]", "[3,3]"]
+                                           + xs[6:]), S)
+        v = r.pol_zero(M, dead, adjoin_identity=True, allow_brute=False)
+        assert v.kind == "zero" and v.detail[-1] == ("surviving slice", None)
+
+
+BALANCED_S1 = [M for M in matrix_classes(3, 3)
+               if r.classify_matrix(M).totally_balanced
+               and not r.classify_matrix(M).all_ones]
+
+
+def _certificate_pairs(M, rng, count, consts):
+    """Word pairs over x, y, z: u u against u u u, one symbol doubled, or
+    two random words over the same variables."""
+    cs = [f"[{i + 1},{lam + 1}]" for i in range(M.n) for lam in range(M.m)]
+
+    def word(vs):
+        w = vs + [rng.choice(vs) for _ in range(rng.randint(0, 3))]
+        rng.shuffle(w)
+        for _ in range(rng.randint(0, 2) if consts else 0):
+            w.insert(rng.randrange(len(w) + 1), rng.choice(cs))
+        return w
+
+    for _ in range(count):
+        vs = rng.sample(("x", "y", "z"), rng.randint(1, 3))
+        w = word(vs)
+        t = rng.randrange(len(w))
+        kind = rng.randrange(3)
+        if kind == 0:
+            u = w[t:t + rng.choice((1, 2))]
+            pair = (w[:t] + u + u + w[t + len(u):],
+                    w[:t] + u + u + u + w[t + len(u):])
+        elif kind == 1:
+            pair = (w, w[:t + 1] + [w[t]] + w[t + 1:])
+        else:
+            pair = (w, word(vs))
+        yield tuple(" ".join(x) for x in pair)
+
+
+def _families_agree(M, p, q):
+    from reeseq.graphs import CompiledWord
+    plan = r.classify_matrix(M).plan
+    names = tuple(sorted(set(p.variables) | set(q.variables)))
+    cwp, cwq = (CompiledWord(r.hat_transform(w, plan), names) for w in (p, q))
+    return cwp.varmask == cwq.varmask and cwp.families() == cwq.families()
+
+
+def _no_families(cw):
+    return object()  # equal to nothing, so every comparison walks
+
+
+@pytest.mark.parametrize("M", BALANCED_S1, ids=lambda M: str(M.entries))
+def test_families_certificate_is_sound(monkeypatch, M):
+    # whenever two words' families agree, the oracle over S^1 finds them
+    # equal (terms as functions, polynomials in their zero sets), and every
+    # verdict, certified or not, is the one the full slice walk gives
+    rng = random.Random(14)
+    S, S1 = r.combinatorial(M), r.combinatorial(M, True)
+    cases, certified = [], 0
+    for consts in (False, True):
+        for texts in _certificate_pairs(M, rng, 300, consts):
+            p, q = (r.parse_polynomial(t, S) for t in texts)
+            if consts:
+                fast = r.pol_zset_eq(M, p, q, adjoin_identity=True)
+                brute = r.brute_zset_eq
+            else:
+                fast, brute = r.term_eq_s1(M, p, q), r.brute_eq
+            if _families_agree(M, p, q):
+                assert brute(S1, p, q).kind == "equal", texts
+                assert fast.kind == "equal", texts
+                certified += 1
+            cases.append((consts, p, q, fast))
+    assert certified > len(cases) // 3
+    monkeypatch.setattr(decide.CompiledWord, "families", _no_families)
+    for consts, p, q, fast in cases:
+        walked = r.pol_zset_eq(M, p, q, adjoin_identity=True) if consts \
+            else r.term_eq_s1(M, p, q)
+        assert walked == fast, (str(p), str(q))
+
+
 def test_term_oracle_agreement_2x2():
     # fast verdicts match the exhaustive oracle on every pair, both plain
     # and with the identity adjoined (smoke-scale; the acceptance suite
@@ -841,7 +942,8 @@ def test_zset_separator_cases(monkeypatch, live, dead):
 
 def _fast_path_name(name):
     return name in ("term_profile", "classify_matrix", "CompiledWord",
-                    "hat_transform", "_homomorphism", "_zero_pair") or \
+                    "hat_transform", "_homomorphism", "_zero_pair",
+                    "_slice_mismatch", "_balanced_s1_detail") or \
         name.startswith(("pol_", "_zset_"))
 
 

@@ -172,6 +172,50 @@ def test_antichain_examples():
     assert r.antichain(r.word_of("x z x"), "x", "x") == {frozenset({"z"})}
 
 
+def test_families_read_every_slice():
+    # an edge of slice `drop` is a pair (y, x) with a mask inside drop and
+    # neither vertex dropped, and START and END give the slice's ends, so
+    # the families alone fix what labels and ends read off every slice
+    from reeseq.graphs import END, START, CompiledWord
+    S3 = r.combinatorial(r.identity(3))
+    rng = random.Random(7)
+    syms = ["x", "y", "z", "x", "y", "z", "[1,1]", "[1,2]", "[3,3]"]
+    names = ("x", "y", "z")
+    for _ in range(300):
+        p = r.parse_polynomial(" ".join(rng.choice(syms)
+                                        for _ in range(rng.randint(1, 8))), S3)
+        cw = CompiledWord(p, names)
+        fam = cw.families()
+        for drop in range(8):
+            kept = [(START, START, START)] + [
+                pos for pos in cw.positions if not pos[0] & drop] + \
+                [(END, END, END)]
+            edges = {(a[2], b[1]) for a, b in zip(kept, kept[1:])}
+
+            def live(v):
+                return v < 0 or v >= cw.base or not drop >> (v >> 1) & 1
+
+            read = {key for key, masks in fam.items()
+                    if all(map(live, key))
+                    and any(m & drop == m for m in masks)}
+            assert read == edges, (str(p), drop)
+
+
+def test_antichain_table_matches_definition():
+    # the table is read off one families scan; it must equal the factor
+    # definition pair by pair, constants skipped inside a factor
+    S3 = r.combinatorial(r.identity(3))
+    rng = random.Random(8)
+    syms = ["x", "y", "z", "w", "x", "y", "[1,1]", "[2,3]"]
+    for _ in range(500):
+        p = r.parse_polynomial(" ".join(rng.choice(syms)
+                                        for _ in range(rng.randint(1, 10))), S3)
+        names = sorted(p.variables)
+        assert r.antichain_table(p) == tuple(
+            ((x, y), r.antichain(p, x, y)) for x in names for y in names), \
+            str(p)
+
+
 def test_antichain_is_antichain_and_idempotent():
     for p in all_terms(("x", "y", "z"), 5)[::7]:
         for a in p.variables:
