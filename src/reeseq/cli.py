@@ -25,8 +25,8 @@ def _add_common(sub):
                      help="work over the semigroup with identity adjoined")
     sub.add_argument("--budget", type=int, default=None,
                      help="evaluation budget for exhaustive search, search "
-                          "nodes for each homomorphism search; term-eq "
-                          "decides without one "
+                          "nodes for all the homomorphism searches of one "
+                          "verdict; term-eq decides without one "
                           "(default REESEQ_BUDGET or 10^7)")
     sub.add_argument("--brute", action="store_true",
                      help="decide matrices with no fast path: homomorphism "

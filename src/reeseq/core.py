@@ -199,29 +199,39 @@ class ReesSemigroup:
     def multiply(self, a: Element, b: Element) -> Element:
         self.check_element(a)
         self.check_element(b)
-        if a.kind == "zero" or b.kind == "zero":
-            return ZERO
-        if a.kind == "one":
-            return b
-        if b.kind == "one":
-            return a
-        v = self.matrix.entries[a.lam][b.i]
-        if v == 0:
-            return ZERO
-        g = self.group.mul(a.g, self.group.mul(v - 1, b.g))
-        return triple(a.i, g, b.lam)
+        return self.product((a, b))
 
     def product(self, elems) -> Element:
-        # zero is absorbing, so the fold can stop early; callers validate
-        # their inputs up front (evaluate, parse)
-        acc = None
+        """The product of a nonempty sequence of elements, folded left to
+        right on the coordinates: the identity drops out and zero absorbs,
+        so the fold stops at the first zero factor or zero entry met.
+
+        No element is checked here.  multiply checks its two factors, and
+        words.evaluate, the one other caller in the package, checks each
+        assigned value and each constant of the word before folding.
+        """
+        entries, table = self.matrix.entries, self.group.table
+        i = g = lam = None  # the coordinates of the product so far
+        one = False
         for e in elems:
-            acc = e if acc is None else self.multiply(acc, e)
-            if acc.kind == "zero":
+            if e.kind == "triple":
+                if i is None:
+                    i, g, lam = e.i, e.g, e.lam
+                    continue
+                v = entries[lam][e.i]
+                if not v:
+                    return ZERO
+                g = table[g][table[v - 1][e.g]]
+                lam = e.lam
+            elif e.kind == "zero":
                 return ZERO
-        if acc is None:
-            raise InvalidElementError("empty product")
-        return acc
+            else:
+                one = True
+        if i is not None:
+            return triple(i, g, lam)
+        if one:
+            return ONE
+        raise InvalidElementError("empty product")
 
     # -- derived semigroups -------------------------------------------------
 

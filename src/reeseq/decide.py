@@ -2,10 +2,18 @@
 
 Over the plain semigroup of a 0-1 matrix M, p is nonzero exactly when its
 bipartite graph, constants pinned, maps into the support pattern of M.  One
-homomorphism search (arc consistency plus depth-first search, budgeted in
-search nodes) answers that question as a list homomorphism: a symbol's
-column or row may be kept to a mask of indices, its list.  The plain
-questions reduce to it:
+homomorphism search (arc consistency plus depth-first search) answers that
+question as a list homomorphism: a symbol's column or row may be kept to a
+mask of indices, its list.  A verdict compiles each word it searches once,
+into a constraint network (variable index, arcs, and domains narrowed by
+the constants and closed under arc consistency); each run applies its masks
+on a trail, propagates from the masked vertices alone and undoes them
+before it returns, so all of the verdict's runs share the network.  The
+search branches on the smallest domain, ties to the most neighbours and
+then to discovery order, kept in a heap that changes only when a domain
+does, so a search that needs about one node per vertex is near-linear.
+All runs of one verdict spend one budget of search nodes.  The plain
+questions reduce to the search:
 
 * pol-zero on a matrix neither totally balanced nor bordered is one
   search with no masks;
@@ -49,6 +57,7 @@ import operator
 import os
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from heapq import heapify, heappop, heappush
 
 from .core import (Element, ONE, ReesSemigroup, StructureMatrix, ZERO,
                    combinatorial, element_str, is_regular, pair, triple)
@@ -200,15 +209,17 @@ def _require_term(p: Polynomial) -> None:
         raise ReesError("term procedures expect constant-free words")
 
 
-def _slice_masks(n: int, full: bool = True) -> list[int]:
-    """Masks of eliminated variables in size-then-lexicographic order.
+def _slice_masks(n: int, full: bool = True):
+    """Masks of eliminated variables in size-then-lexicographic order, made
+    one at a time as they are read.
 
     Bit j stands for the j-th name; with full false, the mask eliminating
     all n variables is left out.
     """
     top = n + 1 if full else n
-    return [sum(1 << j for j in combo) for k in range(top)
-            for combo in itertools.combinations(range(n), k)]
+    for k in range(top):
+        for combo in itertools.combinations(range(n), k):
+            yield sum(1 << j for j in combo)
 
 
 def _mask_names(names, mask: int) -> tuple[str, ...]:
@@ -299,7 +310,8 @@ def _slice_mismatch(key, cwp, cwq, full: bool):
         return 0, a, b
     if cwp.varmask == cwq.varmask and cwp.families() == cwq.families():
         return None
-    for mask in _slice_masks(len(cwp.names), full)[1:]:
+    masks = _slice_masks(len(cwp.names), full)
+    for mask in itertools.islice(masks, 1, None):  # past slice 0
         a, b = key(cwp, mask), key(cwq, mask)
         if a != b:
             return mask, a, b
@@ -444,7 +456,7 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
             "pass allow_brute to use the oracle")
     if adjoin_identity:
         return brute_zero(S, p, budget=budget)
-    w = _homomorphism(M, p, (), budget)
+    w = _homomorphism(_Network(M, p), (), _Budget(budget))
     if w is None:
         return Verdict("zero", "homomorphism-search")
     return _emit_nonzero(S, p, w, "homomorphism-search")
@@ -490,7 +502,6 @@ def pol_zset_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     S = combinatorial(M, adjoin_identity)
     validate_polynomial(S, p)
     validate_polynomial(S, q)
-    union = tuple(dict.fromkeys(p.variables + q.variables))
 
     if prof.all_ones:
         same = set(p.variables) == set(q.variables)
@@ -499,12 +510,12 @@ def pol_zset_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
         if same:
             return Verdict("equal", "all-ones-variables", None, detail)
         v = sorted(set(p.variables) ^ set(q.variables))[0]
-        e = {u: pair(0, 0) for u in union}
+        e = {u: pair(0, 0) for u in p.variables + q.variables}
         e[v] = ZERO
         return _emit_eq_zset(S, p, q, e, "all-ones-variables", detail)
 
     if prof.totally_balanced:
-        return _zset_balanced(S, prof, p, q, union, adjoin_identity)
+        return _zset_balanced(S, prof, p, q, adjoin_identity)
 
     if adjoin_identity or not prof.bordered:
         if not allow_brute:
@@ -512,7 +523,8 @@ def pol_zset_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
                                          "this matrix class")
         if adjoin_identity:
             return brute_zset_eq(S, p, q, budget=budget)
-    return _zset_zero_pairs(S, M, p, q, union, budget)
+    return _zset_zero_pairs(S, _Network(M, p), _Network(M, q),
+                            _Budget(budget))
 
 
 def _emit_eq_zset(S, p, q, witness, method, detail):
@@ -541,9 +553,9 @@ def _system(names, labels) -> tuple:
                       for c, vs in groups.items() if c < 0 or len(vs) > 1))
 
 
-def _zset_balanced(S, prof, p, q, union, with_identity):
+def _zset_balanced(S, prof, p, q, with_identity):
     method = "balanced-constraint-systems"
-    names = tuple(sorted(union))
+    names = tuple(sorted(set(p.variables + q.variables)))
     cwp, cwq = (CompiledWord(hat_transform(word, prof.plan), names)
                 for word in (p, q))
     # labels over shared vertex numbers are the constraint systems: None
@@ -580,7 +592,7 @@ def _zset_balanced(S, prof, p, q, union, with_identity):
     w = _balanced_nonzero_witness(prof.plan, hat_transform(live, prof.plan),
                                   live.variables, pins)
     base = lift_element_map(prof.plan)(triple(0, 0, 0))
-    for u in union:
+    for u in names:
         w.setdefault(u, base)
     w.update(dict.fromkeys(W, ONE))
     if kill is not None:
@@ -616,8 +628,9 @@ def _separator(live, dead):
     return None
 
 
-def _zset_zero_pairs(S, M, p, q, union, budget):
-    """Zero sets compared through homomorphism search under pins.
+def _zset_zero_pairs(S, netp, netq, nodes):
+    """Zero sets compared through homomorphism search under pins, on the
+    compiled networks of p and q and within one budget.
 
     A word that is identically zero decides at once, and so does a variable
     that only one word has: set to zero, it kills that word alone.
@@ -626,7 +639,8 @@ def _zset_zero_pairs(S, M, p, q, union, budget):
     of dst meets a zero entry of M.
     """
     method = "homomorphism-search"
-    wp, wq = (_homomorphism(M, word, (), budget) for word in (p, q))
+    p, q = netp.word, netq.word
+    wp, wq = (_homomorphism(net, (), nodes) for net in (netp, netq))
     if wp is None and wq is None:
         return Verdict("equal", method, None,
                        (("both identically zero", True),))
@@ -640,35 +654,36 @@ def _zset_zero_pairs(S, M, p, q, union, budget):
         w = wq if v in p.variables else wp
         w[v] = ZERO
     else:
-        hit = _zero_pair(M, p, q, budget) or _zero_pair(M, q, p, budget)
+        hit = _zero_pair(netp, q, nodes) or _zero_pair(netq, p, nodes)
         if hit is None:
             return Verdict("equal", method, None,
                            (("zero pairs", "none separates the words"),))
         st, cell, w = hit
         detail = (("zero pair", st, cell, False),)
-    for u in union:
+    for u in p.variables + q.variables:
         w.setdefault(u, ZERO)
     return _emit_eq_zset(S, p, q, w, method, detail)
 
 
-def _zero_pair(M, src, dst, budget):
+def _zero_pair(net, dst, nodes):
     """An adjacent pair s t of dst and a zero entry M(lam, i), as text,
-    and a nonzero evaluation of src with s's row on lam and t's column on
-    i, under which dst is zero; None when there is none.  One search per
-    row lam with a zero keeps t's column among that row's zeros, and i is
-    read off the witness.  A pair that src has too would kill src as well,
-    so it is skipped.
+    and a nonzero evaluation of src, net's word, with s's row on lam and
+    t's column on i, under which dst is zero; None when there is none.
+    One search per row lam with a zero keeps t's column among that row's
+    zeros, and i is read off the witness.  A pair that src has too would
+    kill src as well, so it is skipped.
     """
-    full = (1 << M.n) - 1
-    rows = [(lam, ones) for lam, ones in
-            enumerate(classify_matrix(M).support[1]) if ones != full]
+    full = (1 << len(net.support[0])) - 1
+    rows = [(lam, ones) for lam, ones in enumerate(net.support[1])
+            if ones != full]
+    src = net.word
     own = set(zip(src.word, src.word[1:]))
     for s, t in dict.fromkeys(zip(dst.word, dst.word[1:])):
         if (s, t) in own:
             continue
         for lam, ones in rows:
-            w = _homomorphism(M, src, ((s, 2, 1 << lam), (t, 1, full ^ ones)),
-                              budget)
+            w = _homomorphism(net, ((s, 2, 1 << lam), (t, 1, full ^ ones)),
+                              nodes)
             if w is not None:
                 i = (w[t.name] if t.is_var else t.elem).i
                 return (str(Polynomial((s, t))),
@@ -705,13 +720,22 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
             return brute_eq(S, p, q, budget=budget)
 
     method = "zset-plus-endpoints"
-    z = pol_zset_eq(M, p, q, budget=budget)
+    # one budget and one network per word for every search of the verdict;
+    # the balanced class (all-ones included) compares zero sets without one
+    nodes = _Budget(budget)
+    if prof.totally_balanced:
+        z, net = pol_zset_eq(M, p, q), None
+    else:
+        net = _Network(M, p)
+        z = _zset_zero_pairs(S, net, _Network(M, q), nodes)
     if z.kind != "equal":
         return Verdict("not-equal", method, z.witness,
                        (("zero-sets equal", False),) + z.detail)
+    if net is None:
+        net = _Network(M, p)
     # past this test p is nonzero somewhere, so (zero sets agreeing) both
     # words have the same variables and every want names one of p's
-    if _homomorphism(M, p, (), budget) is None:
+    if _homomorphism(net, (), nodes) is None:
         return Verdict("equal", method, None, (("zero-sets equal", True),
                                                ("identically zero", True)))
     for side, a, b, size in ((1, p.leftmost, q.leftmost, M.n),
@@ -720,8 +744,8 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
             continue
         full = (1 << size) - 1
         for x in range(size):
-            w = _homomorphism(M, p, ((a, side, 1 << x),
-                                     (b, side, full ^ 1 << x)), budget)
+            w = _homomorphism(net, ((a, side, 1 << x),
+                                    (b, side, full ^ 1 << x)), nodes)
             if w is None:
                 continue
             e = w[b.name] if b.is_var else b.elem
@@ -767,8 +791,9 @@ def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
                                          "for this matrix class")
         if adjoin_identity:
             return brute_sat(S, p, b, budget=budget)
-    w = _homomorphism(M, p, ((p.leftmost, 1, 1 << b.i),
-                             (p.rightmost, 2, 1 << b.lam)), budget)
+    w = _homomorphism(_Network(M, p), ((p.leftmost, 1, 1 << b.i),
+                                       (p.rightmost, 2, 1 << b.lam)),
+                      _Budget(budget))
     if w is None:
         return Verdict("unsat", "homomorphism-search")
     return _emit_sat(S, p, b, w, "homomorphism-search")
@@ -776,132 +801,212 @@ def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
 
 # ---------------------------------------------------------------------------
 # Homomorphism search
+#
+# p is nonzero exactly when every adjacent pair s t of its word has
+# M(lam_s, i_t) != 0: a map of p's bipartite graph, constants pinned, into
+# the support pattern of M.  Variable j owns vertex 2j (its column index i)
+# and vertex 2j+1 (its row index lam); a domain is a bitmask of indices.
 
-def _homomorphism(M: StructureMatrix, p: Polynomial, wants,
-                  budget: int | None) -> dict | None:
-    """A nonzero evaluation of p over the plain combinatorial semigroup of
-    M, as a name -> element dict, or None when p is identically zero.
+class _Network:
+    """p's constraint network over M, compiled once per verdict and shared
+    by all of that verdict's runs of _homomorphism.
 
-    p is nonzero exactly when every adjacent pair s t of its word has
-    M(lam_s, i_t) != 0: a map of p's bipartite graph, constants pinned, into
-    the support pattern of M.  Variable j owns vertex 2j (its column index
-    i) and vertex 2j+1 (its row index lam); domains are bitmasks of indices,
-    narrowed by constant neighbours and by wants, (symbol, side, mask)
-    triples: side 1 keeps the symbol's column in mask, side 2 its row, and
-    a constant outside its mask leaves no evaluation.  Arc consistency
-    (AC-3) runs up front and after every choice of a depth-first search
-    over each connected component of the undecided vertices; it picks the
-    smallest domain, ties to the vertex with most neighbours, and undoes
-    its choices from a trail.  Every value tried is a search node; more
-    than budget of them raise BudgetExceededError.
+    doms[v] is v's domain, narrowed by p's constants and closed under arc
+    consistency; nbrs[v] holds the vertices v shares an arc with, degree[v]
+    their number; undecided lists, in order, the vertices left with more
+    than one index; dead says that p is identically zero whatever a run
+    masks, shown by a zero entry between two constants or by arc
+    consistency.  A run narrows doms on its trail and restores them before
+    it returns.
     """
-    limit = default_budget() if budget is None else budget
-    names = p.variables
-    index = {u: j for j, u in enumerate(names)}
-    support = classify_matrix(M).support
-    doms = [(1 << (M.m if v & 1 else M.n)) - 1 for v in range(2 * len(names))]
-    for s, side, mask in wants:
-        if s.is_var:
-            doms[2 * index[s.name] + side - 1] &= mask
-        elif not mask >> (s.elem.i if side == 1 else s.elem.lam) & 1:
-            return None
-    nbrs = [set() for _ in doms]
-    for s, t in zip(p.word, p.word[1:]):
-        if s.is_var and t.is_var:
-            y, x = 2 * index[s.name] + 1, 2 * index[t.name]
-            nbrs[y].add(x)
-            nbrs[x].add(y)
-        elif s.is_var:
-            doms[2 * index[s.name] + 1] &= support[0][t.elem.i]
-        elif t.is_var:
-            doms[2 * index[t.name]] &= support[1][s.elem.lam]
-        elif not M.entry(s.elem.lam, t.elem.i):
-            return None
-    if not all(doms):
-        return None
 
-    trail: list = []  # (vertex, domain before a change)
+    __slots__ = ("word", "index", "support", "doms", "nbrs", "degree",
+                 "undecided", "dead")
 
-    def allowed(v):
-        """The neighbour indices that some value in v's domain supports."""
-        out, rest, sup = 0, doms[v], support[v & 1]
+    def __init__(self, M: StructureMatrix, p: Polynomial):
+        self.word = p
+        self.index = index = {u: j for j, u in enumerate(p.variables)}
+        self.support = support = classify_matrix(M).support
+        doms = [(1 << (M.m if v & 1 else M.n)) - 1
+                for v in range(2 * len(index))]
+        arcs = [set() for _ in doms]
+        dead = False
+        word = p.word
+        # each symbol's column vertex, or -1 for a constant
+        col = [2 * index[s.name] if s.is_var else -1 for s in word]
+        for k, (x, y) in enumerate(zip(col, col[1:])):
+            if x >= 0 and y >= 0:
+                arcs[x + 1].add(y)
+                arcs[y].add(x + 1)
+            elif x >= 0:
+                doms[x + 1] &= support[0][word[k + 1].elem.i]
+            elif y >= 0:
+                doms[y] &= support[1][word[k].elem.lam]
+            elif not M.entry(word[k].elem.lam, word[k + 1].elem.i):
+                dead = True
+        # each set's own order, kept: a run discovers its components in it,
+        # and the witness depends on that order
+        self.nbrs = nbrs = [tuple(a) for a in arcs]
+        self.degree = [len(a) for a in arcs]
+        self.dead = dead or not all(doms) or not _narrow(
+            doms, nbrs, support, list(range(len(doms))), [])
+        self.doms = doms
+        self.undecided = [v for v, d in enumerate(doms) if d & (d - 1)]
+
+
+class _Budget:
+    """One verdict's search nodes, shared by all of its runs: every value
+    tried is a node, and more than limit of them raise
+    BudgetExceededError."""
+
+    __slots__ = ("limit", "spent")
+
+    def __init__(self, budget: int | None):
+        self.limit = default_budget() if budget is None else budget
+        self.spent = 0
+
+
+def _narrow(doms, nbrs, support, queue, trail) -> bool:
+    """Narrow the neighbours of the queued vertices to a fixpoint of arc
+    consistency (AC-3), each change recorded on trail as (vertex, domain
+    before it); False on an empty domain."""
+    while queue:
+        v = queue.pop()
+        # the neighbour indices that some value in v's domain supports
+        allowed, rest, sup = 0, doms[v], support[v & 1]
         while rest:
             low = rest & -rest
-            out |= sup[low.bit_length() - 1]
+            allowed |= sup[low.bit_length() - 1]
             rest ^= low
-        return out
+        for u in nbrs[v]:
+            d = doms[u]
+            if d & allowed != d:
+                if not d & allowed:
+                    return False
+                trail.append((u, d))
+                doms[u] = d & allowed
+                queue.append(u)
+    return True
 
-    def consistent(queue) -> bool:
-        """Narrow the neighbours of the queued vertices to a fixpoint;
-        False on an empty domain."""
-        while queue:
-            v = queue.pop()
-            a = allowed(v)
-            for u in nbrs[v]:
-                d = doms[u]
-                if d & a != d:
-                    if not d & a:
-                        return False
-                    trail.append((u, d))
-                    doms[u] = d & a
-                    queue.append(u)
-        return True
 
-    if not consistent(list(range(len(doms)))):
+def _branching_order(doms, degree, comp) -> list:
+    """The undecided vertices of comp as a heap of (domain size, -degree,
+    position in comp, vertex) entries."""
+    heap = [(doms[u].bit_count(), -degree[u], k, u)
+            for k, u in enumerate(comp) if doms[u] & (doms[u] - 1)]
+    heapify(heap)
+    return heap
+
+
+def _homomorphism(net: _Network, wants, nodes: _Budget) -> dict | None:
+    """A nonzero evaluation of net's word over the plain combinatorial
+    semigroup of M, as a name -> element dict, or None when the word is
+    identically zero under wants.
+
+    wants are (symbol, side, mask) triples: side 1 keeps the symbol's
+    column in mask, side 2 its row, and a constant outside its mask leaves
+    no evaluation.  The run applies them to the compiled domains on its
+    trail and restores to arc consistency from the vertices they narrowed
+    alone.  A depth-first search then covers each connected component of
+    the undecided vertices: it branches on the smallest domain, ties to
+    the vertex with most neighbours and then to the first in the order in
+    which the component was discovered, restores arc consistency after
+    every choice and undoes its choices from the trail.  The branching
+    order lives in a heap of (domain size, -degree, discovery position,
+    vertex) entries, pushed whenever a choice narrows a domain or the
+    trail restores one and dropped once stale, so a search that needs about
+    one node per vertex takes near-linear time.  Every value tried spends
+    a node of the verdict's budget.  The trail is undone before the run
+    returns, so the network is ready for the verdict's next run.
+    """
+    if net.dead:
         return None
-
-    def undecided(v):
-        return doms[v] & (doms[v] - 1)
-
-    # arc consistency leaves every value of a vertex supported by its
-    # decided neighbours, so only the undecided vertices need searching,
-    # and each of their connected components on its own
-    nodes = 0
-    seen = set()
-    for root in range(len(doms)):
-        if root in seen or not undecided(root):
-            continue
-        comp, stack = [], [root]
-        seen.add(root)
-        while stack:
-            v = stack.pop()
-            comp.append(v)
-            for u in nbrs[v]:
-                if u not in seen and undecided(u):
-                    seen.add(u)
-                    stack.append(u)
-        trail.clear()
-        frames: list = []  # [vertex, values left to try, trail mark]
-        while True:
-            open_ = [v for v in comp if undecided(v)]
-            if not open_:
-                break
-            v = min(open_, key=lambda u: (doms[u].bit_count(), -len(nbrs[u])))
-            frames.append([v, doms[v], len(trail)])
-            while frames:
-                frame = frames[-1]
-                v, rest, mark = frame
-                while len(trail) > mark:
-                    u, d = trail.pop()
-                    doms[u] = d
-                if not rest:
-                    frames.pop()
-                    continue
-                nodes += 1
-                if nodes > limit:
-                    raise BudgetExceededError(
-                        f"homomorphism search exceeds budget {limit} nodes")
-                low = rest & -rest
-                frame[1] = rest ^ low
-                trail.append((v, doms[v]))
-                doms[v] = low
-                if consistent([v]):
-                    break
-            else:
+    doms, nbrs, support, degree = net.doms, net.nbrs, net.support, net.degree
+    trail: list = []  # (vertex, domain before a change)
+    try:
+        queue = []
+        for s, side, mask in wants:
+            if not s.is_var:
+                if not mask >> (s.elem.i if side == 1 else s.elem.lam) & 1:
+                    return None
+                continue
+            v = 2 * net.index[s.name] + side - 1
+            d = doms[v]
+            if not d & mask:
                 return None
-    return {u: pair(doms[2 * j].bit_length() - 1,
-                    doms[2 * j + 1].bit_length() - 1)
-            for j, u in enumerate(names)}
+            if d & mask != d:
+                trail.append((v, d))
+                doms[v] = d & mask
+                queue.append(v)
+        if not _narrow(doms, nbrs, support, queue, trail):
+            return None
+
+        # arc consistency leaves every value of a vertex supported by its
+        # decided neighbours, so only the undecided vertices need
+        # searching, and each of their connected components on its own
+        seen = set()
+        for root in net.undecided:
+            if root in seen or not doms[root] & (doms[root] - 1):
+                continue
+            comp, stack = [], [root]
+            seen.add(root)
+            while stack:
+                v = stack.pop()
+                comp.append(v)
+                for u in nbrs[v]:
+                    if u not in seen and doms[u] & (doms[u] - 1):
+                        seen.add(u)
+                        stack.append(u)
+            # only the component's own vertices change while it is
+            # searched: a decided vertex is never narrowed, only emptied
+            rank = {v: k for k, v in enumerate(comp)}
+            heap = _branching_order(doms, degree, comp)
+            frames: list = []  # [vertex, values left to try, trail mark]
+            while True:
+                while heap and doms[heap[0][3]].bit_count() != heap[0][0]:
+                    heappop(heap)
+                if not heap:
+                    break
+                v = heappop(heap)[3]
+                frames.append([v, doms[v], len(trail)])
+                while frames:
+                    frame = frames[-1]
+                    v, rest, mark = frame
+                    if len(heap) > 2 * len(comp):  # mostly stale entries
+                        heap = _branching_order(doms, degree, comp)
+                    while len(trail) > mark:
+                        u, d = trail.pop()
+                        doms[u] = d
+                        if d & (d - 1):
+                            heappush(heap, (d.bit_count(), -degree[u],
+                                            rank[u], u))
+                    if not rest:
+                        frames.pop()
+                        continue
+                    nodes.spent += 1
+                    if nodes.spent > nodes.limit:
+                        raise BudgetExceededError(
+                            "homomorphism search exceeds budget "
+                            f"{nodes.limit} nodes")
+                    low = rest & -rest
+                    frame[1] = rest ^ low
+                    trail.append((v, doms[v]))
+                    doms[v] = low
+                    if _narrow(doms, nbrs, support, [v], trail):
+                        for u, _ in trail[mark + 1:]:
+                            d = doms[u]
+                            if d & (d - 1):
+                                heappush(heap, (d.bit_count(), -degree[u],
+                                                rank[u], u))
+                        break
+                else:
+                    return None
+        return {u: pair(doms[2 * j].bit_length() - 1,
+                        doms[2 * j + 1].bit_length() - 1)
+                for u, j in net.index.items()}
+    finally:
+        for v, d in reversed(trail):
+            doms[v] = d
 
 
 # ---------------------------------------------------------------------------

@@ -68,22 +68,18 @@ class Polynomial:
     def is_term(self) -> bool:
         return all(s.is_var for s in self.word)
 
+    # variables and constants build their tuple from a list, as
+    # eliminate_variables does
     @cached_property
     def variables(self) -> tuple[str, ...]:
         """Variable names in first-occurrence order."""
-        seen = []
-        for s in self.word:
-            if s.is_var and s.name not in seen:
-                seen.append(s.name)
-        return tuple(seen)
+        return tuple(list(dict.fromkeys([s.name for s in self.word
+                                         if s.is_var])))
 
     @cached_property
     def constants(self) -> tuple[Element, ...]:
-        seen = []
-        for s in self.word:
-            if not s.is_var and s.elem not in seen:
-                seen.append(s.elem)
-        return tuple(seen)
+        return tuple(list(dict.fromkeys([s.elem for s in self.word
+                                         if not s.is_var])))
 
     @property
     def leftmost(self) -> Symbol:
@@ -173,13 +169,18 @@ class Evaluation:
 
 
 def evaluate(S: ReesSemigroup, p: Polynomial, assignment) -> Element:
-    """Substitute elements for variables and fold the word left to right."""
+    """Substitute elements for variables and fold the word left to right.
+
+    Every assigned value and every constant is checked against S here, once,
+    so the fold itself checks nothing.
+    """
     if isinstance(assignment, Evaluation):
         assignment = assignment.as_dict()
     for name in p.variables:
         if name not in assignment:
             raise MissingAssignmentError(f"variable {name!r} unassigned")
         S.check_element(assignment[name])
+    validate_polynomial(S, p)
     return S.product(assignment[s.name] if s.is_var else s.elem
                      for s in p.word)
 
@@ -219,11 +220,9 @@ def left_sequencing(p: Polynomial) -> tuple[str, ...]:
 
 
 def right_sequencing(p: Polynomial) -> tuple[str, ...]:
-    seen = []
-    for s in reversed(p.word):
-        if s.is_var and s.name not in seen:
-            seen.append(s.name)
-    return tuple(seen)
+    """Variables in order of first appearance scanning right to left."""
+    return tuple(list(dict.fromkeys([s.name for s in reversed(p.word)
+                                     if s.is_var])))
 
 
 def transpose_polynomial(p: Polynomial) -> Polynomial:

@@ -365,7 +365,9 @@ def test_homomorphism_matches_oracles(monkeypatch):
     # the engine on every class up to 3x3, balanced and bordered included,
     # against brute_zero and, with the ends pinned, brute_sat for every
     # nonzero target; the oracles run first, the engine with the search
-    # kernel patched to raise, and every witness is evaluated again
+    # kernel patched to raise, and every witness is evaluated again.  Each
+    # word's network is compiled once and serves all of its runs, so a run
+    # that left its choices behind would spoil the next
     rng = random.Random(14)
     cases = []
     for M in matrix_classes(3, 3):
@@ -378,13 +380,16 @@ def test_homomorphism_matches_oracles(monkeypatch):
                           sat))
     monkeypatch.setattr(decide, "_first", _no_search)
     for M, S, p, nonzero, sat in cases:
-        w = decide._homomorphism(M, p, (), None)
+        net = decide._Network(M, p)
+        doms = list(net.doms)
+        w = decide._homomorphism(net, (), decide._Budget(None))
         assert (w is not None) == nonzero, (M, str(p))
         if w is not None:
             assert r.evaluate(S, p, w) != r.ZERO
         for b, solvable in sat.items():
             ends = ((p.leftmost, 1, 1 << b.i), (p.rightmost, 2, 1 << b.lam))
-            w = decide._homomorphism(M, p, ends, None)
+            w = decide._homomorphism(net, ends, decide._Budget(None))
+            assert net.doms == doms, (M, str(p), b)
             assert (w is not None) == solvable, (M, str(p), b)
             if w is not None:
                 assert r.evaluate(S, p, w) == b
@@ -395,12 +400,16 @@ def test_homomorphism_matches_oracles(monkeypatch):
                          ids=["H3", "C3", "H4", "N23", "BI2+H3"])
 def test_general_class_pol_zero_and_pol_sat(M):
     # on a matrix neither balanced nor bordered, pol_zero and pol_sat with
-    # allow_brute go to the engine and agree with the oracles
+    # allow_brute go to the engine and agree with the oracles; so do pol_eq
+    # and pol_zset_eq, on each word against the next and against a shuffle
+    # of itself (the same variables, so the zero-pair and end runs), with
+    # every witness evaluated again
     assert not (r.is_totally_balanced(M) or r.is_bordered(M))
     rng = random.Random(str(M))
     S = r.combinatorial(M)
     targets = S.nonzero_triples()
     most = 3 if S.size <= 17 else 2
+    words = []
     for _ in range(25):
         p = _random_word(rng, S, ("x", "y", "z")[:rng.randint(1, most)])
         v = r.pol_zero(M, p)
@@ -410,6 +419,17 @@ def test_general_class_pol_zero_and_pol_sat(M):
             v = r.pol_sat(M, p, b)
             assert v.method == "homomorphism-search"
             assert v.kind == r.brute_sat(S, p, b).kind, (str(p), b)
+        words.append(p)
+    for p, after in zip(words, words[1:]):
+        for q in (after, r.poly(*rng.sample(p.word, p.length))):
+            if len(set(p.variables + q.variables)) > most:
+                continue
+            for run, brute, zset in ((r.pol_eq, r.brute_eq, False),
+                                     (r.pol_zset_eq, r.brute_zset_eq, True)):
+                v = run(M, p, q)
+                assert v.kind == brute(S, p, q).kind, (run, str(p), str(q))
+                if v.kind == "not-equal":
+                    assert _check_witness(S, p, q, v, zset), (str(p), str(q))
 
 
 def test_homomorphism_budget_counts_search_nodes():
@@ -419,6 +439,20 @@ def test_homomorphism_budget_counts_search_nodes():
     with pytest.raises(BudgetExceededError):
         r.pol_zero(H3, p, budget=1)
     assert r.pol_zero(H3, p, budget=4).kind == "not-zero"
+
+
+def test_homomorphism_budget_is_per_verdict():
+    # pol_eq's runs over H3 for x y x y vs y x y x take 4, 4, 4 and 3
+    # nodes: the two words' zero checks, p's again, one end run.  Each
+    # fits in 4 nodes, as pol_zero shows, but the verdict needs all 15
+    p, q = r.word_of("x y x y"), r.word_of("y x y x")
+    for word in (p, q):
+        assert r.pol_zero(H3, word, budget=4).kind == "not-zero"
+    for budget in (4, 14):
+        with pytest.raises(BudgetExceededError):
+            r.pol_eq(H3, p, q, budget=budget)
+    v = r.pol_eq(H3, p, q, budget=15)
+    assert v.kind == "not-equal" and _check_witness(S_H3, p, q, v, False)
 
 
 def test_homomorphism_long_chain():
@@ -942,8 +976,9 @@ def test_zset_separator_cases(monkeypatch, live, dead):
 
 def _fast_path_name(name):
     return name in ("term_profile", "classify_matrix", "CompiledWord",
-                    "hat_transform", "_homomorphism", "_zero_pair",
-                    "_slice_mismatch", "_balanced_s1_detail") or \
+                    "hat_transform", "_homomorphism", "_Network", "_narrow",
+                    "_zero_pair", "_slice_mismatch",
+                    "_balanced_s1_detail") or \
         name.startswith(("pol_", "_zset_"))
 
 
@@ -952,6 +987,16 @@ def _global_names(code):
     for const in code.co_consts:
         if isinstance(const, types.CodeType):
             yield from _global_names(const)
+
+
+def _decide_codes(name):
+    """The code of decide's function of that name, or of every method of
+    its class of that name; nothing for other names."""
+    obj = getattr(decide, name, None)
+    obj = getattr(obj, "__wrapped__", obj)  # classify_matrix is cached
+    fns = vars(obj).values() if isinstance(obj, type) else (obj,)
+    return [fn.__code__ for fn in fns if isinstance(fn, types.FunctionType)
+            and fn.__module__ == decide.__name__]
 
 
 def test_oracles_never_reach_fast_paths():
@@ -963,10 +1008,8 @@ def test_oracles_never_reach_fast_paths():
     while todo:
         name = todo.pop()
         assert not _fast_path_name(name), (name, "reached from", via[name])
-        fn = getattr(decide, name, None)
-        if isinstance(fn, types.FunctionType) and \
-                fn.__module__ == decide.__name__:
-            for ref in _global_names(fn.__code__):
+        for code in _decide_codes(name):
+            for ref in _global_names(code):
                 if ref not in via:
                     via[ref] = name
                     todo.append(ref)
@@ -986,12 +1029,10 @@ def test_fast_paths_never_reach_the_kernel():
         assert name not in kernel, (name, "reached from", via[name])
         if name.startswith("brute_"):
             continue
-        fn = getattr(decide, name, None)
-        fn = getattr(fn, "__wrapped__", fn)  # classify_matrix is cached
-        if isinstance(fn, types.FunctionType) and \
-                fn.__module__ == decide.__name__:
-            for ref in _global_names(fn.__code__):
+        for code in _decide_codes(name):
+            for ref in _global_names(code):
                 if ref not in via:
                     via[ref] = name
                     todo.append(ref)
-    assert {"_homomorphism", "classify_matrix", "brute_eq"} <= set(via)
+    assert {"_homomorphism", "_Network", "_narrow", "classify_matrix",
+            "brute_eq"} <= set(via)

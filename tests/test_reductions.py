@@ -195,6 +195,36 @@ def test_sigma_matches_three_colorability():
             assert is_proper(G, red.decode_coloring(G, v.witness.as_dict()))
 
 
+# pol_zero(H3, sigma(K3)), recorded before the branching order moved into
+# a heap: the order picks the same vertex at every step, so it finds the
+# same witness
+K3_WITNESS = (
+    "x#1 = [2,2], x#1#1.2 = [1,3], x#1#1.3 = [1,3], x#1#2.1 = [3,1], "
+    "x#1#2.3 = [1,3], x#1#3.1 = [3,1], x#1#3.2 = [3,1], x#2 = [3,3], "
+    "x#2#1.2 = [1,2], x#2#1.3 = [1,2], x#2#2.1 = [2,1], x#2#2.3 = [2,1], "
+    "x#2#3.1 = [2,1], x#2#3.2 = [1,2], x#3 = [1,1], x#3#1.2 = [3,2], "
+    "x#3#1.3 = [2,3], x#3#2.1 = [2,3], x#3#2.3 = [2,3], x#3#3.1 = [3,2], "
+    "x#3#3.2 = [3,2], y#1#1.2 = [1,1], y#1#1.3 = [2,1], y#1#2.1 = [2,1], "
+    "y#1#2.3 = [2,1], y#1#3.1 = [2,1], y#1#3.2 = [2,1], y#2#1.2 = [1,1], "
+    "y#2#1.3 = [2,1], y#2#2.1 = [2,1], y#2#2.3 = [2,1], y#2#3.1 = [2,1], "
+    "y#2#3.2 = [2,1], y#3#1.2 = [2,2], y#3#1.3 = [2,2], y#3#2.1 = [2,2], "
+    "y#3#2.3 = [2,2], y#3#3.1 = [2,2], y#3#3.2 = [2,2], z#1#1.2 = [1,1], "
+    "z#1#1.3 = [1,1], z#1#2.1 = [1,1], z#1#2.3 = [1,1], z#1#3.1 = [1,1], "
+    "z#1#3.2 = [1,1], z#2#1.2 = [1,1], z#2#1.3 = [1,1], z#2#2.1 = [1,1], "
+    "z#2#2.3 = [1,1], z#2#3.1 = [1,1], z#2#3.2 = [1,1], z#3#1.2 = [2,1], "
+    "z#3#1.3 = [2,1], z#3#2.1 = [2,1], z#3#2.3 = [2,1], z#3#3.1 = [2,1], "
+    "z#3#3.2 = [2,2]")
+
+
+def test_sigma_verdict_text_is_pinned():
+    # the triangle is 3-colorable and K4 is not
+    H3 = r.hollow(3)
+    got = [str(r.pol_zero(H3, red.sigma(red.complete_graph(n)).polynomial))
+           for n in (3, 4)]
+    assert got == ["not-zero [homomorphism-search] witness: " + K3_WITNESS,
+                   "zero [homomorphism-search]"]
+
+
 def test_sigma_search_budget():
     # the budget counts search nodes; arc consistency alone does not
     # settle K4

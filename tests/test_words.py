@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 import reeseq as r
-from reeseq.errors import MissingAssignmentError, ParseError
+from reeseq.errors import (InvalidElementError, MissingAssignmentError,
+                           ParseError)
 
 
 I2 = r.identity(2)
@@ -106,6 +107,20 @@ def test_sequencings():
 def test_evaluate_missing_assignment():
     with pytest.raises(MissingAssignmentError):
         r.evaluate(S2, r.word_of("x y"), {"x": r.pair(0, 0)})
+
+
+def test_evaluate_checks_values_and_constants():
+    # the fold checks nothing, so evaluate itself must refuse an
+    # out-of-range value or constant, a lone constant included
+    p = r.word_of("x y")
+    with pytest.raises(InvalidElementError):
+        r.evaluate(S2, p, {"x": r.pair(2, 0), "y": r.pair(0, 0)})
+    with pytest.raises(InvalidElementError):
+        r.evaluate(S2, p, {"x": r.pair(0, 0), "y": r.ONE})
+    bad = r.const(r.pair(0, 2))
+    for word in (r.poly(r.var("x"), bad), r.poly(bad)):
+        with pytest.raises(InvalidElementError):
+            r.evaluate(S2, word, {"x": r.pair(0, 0)})
 
 
 def test_substitution_composes_with_evaluation():
