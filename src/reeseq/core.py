@@ -11,13 +11,16 @@ Indices are 0-based internally and 1-based in all text I/O.  Matrix entries
 are stored in file convention: 0 for a zero, k >= 1 for the group element
 with internal index k - 1 (always 1 in the combinatorial case).
 
-All values here are immutable; every operation is a pure function, so the
-module is safe for unrestricted concurrent use.
+All values here are immutable and every operation is a pure function, so
+the module is safe for unrestricted concurrent use.  The one cache,
+combinatorial's bounded store of semigroups, hands out frozen values and
+changes no result.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .errors import InvalidElementError, IrregularMatrixError, ParseError
 from .groups import FiniteGroup, group_from_name, trivial_group
@@ -251,6 +254,20 @@ class ReesSemigroup:
 
 
 def combinatorial(M: StructureMatrix, with_identity: bool = False) -> ReesSemigroup:
+    """The combinatorial semigroup of M (trivial group), with the identity
+    adjoined on request.
+
+    Equal matrices share one semigroup, kept in a bounded LRU cache of
+    `_combinatorial` (the key is normalised, so every spelling of
+    with_identity=False finds the same entry).  Sharing is safe because
+    the semigroup is frozen.  A matrix that is not regular raises on every
+    call, since failures are not cached.
+    """
+    return _combinatorial(M, bool(with_identity))
+
+
+@lru_cache(maxsize=256)
+def _combinatorial(M: StructureMatrix, with_identity: bool) -> ReesSemigroup:
     return ReesSemigroup(M, trivial_group(), with_identity)
 
 

@@ -503,17 +503,6 @@ def pol_zset_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     validate_polynomial(S, p)
     validate_polynomial(S, q)
 
-    if prof.all_ones:
-        same = set(p.variables) == set(q.variables)
-        detail = (("variables", tuple(sorted(p.variables)),
-                   tuple(sorted(q.variables)), same),)
-        if same:
-            return Verdict("equal", "all-ones-variables", None, detail)
-        v = sorted(set(p.variables) ^ set(q.variables))[0]
-        e = {u: pair(0, 0) for u in p.variables + q.variables}
-        e[v] = ZERO
-        return _emit_eq_zset(S, p, q, e, "all-ones-variables", detail)
-
     if prof.totally_balanced:
         return _zset_balanced(S, prof, p, q, adjoin_identity)
 
@@ -524,7 +513,7 @@ def pol_zset_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
         if adjoin_identity:
             return brute_zset_eq(S, p, q, budget=budget)
     return _zset_zero_pairs(S, _Network(M, p), _Network(M, q),
-                            _Budget(budget))
+                            _Budget(budget))[0]
 
 
 def _emit_eq_zset(S, p, q, witness, method, detail):
@@ -554,6 +543,19 @@ def _system(names, labels) -> tuple:
 
 
 def _zset_balanced(S, prof, p, q, with_identity):
+    """Zero sets compared on a totally balanced matrix, all-ones included,
+    for words already validated against S."""
+    if prof.all_ones:
+        same = set(p.variables) == set(q.variables)
+        detail = (("variables", tuple(sorted(p.variables)),
+                   tuple(sorted(q.variables)), same),)
+        if same:
+            return Verdict("equal", "all-ones-variables", None, detail)
+        v = sorted(set(p.variables) ^ set(q.variables))[0]
+        e = {u: pair(0, 0) for u in p.variables + q.variables}
+        e[v] = ZERO
+        return _emit_eq_zset(S, p, q, e, "all-ones-variables", detail)
+
     method = "balanced-constraint-systems"
     names = tuple(sorted(set(p.variables + q.variables)))
     cwp, cwq = (CompiledWord(hat_transform(word, prof.plan), names)
@@ -630,7 +632,8 @@ def _separator(live, dead):
 
 def _zset_zero_pairs(S, netp, netq, nodes):
     """Zero sets compared through homomorphism search under pins, on the
-    compiled networks of p and q and within one budget.
+    compiled networks of p and q and within one budget; the verdict comes
+    with whether p is nonzero somewhere, which the first search shows.
 
     A word that is identically zero decides at once, and so does a variable
     that only one word has: set to zero, it kills that word alone.
@@ -643,7 +646,7 @@ def _zset_zero_pairs(S, netp, netq, nodes):
     wp, wq = (_homomorphism(net, (), nodes) for net in (netp, netq))
     if wp is None and wq is None:
         return Verdict("equal", method, None,
-                       (("both identically zero", True),))
+                       (("both identically zero", True),)), False
     if wp is None or wq is None:
         detail = (("identically zero", wp is None, wq is None, False),)
         w = wq if wp is None else wp
@@ -657,12 +660,12 @@ def _zset_zero_pairs(S, netp, netq, nodes):
         hit = _zero_pair(netp, q, nodes) or _zero_pair(netq, p, nodes)
         if hit is None:
             return Verdict("equal", method, None,
-                           (("zero pairs", "none separates the words"),))
+                           (("zero pairs", "none separates the words"),)), True
         st, cell, w = hit
         detail = (("zero pair", st, cell, False),)
     for u in p.variables + q.variables:
         w.setdefault(u, ZERO)
-    return _emit_eq_zset(S, p, q, w, method, detail)
+    return _emit_eq_zset(S, p, q, w, method, detail), wp is not None
 
 
 def _zero_pair(net, dst, nodes):
@@ -724,18 +727,19 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     # the balanced class (all-ones included) compares zero sets without one
     nodes = _Budget(budget)
     if prof.totally_balanced:
-        z, net = pol_zset_eq(M, p, q), None
+        z, net = _zset_balanced(S, prof, p, q, False), None
     else:
         net = _Network(M, p)
-        z = _zset_zero_pairs(S, net, _Network(M, q), nodes)
+        z, alive = _zset_zero_pairs(S, net, _Network(M, q), nodes)
     if z.kind != "equal":
         return Verdict("not-equal", method, z.witness,
                        (("zero-sets equal", False),) + z.detail)
     if net is None:
         net = _Network(M, p)
+        alive = _homomorphism(net, (), nodes) is not None
     # past this test p is nonzero somewhere, so (zero sets agreeing) both
     # words have the same variables and every want names one of p's
-    if _homomorphism(net, (), nodes) is None:
+    if not alive:
         return Verdict("equal", method, None, (("zero-sets equal", True),
                                                ("identically zero", True)))
     for side, a, b, size in ((1, p.leftmost, q.leftmost, M.n),

@@ -255,6 +255,9 @@ def factor_variable_sets(p: Polynomial, x: str, y: str) -> frozenset:
     the empty set appears exactly when xy divides p directly.  Constants
     inside a factor are permitted and ignored; the families are meaningful
     for terms.
+
+    Kept as the definition that the tests check antichain_table's one-scan
+    families against; no decision procedure calls it.
     """
     word = p.word
     out = set()
@@ -275,7 +278,10 @@ def factor_variable_sets(p: Polynomial, x: str, y: str) -> frozenset:
 
 
 def antichain(p: Polynomial, x: str, y: str) -> frozenset:
-    """Inclusion-minimal members of the factor family for the pair (x, y)."""
+    """Inclusion-minimal members of the factor family for the pair (x, y).
+
+    The reference for antichain_table, used by the tests alone.
+    """
     fam = factor_variable_sets(p, x, y)
     return frozenset(s for s in fam
                      if not any(t < s for t in fam))

@@ -44,7 +44,11 @@ def violating_submatrix(M: StructureMatrix):
 
 
 def is_totally_balanced_by_lines(M: StructureMatrix) -> bool:
-    """Equivalent characterization: lines sharing a 1 are equal lines."""
+    """Equivalent characterization: lines sharing a 1 are equal lines.
+
+    Kept as a second, independent definition that the tests check
+    is_totally_balanced against; no decision procedure calls it.
+    """
     for a in range(M.m):
         for b in range(a + 1, M.m):
             if any(M.entry(a, i) and M.entry(b, i) for i in range(M.n)):

@@ -105,40 +105,51 @@ def word_of(names: str) -> Polynomial:
 # ---------------------------------------------------------------------------
 # Parsing and printing
 
-_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_#.']*")
-_CONST = re.compile(r"\[(\d+),(\d+)(?:,(\d+))?\]")
-_TOKEN = re.compile(rf"({_CONST.pattern}|{_IDENT.pattern})(?:\^(\d+))?$")
+# a constant's coordinates are groups 1-3, a variable's name group 4 and the
+# repetition count group 5
+_TOKEN = re.compile(r"(?:\[(\d+),(\d+)(?:,(\d+))?\]"
+                    r"|([A-Za-z_][A-Za-z0-9_#.']*))(?:\^(\d+))?")
 
 
 def parse_polynomial(text: str, S: ReesSemigroup) -> Polynomial:
-    """Parse a word, validating constants against S's matrix and group."""
+    """Parse a word, validating constants against S's matrix and group.
+
+    Each distinct token is matched, validated and built once per word; a
+    repeat reuses the symbol run of its first occurrence.
+    """
     tokens = text.split()
     if not tokens:
         raise ParseError("empty polynomial")
+    runs: dict[str, list[Symbol]] = {}
     out: list[Symbol] = []
     for tok in tokens:
-        m = _TOKEN.fullmatch(tok)
-        if not m:
-            raise ParseError(f"bad token {tok!r}")
-        body = m.group(1)
-        reps = int(m.group(5)) if m.group(5) else 1
-        if reps < 1:
-            raise ParseError(f"repetition must be positive in {tok!r}")
-        cm = _CONST.fullmatch(body)
-        if cm:
-            i, lam = int(cm.group(1)), int(cm.group(2))
-            g = int(cm.group(3)) if cm.group(3) else 1
-            if cm.group(3) and S.is_combinatorial:
-                raise ParseError(f"group component in {tok!r} over a "
-                                 "combinatorial semigroup")
-            if not (1 <= i <= S.n and 1 <= lam <= S.m and 1 <= g <= S.group.order):
-                raise ParseError(f"constant {tok!r} out of range for "
-                                 f"{S.m}x{S.n} matrix")
-            sym = const(triple(i - 1, g - 1, lam - 1))
-        else:
-            sym = var(body)
-        out.extend([sym] * reps)
+        run = runs.get(tok)
+        if run is None:
+            run = runs[tok] = _token_run(tok, S)
+        out.extend(run)
     return Polynomial(tuple(out))
+
+
+def _token_run(tok: str, S: ReesSemigroup) -> list[Symbol]:
+    """The symbols one token stands for: its symbol, repeated."""
+    m = _TOKEN.fullmatch(tok)
+    if not m:
+        raise ParseError(f"bad token {tok!r}")
+    i, lam, g, name, reps = m.groups()
+    reps = int(reps) if reps else 1
+    if reps < 1:
+        raise ParseError(f"repetition must be positive in {tok!r}")
+    if name is not None:
+        return [var(name)] * reps
+    i, lam = int(i), int(lam)
+    if g and S.is_combinatorial:
+        raise ParseError(f"group component in {tok!r} over a "
+                         "combinatorial semigroup")
+    g = int(g) if g else 1
+    if not (1 <= i <= S.n and 1 <= lam <= S.m and 1 <= g <= S.group.order):
+        raise ParseError(f"constant {tok!r} out of range for "
+                         f"{S.m}x{S.n} matrix")
+    return [const(triple(i - 1, g - 1, lam - 1))] * reps
 
 
 def polynomial_str(p: Polynomial) -> str:

@@ -71,6 +71,28 @@ def test_trivial_group_is_shared():
     assert r.combinatorial(r.identity(2)).group is r.trivial_group()
 
 
+def test_combinatorial_shares_one_semigroup_per_key():
+    from reeseq import core
+    S = r.combinatorial(r.hollow(3))
+    # an equal matrix built anew, and every spelling of "no identity"
+    assert r.combinatorial(r.matrix(((0, 1, 1), (1, 0, 1), (1, 1, 0)))) is S
+    assert r.combinatorial(r.hollow(3), False) is S
+    assert r.combinatorial(r.hollow(3), with_identity=False) is S
+    S1 = r.combinatorial(r.hollow(3), with_identity=True)
+    assert S1 is not S and S1.has_identity
+    assert r.combinatorial(r.hollow(3), True) is S1
+    assert S1 == S.adjoin_identity()
+    assert core._combinatorial.cache_info().maxsize is not None
+
+
+def test_combinatorial_irregular_raises_every_time():
+    # a failed construction leaves nothing in the cache to hand out
+    M = r.matrix(((1, 0), (1, 0)))
+    for _ in range(3):
+        with pytest.raises(IrregularMatrixError):
+            r.combinatorial(M)
+
+
 @pytest.mark.parametrize("S", [
     r.combinatorial(r.identity(2)),
     r.combinatorial(r.hollow(3)),

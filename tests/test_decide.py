@@ -442,16 +442,17 @@ def test_homomorphism_budget_counts_search_nodes():
 
 
 def test_homomorphism_budget_is_per_verdict():
-    # pol_eq's runs over H3 for x y x y vs y x y x take 4, 4, 4 and 3
-    # nodes: the two words' zero checks, p's again, one end run.  Each
-    # fits in 4 nodes, as pol_zero shows, but the verdict needs all 15
+    # pol_eq's runs over H3 for x y x y vs y x y x take 4, 4 and 3
+    # nodes: the two words' zero checks (p's also tells pol_eq that p is
+    # nonzero somewhere), one end run.  Each fits in 4 nodes, as pol_zero
+    # shows, but the verdict needs all 11
     p, q = r.word_of("x y x y"), r.word_of("y x y x")
     for word in (p, q):
         assert r.pol_zero(H3, word, budget=4).kind == "not-zero"
-    for budget in (4, 14):
+    for budget in (4, 10):
         with pytest.raises(BudgetExceededError):
             r.pol_eq(H3, p, q, budget=budget)
-    v = r.pol_eq(H3, p, q, budget=15)
+    v = r.pol_eq(H3, p, q, budget=11)
     assert v.kind == "not-equal" and _check_witness(S_H3, p, q, v, False)
 
 

@@ -1,6 +1,8 @@
 """Parsing, printing and structural operations on words."""
 
 import itertools
+import random
+import re
 
 import pytest
 
@@ -42,6 +44,61 @@ def test_parse_errors():
         r.parse_polynomial("x^0", S2)
     with pytest.raises(ParseError):
         r.parse_polynomial("[1,2,2]", S2)  # group part over a combinatorial S
+    # a bad token still raises after a good occurrence of a similar one:
+    # each distinct token is checked on its own
+    for text, message in (
+            ("x [1,1] x [9,9]",
+             "constant '[9,9]' out of range for 2x2 matrix"),
+            ("x x^0", "repetition must be positive in 'x^0'"),
+            ("[1,1] [1,1,2]", "group component in '[1,1,2]' over a "
+                              "combinatorial semigroup"),
+            ("x^2 x x^2 x!", "bad token 'x!'")):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            r.parse_polynomial(text, S2)
+
+
+def _random_tokens(rng, group_order):
+    """(text, symbols) pairs drawn from a small pool, so tokens repeat:
+    variables, constants and, over a nontrivial group, three-part
+    constants, each with an optional ^k."""
+    out = []
+    for _ in range(rng.randint(1, 12)):
+        kind = rng.random()
+        if kind < 0.5:
+            name = rng.choice(("x", "y", "z1", "v#2", "a.b", "_u", "w'"))
+            text, sym = name, r.var(name)
+        else:
+            i, lam = rng.randint(1, 3), rng.randint(1, 2)
+            g = rng.randint(1, group_order) if kind < 0.75 else None
+            if g is None or group_order == 1:
+                text, g = f"[{i},{lam}]", 1
+            else:
+                text = f"[{i},{lam},{g}]"
+            sym = r.const(r.triple(i - 1, g - 1, lam - 1))
+        reps = 1
+        if rng.random() < 0.3:
+            reps = rng.randint(1, 3)
+            text += f"^{reps}"
+        out.append((text, [sym] * reps))
+    return out
+
+
+def test_parse_matches_token_by_token_reference():
+    from reeseq.core import ReesSemigroup, StructureMatrix
+    from reeseq.groups import cyclic_group
+    rng = random.Random(5)
+    semigroups = (r.combinatorial(r.matrix(((1, 0, 1), (0, 1, 1)))),
+                  ReesSemigroup(StructureMatrix(((1, 2, 1), (2, 1, 3))),
+                                cyclic_group(3)))
+    repeats = 0
+    for S in semigroups:
+        for _ in range(300):
+            tokens = _random_tokens(rng, S.group.order)
+            texts = [t for t, _ in tokens]
+            repeats += len(texts) - len(set(texts))
+            want = r.Polynomial(tuple(s for _, run in tokens for s in run))
+            assert r.parse_polynomial(" ".join(texts), S) == want
+    assert repeats > 0
 
 
 def test_print_parse_round_trip():
