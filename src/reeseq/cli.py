@@ -19,11 +19,19 @@ from .words import (Evaluation, parse_instance_lines, parse_polynomial,
                     polynomial_str)
 
 
+def positive_int(text: str) -> int:
+    """The type of --budget: argparse reports a ValueError as a usage error."""
+    value = int(text)
+    if value <= 0:
+        raise ValueError(text)
+    return value
+
+
 def _add_common(sub):
     sub.add_argument("--matrix", required=True, help="structure matrix file")
     sub.add_argument("--adjoin-identity", action="store_true",
                      help="work over the semigroup with identity adjoined")
-    sub.add_argument("--budget", type=int, default=None,
+    sub.add_argument("--budget", type=positive_int, default=None,
                      help="evaluation budget for exhaustive search, search "
                           "nodes for all the homomorphism searches of one "
                           "verdict; term-eq decides without one "
@@ -245,9 +253,7 @@ def _run_analyze(ns):
 
 
 def _run_graph(ns):
-    M, group = load_matrix(ns.matrix)
-    S = combinatorial(M)
-    p = parse_polynomial(ns.word, S)
+    p = parse_polynomial(ns.word, _load_context(ns)[1])
     builder = {"adjacency": build_adjacency, "bipartite": build_bipartite,
                "identified": build_identified}[ns.kind]
     text = to_dot(builder(p), name=ns.kind)

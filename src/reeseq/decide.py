@@ -73,7 +73,11 @@ from .words import (Evaluation, Polynomial, eliminate_variables, evaluate,
 
 
 def default_budget() -> int:
-    return int(os.environ.get("REESEQ_BUDGET", "10000000"))
+    text = os.environ.get("REESEQ_BUDGET", "10000000")
+    try:
+        return int(text)
+    except ValueError:
+        raise ReesError(f"REESEQ_BUDGET is not an integer: {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +129,6 @@ def _emit_sat(S, p, b, witness, method, detail=()):
 
 @dataclass(frozen=True)
 class MatrixProfile:
-    matrix: StructureMatrix
     all_ones: bool
     totally_balanced: bool
     bordered: bool
@@ -151,7 +154,7 @@ def classify_matrix(M: StructureMatrix) -> MatrixProfile:
                      for i in range(M.n)),
                tuple(sum(1 << i for i in range(M.n) if M.entry(lam, i))
                      for lam in range(M.m)))
-    return MatrixProfile(M, is_all_ones(M), balanced, is_bordered(M),
+    return MatrixProfile(is_all_ones(M), balanced, is_bordered(M),
                          plan, rows, cols, support)
 
 
@@ -391,7 +394,7 @@ def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
         if kp == kq:
             return Verdict("equal", method, None, detail)
         W = _witness_slice(kp, kq)
-    v = term_eq(M, eliminate_variables(p, W), eliminate_variables(q, W))
+    v = pol_eq(M, eliminate_variables(p, W), eliminate_variables(q, W))
     if v.witness is None:
         raise WitnessSearchError(f"{p} and {q} agree with {W} eliminated; "
                                  "the term profiles are wrong")
@@ -420,7 +423,8 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
     if prof.totally_balanced:
         method = "balanced-consistency"
         names = tuple(sorted(p.variables))
-        cw = CompiledWord(hat_transform(p, prof.plan), names)
+        ph = hat_transform(p, prof.plan)
+        cw = CompiledWord(ph, names)
         # two adjacent constants that conflict kill every slice alike, and
         # slice 0 alone shows it
         pairs = zip(cw.positions, cw.positions[1:])
@@ -433,11 +437,10 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
         if W is None:
             return Verdict("zero", method, None, detail)
         # the witness slice alone goes through the explicit graph
-        pw = eliminate_variables(p, W)
+        pw = eliminate_variables(ph, W)
         w = dict.fromkeys(W, ONE)
         if pw is not None:
-            w.update(_balanced_nonzero_witness(
-                prof.plan, hat_transform(pw, prof.plan), pw.variables, {}))
+            w.update(_balanced_nonzero_witness(prof.plan, pw, {}))
         return _emit_nonzero(S, p, w, method, detail)
 
     if prof.bordered:
@@ -462,8 +465,9 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
     return _emit_nonzero(S, p, w, "homomorphism-search")
 
 
-def _balanced_nonzero_witness(plan, ph, variables, pins):
-    """Locally constant assignment over the identity matrix, lifted back.
+def _balanced_nonzero_witness(plan, ph, pins):
+    """Locally constant assignment over the identity matrix to the
+    variables of ph, a hat-transformed word, lifted back.
 
     A component takes the index of its constant, else that of a pinned
     vertex in it (pins maps vertices to indices), else 0.
@@ -478,7 +482,7 @@ def _balanced_nonzero_witness(plan, ph, variables, pins):
     lift = lift_element_map(plan)
     return {name: lift(triple(values[("v", name, 1)], 0,
                               values[("v", name, 2)]))
-            for name in variables}
+            for name in ph.variables}
 
 
 def _border_completion(M, p):
@@ -504,7 +508,7 @@ def pol_zset_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     validate_polynomial(S, q)
 
     if prof.totally_balanced:
-        return _zset_balanced(S, prof, p, q, adjoin_identity)
+        return _zset_balanced(S, prof, p, q, adjoin_identity)[0]
 
     if adjoin_identity or not prof.bordered:
         if not allow_brute:
@@ -544,32 +548,35 @@ def _system(names, labels) -> tuple:
 
 def _zset_balanced(S, prof, p, q, with_identity):
     """Zero sets compared on a totally balanced matrix, all-ones included,
-    for words already validated against S."""
+    for words already validated against S; the verdict comes with whether
+    plain p is nonzero somewhere (None with the identity: no caller asks)."""
     if prof.all_ones:
         same = set(p.variables) == set(q.variables)
         detail = (("variables", tuple(sorted(p.variables)),
                    tuple(sorted(q.variables)), same),)
         if same:
-            return Verdict("equal", "all-ones-variables", None, detail)
+            return Verdict("equal", "all-ones-variables", None, detail), True
         v = sorted(set(p.variables) ^ set(q.variables))[0]
         e = {u: pair(0, 0) for u in p.variables + q.variables}
         e[v] = ZERO
-        return _emit_eq_zset(S, p, q, e, "all-ones-variables", detail)
+        return _emit_eq_zset(S, p, q, e, "all-ones-variables", detail), True
 
     method = "balanced-constraint-systems"
     names = tuple(sorted(set(p.variables + q.variables)))
-    cwp, cwq = (CompiledWord(hat_transform(word, prof.plan), names)
-                for word in (p, q))
+    ph, qh = (hat_transform(word, prof.plan) for word in (p, q))
+    cwp, cwq = CompiledWord(ph, names), CompiledWord(qh, names)
     # labels over shared vertex numbers are the constraint systems: None
     # entries give the kept variables, the rest the components and pins
     if with_identity:
+        alive = None
         hit = _slice_mismatch(CompiledWord.labels, cwp, cwq, True)
     else:
         lp, lq = cwp.labels(), cwq.labels()
+        alive = lp is not None
         hit = None if lp == lq else (0, lp, lq)
     if hit is None:
-        return Verdict("equal", method, None,
-                       (("constraint systems", "agree on every slice"),))
+        agree = (("constraint systems", "agree on every slice"),)
+        return Verdict("equal", method, None, agree), alive
     mask, lp, lq = hit
     W = _mask_names(names, mask)
     detail = (("identity slice", W),
@@ -579,7 +586,7 @@ def _zset_balanced(S, prof, p, q, with_identity):
     # the identity, separates p and q.  Neither slice word is empty: a word
     # made only of W's variables would make an earlier slice, the empty
     # one, mismatch first.
-    pw, qw = eliminate_variables(p, W), eliminate_variables(q, W)
+    pw, qw = eliminate_variables(ph, W), eliminate_variables(qh, W)
     pin = kill = None
     if lp is None or lq is None:
         live = qw if lp is None else pw
@@ -591,15 +598,14 @@ def _zset_balanced(S, prof, p, q, with_identity):
         if pin is None:
             live, pin = qw, _separator(lq, lp)
     pins = {} if pin is None else {_vertex(names, pin[0]): pin[1]}
-    w = _balanced_nonzero_witness(prof.plan, hat_transform(live, prof.plan),
-                                  live.variables, pins)
+    w = _balanced_nonzero_witness(prof.plan, live, pins)
     base = lift_element_map(prof.plan)(triple(0, 0, 0))
     for u in names:
         w.setdefault(u, base)
     w.update(dict.fromkeys(W, ONE))
     if kill is not None:
         w[kill] = ZERO
-    return _emit_eq_zset(S, p, q, w, method, detail)
+    return _emit_eq_zset(S, p, q, w, method, detail), alive
 
 
 def _separator(live, dead):
@@ -724,24 +730,25 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
 
     method = "zset-plus-endpoints"
     # one budget and one network per word for every search of the verdict;
-    # the balanced class (all-ones included) compares zero sets without one
+    # the balanced class (all-ones included) compares zero sets without
+    # one, and either comparison says whether p is nonzero somewhere
     nodes = _Budget(budget)
     if prof.totally_balanced:
-        z, net = _zset_balanced(S, prof, p, q, False), None
+        net = None
+        z, alive = _zset_balanced(S, prof, p, q, False)
     else:
         net = _Network(M, p)
         z, alive = _zset_zero_pairs(S, net, _Network(M, q), nodes)
     if z.kind != "equal":
         return Verdict("not-equal", method, z.witness,
                        (("zero-sets equal", False),) + z.detail)
-    if net is None:
-        net = _Network(M, p)
-        alive = _homomorphism(net, (), nodes) is not None
     # past this test p is nonzero somewhere, so (zero sets agreeing) both
     # words have the same variables and every want names one of p's
     if not alive:
         return Verdict("equal", method, None, (("zero-sets equal", True),
                                                ("identically zero", True)))
+    if net is None:
+        net = _Network(M, p)
     for side, a, b, size in ((1, p.leftmost, q.leftmost, M.n),
                              (2, p.rightmost, q.rightmost, M.m)):
         if a == b:
@@ -867,6 +874,9 @@ class _Budget:
 
     def __init__(self, budget: int | None):
         self.limit = default_budget() if budget is None else budget
+        if self.limit <= 0:
+            raise BudgetExceededError(
+                f"budget must be positive, got {self.limit}")
         self.spent = 0
 
 

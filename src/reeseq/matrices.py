@@ -2,11 +2,11 @@
 
 A regular 0-1 matrix is totally balanced when no 2x2 submatrix has exactly
 one zero; equivalently, any two rows sharing a 1 in a common column are
-identical, and likewise for columns.  Such matrices collapse, by repeatedly
-deleting duplicate rows and columns, to a permutation matrix; composing the
-survivor maps with the permutation gives a retraction plan onto the k x k
-identity matrix.  The plan relabels a polynomial's constants (hat transform),
-reducing zero-set questions to the identity-matrix case.
+identical, and likewise for columns.  Such matrices collapse, by deleting
+duplicate rows and columns, to a permutation matrix; retract composes each
+line's surviving duplicate with the permutation into a retraction plan onto
+the k x k identity matrix.  The plan relabels a polynomial's constants (hat
+transform), reducing zero-set questions to the identity-matrix case.
 """
 
 from __future__ import annotations
@@ -80,36 +80,27 @@ def is_bordered(M: StructureMatrix) -> bool:
 class RetractionPlan:
     """Certificate that M retracts onto the k x k identity matrix.
 
-    row_survivor/col_survivor send every line to its lowest-indexed duplicate;
-    row_class/col_class compose the survivor maps with the relabeling onto
-    {0..k-1}.  The defining property is
+    row_class/col_class send every line to its class in {0..k-1}: retract
+    maps the line to its lowest-indexed duplicate, then relabels.  The
+    defining property is
 
         M(lam, i) == 1  iff  row_class[lam] == col_class[i],
 
     and class_row/class_col pick one original line per class back out.
     """
     k: int
-    row_survivor: tuple[int, ...]
-    col_survivor: tuple[int, ...]
     row_class: tuple[int, ...]
     col_class: tuple[int, ...]
     class_row: tuple[int, ...]
     class_col: tuple[int, ...]
 
 
-def _dedup(lines) -> tuple[list[int], dict[int, int]]:
-    """Keep the first occurrence of each distinct line."""
-    survivors: list[int] = []
-    seen: dict = {}
-    to_survivor: dict[int, int] = {}
-    for idx, line in enumerate(lines):
-        if line in seen:
-            to_survivor[idx] = seen[line]
-        else:
-            seen[line] = idx
-            survivors.append(idx)
-            to_survivor[idx] = idx
-    return survivors, to_survivor
+def _dedup(lines) -> tuple[list[int], list[int]]:
+    """The first occurrence of each distinct line, in order, and the first
+    occurrence of every line's own, by index."""
+    first: dict = {}
+    to_first = [first.setdefault(line, idx) for idx, line in enumerate(lines)]
+    return list(first.values()), to_first
 
 
 def retract(M: StructureMatrix):
@@ -134,26 +125,18 @@ def retract(M: StructureMatrix):
     if any(sum(residual.entry(r, c) for r in range(k)) != 1 for c in range(k)):
         return None, residual
 
-    # label row classes by survivor order, columns by where their 1 sits
+    # label row classes by survivor order, so that each class's surviving
+    # row picks it back out, and columns by the residual row of their 1
     row_label = {r: t for t, r in enumerate(rows)}
-    col_label = {}
-    for t, c in enumerate(cols):
-        hit = next(r for r in range(k) if residual.entry(r, t))
-        col_label[c] = row_label[rows[hit]]
-    row_class = tuple(row_label[row_to[lam]] for lam in range(M.m))
-    col_class = tuple(col_label[col_to[i]] for i in range(M.n))
-
-    class_row = [0] * k
+    col_label = {c: next(r for r in range(k) if residual.entry(r, t))
+                 for t, c in enumerate(cols)}
     class_col = [0] * k
-    for r in rows:
-        class_row[row_label[r]] = r
-    for c in cols:
-        class_col[col_label[c]] = c
-
-    plan = RetractionPlan(k, tuple(row_to[lam] for lam in range(M.m)),
-                          tuple(col_to[i] for i in range(M.n)),
-                          row_class, col_class,
-                          tuple(class_row), tuple(class_col))
+    for c, t in col_label.items():
+        class_col[t] = c
+    row_class = tuple(row_label[r] for r in row_to)
+    col_class = tuple(col_label[c] for c in col_to)
+    plan = RetractionPlan(k, row_class, col_class, tuple(rows),
+                          tuple(class_col))
     for lam in range(M.m):
         for i in range(M.n):
             if (M.entry(lam, i) == 1) != (row_class[lam] == col_class[i]):

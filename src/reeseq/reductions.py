@@ -104,7 +104,7 @@ def edge_walk(G: SimpleGraph) -> tuple:
     """
     if not G.edges:
         return (0,)
-    adj = {v: G.neighbors(v) for v in range(G.n) if G.neighbors(v)}
+    adj = {v: G.neighbors(v) for v in range(G.n)}  # connected: none empty
     start = min(adj)
     ptr = {v: 0 for v in adj}
     used = set()
@@ -181,8 +181,7 @@ def sigma_of_variable(v: int) -> Polynomial:
 class ColoringInstance:
     graph: SimpleGraph
     walk: tuple
-    term: Polynomial        # the walk term, one variable per vertex
-    polynomial: Polynomial  # the gadget-wrapped instance
+    polynomial: Polynomial  # the gadget-wrapped walk term
     variable_map: tuple     # (variable name, 1-based vertex) pairs
 
 
@@ -194,7 +193,7 @@ def sigma(G: SimpleGraph) -> ColoringInstance:
     mapping = {vertex_var(v): sigma_of_variable(v) for v in set(walk)}
     instance = substitute(term, mapping)
     vmap = tuple((vertex_var(v), v + 1) for v in sorted(set(walk)))
-    return ColoringInstance(G, walk, term, instance, vmap)
+    return ColoringInstance(G, walk, instance, vmap)
 
 
 def encode_coloring(G: SimpleGraph, coloring) -> dict[str, Element]:
@@ -321,8 +320,7 @@ def sat_lift(p: Polynomial) -> Polynomial:
 class PlaneContext:
     source: Rank1Semigroup  # dimension 2
     target: Rank1Semigroup  # dimension n
-    pairs: tuple            # ordered distinct vector pairs (a, b)
-    plane: tuple            # the nonzero vectors of the protected plane
+    pairs: tuple            # distinct (a, b), a + b off the protected plane
 
 
 def _pad(v, n):
@@ -340,7 +338,7 @@ def plane_context(n: int) -> PlaneContext:
     pairs = tuple((a, b) for a in nonzero for b in nonzero
                   if a != b and tuple((x + y) % 2 for x, y in zip(a, b))
                   not in plane)
-    return PlaneContext(source, target, pairs, plane)
+    return PlaneContext(source, target, pairs)
 
 
 def tau_gadget(ctx: PlaneContext, a, b, x_name: str, y_name: str) -> Polynomial:
@@ -417,7 +415,6 @@ def nonorthogonal_set(F: PrimeField, n: int, constraints) -> tuple:
 @dataclass(frozen=True)
 class TripleContext:
     target: Rank1Semigroup
-    basis: tuple
     triple: tuple      # (v1, v2, v1 + v2)
     reach: tuple       # vectors non-orthogonal to the whole triple
     zero_col: tuple    # for each triple index, which triple member it kills
@@ -431,17 +428,17 @@ class TripleContext:
 
 
 def triple_context(p: int, n: int) -> TripleContext:
-    basis, tri = orthogonal_basis_with_triple(p, n)
+    tri = orthogonal_basis_with_triple(p, n)[1]
     target = rank1_semigroup(p, n)
     F = target.field
     reach = nonorthogonal_set(F, n, tri)
     zero_col = []
-    for r, w in enumerate(tri):
+    for w in tri:
         zs = [g for g, u in enumerate(tri) if F.dot(u, w) == 0]
         if len(zs) != 1:
             raise ReesError("triple is not singly orthogonal")
         zero_col.append(zs[0])
-    return TripleContext(target, basis, tri, reach, tuple(zero_col))
+    return TripleContext(target, tri, reach, tuple(zero_col))
 
 
 def zeta_core(ctx: TripleContext, v, w, x_name: str) -> Polynomial:

@@ -187,6 +187,29 @@ def test_graph_export(i2_file, capsys):
     assert out.count("--") == 3
 
 
+def test_group_tagged_matrix_is_refused(tmp_path, capsys):
+    # graph, like every decision op, works over the combinatorial shadow
+    path = tmp_path / "L.mat"
+    assert main(["gen", "rank1", "3", "2", "--out", str(path)]) == 0
+    for argv in (["graph", "--matrix", str(path), "x y"],
+                 ["pol-zero", "--matrix", str(path), "x y"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "take the shadow first" in err, argv
+
+
+@pytest.mark.parametrize("budget", ["0", "-5", "abc"])
+def test_budget_must_be_positive(i2_file, capsys, budget):
+    # --budget is a positive integer for every op, refused by argparse
+    for op, words in (("pol-zero", ["[1,2] [1,2]"]), ("term-eq", ["x", "y"]),
+                      ("brute-check", ["--op", "pol-eq", "x", "y"])):
+        with pytest.raises(SystemExit) as exc:
+            main([op, "--matrix", i2_file, "--brute", "--budget", budget]
+                 + words)
+        assert exc.value.code == 2
+        assert "--budget" in capsys.readouterr().err
+
+
 def test_gen_and_shadow(tmp_path, capsys):
     out = tmp_path / "T.mat"
     assert main(["gen", "rank1", "3", "2", "--out", str(out)]) == 0

@@ -540,8 +540,9 @@ def test_pinned_search_matches_oracles(monkeypatch):
 def test_pol_eq_end_test_runs_once_per_index(monkeypatch):
     # one engine run per index of p's end, with q's end on every other
     # index, and none on a side whose two ends are one symbol: over I4,
-    # one identically-zero check and one run per column for the left ends
-    # y and x, the right ends being x and x
+    # one run per column for the left ends y and x, the right ends being
+    # x and x; the zero-set comparison's labels already show that p is
+    # not identically zero, so no unpinned run checks it again
     runs = []
     engine = decide._homomorphism
 
@@ -552,7 +553,8 @@ def test_pol_eq_end_test_runs_once_per_index(monkeypatch):
     monkeypatch.setattr(decide, "_homomorphism", counted)
     v = r.pol_eq(r.identity(4), r.word_of("y x y x x"), r.word_of("x y y x"))
     assert v.kind == "equal"
-    assert len(runs) == 5
+    assert len(runs) == 4
+    assert all(args[1] for args in runs)  # every run pinned
 
 
 def test_general_class_pairs_at_scale(monkeypatch):
@@ -602,6 +604,27 @@ def test_zset_bordered_constants():
     oracle = r.brute_zset_eq(S, p, q)
     assert fast.kind == oracle.kind
     assert fast.method == "homomorphism-search"
+
+
+@pytest.mark.parametrize("M", [r.border(I2), H3],
+                         ids=["border-identity2", "hollow3"])
+def test_zset_with_identity_off_balanced_is_the_oracle(M):
+    # bordered and general matrices have no identity-adjoined zero-set
+    # procedure: allow_brute hands the question to brute_zset_eq over S^1,
+    # verdict, method and witness alike, and without it the call refuses
+    S1 = r.combinatorial(M, with_identity=True)
+    pool = [r.parse_polynomial(t, S1)
+            for t in ("u", "v", "u v", "v u", "u u", "u [1,2] v", "[2,1] u")]
+    kinds = set()
+    for p in pool:
+        for q in pool:
+            fast = r.pol_zset_eq(M, p, q, adjoin_identity=True)
+            assert fast == r.brute_zset_eq(S1, p, q), (str(p), str(q))
+            kinds.add(checked_kind(fast))
+            with pytest.raises(UnsupportedMatrixError):
+                r.pol_zset_eq(M, p, q, adjoin_identity=True,
+                              allow_brute=False)
+    assert kinds == {"equal", "not-equal"}
 
 
 @pytest.mark.parametrize("N", [BORDER_H3, r.border(I2)],
@@ -781,10 +804,39 @@ def test_budget_refusal():
             r.brute_group_eq(Z2, p, q, budget=budget)
 
 
-def test_budget_environment_default(monkeypatch):
+def test_engine_refuses_a_nonpositive_budget():
+    # every homomorphism-search path refuses before any run, with the
+    # oracles' message, and decides at the default budget
+    p, q = r.word_of("[1,2] x [2,1]"), r.word_of("[1,2] x y [2,1]")
+    calls = ((partial(r.pol_zero, H3, p), "not-zero"),
+             (partial(r.pol_zset_eq, H3, p, q), "not-equal"),
+             (partial(r.pol_eq, H3, p, q), "not-equal"),
+             (partial(r.pol_sat, H3, p, r.pair(0, 0)), "sat"))
+    for call, kind in calls:
+        for budget in (0, -5):
+            with pytest.raises(BudgetExceededError,
+                               match=f"budget must be positive, got {budget}"):
+                call(budget=budget)
+        assert call(budget=None).kind == kind
+
+
+def test_budget_environment_default(monkeypatch, tmp_path, capsys):
+    from reeseq.cli import main
     monkeypatch.setenv("REESEQ_BUDGET", "10")
     with pytest.raises(BudgetExceededError):
         r.brute_eq(S_H3, r.word_of("a b"), r.word_of("b a"))
+    # a malformed value is an input error naming the variable and value
+    monkeypatch.setenv("REESEQ_BUDGET", "abc")
+    for call in (partial(r.brute_eq, S_H3, r.word_of("a b"), r.word_of("b a")),
+                 partial(r.pol_zero, H3, r.word_of("a b"))):
+        with pytest.raises(ReesError, match="REESEQ_BUDGET.*'abc'"):
+            call()
+    path = tmp_path / "H3.mat"
+    path.write_text(r.format_matrix_file(H3), encoding="utf-8")
+    assert main(["pol-zero", "--brute", "--matrix", str(path),
+                 "[1,2] [1,2]"]) == 2
+    err = capsys.readouterr().err
+    assert "REESEQ_BUDGET" in err and "internal" not in err
     monkeypatch.delenv("REESEQ_BUDGET")
     assert r.brute_eq(S_H3, r.word_of("a b"), r.word_of("b a")).kind == \
         "not-equal"

@@ -6,6 +6,7 @@ import pathlib
 import pytest
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "reeseq"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 # __init__.py imports to re-export, so its names count as used
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -103,3 +104,75 @@ def test_unread_parameter_is_caught():
     assert _unread_parameters(tree) == [(1, "f", "b"), (1, "f", "c"),
                                         (1, "f", "e"), (4, "<lambda>", "y"),
                                         (7, "m", "z")]
+
+
+def _is_dataclass(node):
+    """Is the class decorated with dataclass, called or not?"""
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        name = target.attr if isinstance(target, ast.Attribute) else \
+            getattr(target, "id", None)
+        if name == "dataclass":
+            return True
+    return False
+
+
+def _defined_fields(tree):
+    """(line, class, name) for every dataclass field and every __slots__
+    name that a class of the module defines."""
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        is_dataclass = _is_dataclass(node)
+        for stmt in node.body:
+            if is_dataclass and isinstance(stmt, ast.AnnAssign) and \
+                    isinstance(stmt.target, ast.Name):
+                out.append((stmt.lineno, node.name, stmt.target.id))
+            elif isinstance(stmt, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in stmt.targets):
+                out += [(stmt.lineno, node.name, elt.value)
+                        for elt in ast.walk(stmt.value)
+                        if isinstance(elt, ast.Constant)
+                        and isinstance(elt.value, str)]
+    return out
+
+
+def _attribute_reads(tree):
+    """Every attribute name the module reads, as in obj.name."""
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _unread_fields(tree, reads):
+    """The fields the module defines whose names are not in reads."""
+    return [f for f in _defined_fields(tree) if f[2] not in reads]
+
+
+def _parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_every_field_is_read():
+    # a field that no line of the package or its tests reads is a value
+    # computed and carried for nothing
+    paths = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    reads = set().union(*(_attribute_reads(_parse(path)) for path in paths))
+    unread = {path.name: _unread_fields(_parse(path), reads)
+              for path in MODULES}
+    assert {name: fields for name, fields in unread.items() if fields} == {}
+
+
+def test_unread_field_is_caught():
+    tree = ast.parse("from dataclasses import dataclass\n"
+                     "@dataclass(frozen=True)\nclass A:\n"
+                     "    x: int\n    y: int = 0\n\n"
+                     "class B:\n    __slots__ = ('u', 'v')\n"
+                     "    w: int\n\n"
+                     "print(A(1).x, B().v)\n")
+    fields = _defined_fields(tree)
+    assert fields == [(4, "A", "x"), (5, "A", "y"), (8, "B", "u"),
+                      (8, "B", "v")]
+    assert _unread_fields(tree, _attribute_reads(tree)) == [(5, "A", "y"),
+                                                            (8, "B", "u")]

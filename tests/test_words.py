@@ -164,6 +164,13 @@ def test_sequencings():
 def test_evaluate_missing_assignment():
     with pytest.raises(MissingAssignmentError):
         r.evaluate(S2, r.word_of("x y"), {"x": r.pair(0, 0)})
+    # an Evaluation, as a verdict's witness comes, reads like its dict
+    e = {"x": r.pair(0, 1), "y": r.pair(1, 0)}
+    assert r.evaluate(S2, r.word_of("x y"), r.Evaluation.of(e)) == \
+        r.evaluate(S2, r.word_of("x y"), e)
+    with pytest.raises(MissingAssignmentError):
+        r.evaluate(S2, r.word_of("x y"),
+                   r.Evaluation.of({"x": r.pair(0, 0)}))
 
 
 def test_evaluate_checks_values_and_constants():
