@@ -12,7 +12,7 @@ import sys
 
 from . import decide, fields, matrices, reductions
 from .core import (ONE, ZERO, combinatorial, element_str, format_matrix_file,
-                   load_matrix)
+                   is_regular, load_matrix)
 from .errors import ParseError, ReesError
 from .graphs import build_adjacency, build_bipartite, build_identified, to_dot
 from .words import (Evaluation, parse_instance_lines, parse_polynomial,
@@ -223,7 +223,6 @@ def _run_brute_check(ns):
 
 def _run_analyze(ns):
     M, group = load_matrix(ns.matrix)
-    from .core import is_regular
     shadow = M.shadow()
     regular = is_regular(M)
     balanced = matrices.is_totally_balanced(shadow) if regular else False

@@ -359,11 +359,16 @@ def term_eq(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
     detail = _profile_detail(kp, kq)
     if kp == kq:
         return Verdict("equal", method, None, detail)
+    return Verdict("not-equal", method, _profile_witness(M, p, q), detail)
+
+
+def _profile_witness(M: StructureMatrix, p: Polynomial, q: Polynomial):
+    """pol_eq's witness for two terms whose profiles differ."""
     w = pol_eq(M, p, q).witness
     if w is None:
         raise WitnessSearchError(f"term profiles of {p} and {q} differ "
                                  "but pol_eq finds them equal")
-    return Verdict("not-equal", method, w, detail)
+    return w
 
 
 def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
@@ -1085,7 +1090,7 @@ def term_eq_group(M: StructureMatrix, G: FiniteGroup, p: Polynomial,
              for v in dict.fromkeys(p.variables + q.variables)}
     else:
         w = {v: e if e == ZERO else triple(e.i, G.identity, e.lam)
-             for v, e in term_eq(M, p, q).witness.assignment}
+             for v, e in _profile_witness(M, p, q).assignment}
     return _emit_eq(S, p, q, w, method, detail)
 
 

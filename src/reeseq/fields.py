@@ -16,11 +16,7 @@ from dataclasses import dataclass
 
 from .core import Element, ReesSemigroup, StructureMatrix, ZERO, triple
 from .errors import ReesError
-from .groups import units_group
-
-
-def is_prime(p: int) -> bool:
-    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+from .groups import is_prime, units_group
 
 
 @dataclass(frozen=True)
@@ -45,6 +41,12 @@ class PrimeField:
             raise ZeroDivisionError("no inverse of 0")
         return pow(a, self.p - 2, self.p)
 
+    def monic(self, v):
+        """The multiple of a nonzero vector whose first nonzero coordinate
+        is 1."""
+        lead = next(x for x in v if x)
+        return tuple(self.mul(self.inv(lead), x) for x in v)
+
     def dot(self, u, v):
         return sum(a * b for a, b in zip(u, v)) % self.p
 
@@ -61,11 +63,7 @@ def subspace_representatives(F: PrimeField, n: int) -> tuple:
     Normalizing the first nonzero coordinate to 1 picks the lexicographically
     least vector on each line; output is sorted, so indexing is stable.
     """
-    reps = set()
-    for v in F.nonzero_vectors(n):
-        lead = next(x for x in v if x)
-        reps.add(tuple(F.mul(F.inv(lead), x) for x in v))
-    return tuple(sorted(reps))
+    return tuple(sorted({F.monic(v) for v in F.nonzero_vectors(n)}))
 
 
 def line_count(p: int, n: int) -> int:
@@ -82,10 +80,7 @@ class Rank1Semigroup:
 
     def index_of(self, v) -> int:
         """Subspace index of a nonzero vector."""
-        F = self.field
-        lead = next(x for x in v if x)
-        monic = tuple(F.mul(F.inv(lead), x) for x in v)
-        return self.reps.index(monic)
+        return self.reps.index(self.field.monic(v))
 
     def scalar_of(self, v) -> int:
         """The unit k with v = k * rep(<v>)."""

@@ -98,12 +98,16 @@ def cyclic_group(k: int) -> FiniteGroup:
     return finite_group(table, name=f"cyclic{k}")
 
 
+def is_prime(p: int) -> bool:
+    return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
+
+
 def units_group(p: int) -> FiniteGroup:
     """Multiplicative group of nonzero residues mod a prime p.
 
     Element index i stands for the residue i + 1, so labels carry field values.
     """
-    if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+    if not is_prime(p):
         raise GroupTableError(f"{p} is not prime")
     table = tuple(tuple(((i + 1) * (j + 1)) % p - 1 for j in range(p - 1))
                   for i in range(p - 1))

@@ -22,25 +22,12 @@ from .words import Polynomial, Symbol, const
 # Recognition
 
 def is_totally_balanced(M: StructureMatrix) -> bool:
-    """No 2x2 submatrix with exactly one zero."""
-    return violating_submatrix(M) is None
-
-
-def violating_submatrix(M: StructureMatrix):
-    """Rows a, b and columns c, d of a 2x2 submatrix whose one zero is at
-    (b, d), or None when M is totally balanced (definitional scan)."""
-    for a in range(M.m):
-        for b in range(M.m):
-            if a == b:
-                continue
-            for c in range(M.n):
-                for d in range(M.n):
-                    if c == d:
-                        continue
-                    if (M.entry(a, c) and M.entry(a, d) and M.entry(b, c)
-                            and not M.entry(b, d)):
-                        return a, b, c, d
-    return None
+    """No 2x2 submatrix with exactly one zero (definitional scan)."""
+    rows, cols = range(M.m), range(M.n)
+    return not any(M.entry(a, c) and M.entry(a, d) and M.entry(b, c)
+                   and not M.entry(b, d)
+                   for a in rows for b in rows if a != b
+                   for c in cols for d in cols if c != d)
 
 
 def is_totally_balanced_by_lines(M: StructureMatrix) -> bool:

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property, partial
 
-from .core import Element, ReesSemigroup, ZERO, pair
+from .core import Element, ReesSemigroup, ZERO, combinatorial, pair
 from .errors import ParseError, ReesError
 from .fields import PrimeField, Rank1Semigroup, rank1_semigroup
 from .matrices import hollow
@@ -41,24 +42,27 @@ class SimpleGraph:
         if not self.is_connected:
             raise ReesError("graph must be connected")
 
+    @cached_property
+    def adjacency(self) -> tuple:
+        """The sorted neighbour tuple of each vertex, built once."""
+        nbrs = [[] for _ in range(self.n)]
+        for a, b in self.edges:
+            nbrs[a].append(b)
+            nbrs[b].append(a)
+        return tuple(tuple(sorted(vs)) for vs in nbrs)
+
     @property
     def is_connected(self) -> bool:
-        if self.n == 0:
+        if self.n < 1:
             return False
         seen = {0}
         frontier = [0]
         while frontier:
-            v = frontier.pop()
-            for a, b in self.edges:
-                for x, y in ((a, b), (b, a)):
-                    if x == v and y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
+            for w in self.adjacency[frontier.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    frontier.append(w)
         return len(seen) == self.n
-
-    def neighbors(self, v):
-        return sorted({b if a == v else a
-                       for a, b in self.edges if v in (a, b)})
 
 
 def simple_graph(n, edge_list) -> SimpleGraph:
@@ -104,24 +108,17 @@ def edge_walk(G: SimpleGraph) -> tuple:
     """
     if not G.edges:
         return (0,)
-    adj = {v: G.neighbors(v) for v in range(G.n)}  # connected: none empty
-    start = min(adj)
-    ptr = {v: 0 for v in adj}
-    used = set()
-    stack, circuit = [start], []
+    # each directed edge (v, w) sits once in v's list and v's pointer only
+    # moves forward, so no edge is taken twice
+    adj = G.adjacency  # connected: none empty
+    ptr = [0] * G.n
+    stack, circuit = [0], []
     while stack:
         v = stack[-1]
-        advanced = False
-        while ptr[v] < len(adj[v]):
-            w = adj[v][ptr[v]]
+        if ptr[v] < len(adj[v]):
+            stack.append(adj[v][ptr[v]])
             ptr[v] += 1
-            if (v, w) in used:
-                continue
-            used.add((v, w))
-            stack.append(w)
-            advanced = True
-            break
-        if not advanced:
+        else:
             circuit.append(stack.pop())
     circuit.reverse()
     if len(circuit) != 2 * len(G.edges) + 1:
@@ -136,7 +133,6 @@ COLORS = (1, 2, 3)
 
 
 def h3_semigroup() -> ReesSemigroup:
-    from .core import combinatorial
     return combinatorial(hollow(3))
 
 
@@ -165,16 +161,37 @@ def gadget_block(v: int, s: int, t: int) -> Polynomial:
     return poly(x, a, a, c, a, x)
 
 
-def sigma_of_variable(v: int) -> Polynomial:
-    """The 50-symbol wrapper around one vertex variable."""
-    x = var(vertex_var(v))
+def _wrapped(name: str, blocks) -> Polynomial:
+    """x u1 g1 v1 ... uk gk vk x for x = var(name), from the blocks
+    (before name u, gadget g, after name v)."""
+    x = var(name)
     word = [x]
-    for s, t in color_pairs():
-        word.append(var(_aux("y", v, s, t)))
-        word.extend(gadget_block(v, s, t).word)
-        word.append(var(_aux("z", v, s, t)))
+    for before, gadget, after in blocks:
+        word.append(var(before))
+        word.extend(gadget.word)
+        word.append(var(after))
     word.append(x)
     return Polynomial(tuple(word))
+
+
+def _rehost(p: Polynomial, wrap, host) -> Polynomial:
+    """Each variable of p through its wrapper wrap(name), built once per
+    variable, each constant through host(element)."""
+    wrappers = {name: wrap(name).word for name in p.variables}
+    out: list[Symbol] = []
+    for s in p.word:
+        if s.is_var:
+            out.extend(wrappers[s.name])
+        else:
+            out.append(const(host(s.elem)))
+    return Polynomial(tuple(out))
+
+
+def sigma_of_variable(v: int) -> Polynomial:
+    """The 50-symbol wrapper around one vertex variable."""
+    return _wrapped(vertex_var(v),
+                    ((_aux("y", v, s, t), gadget_block(v, s, t),
+                      _aux("z", v, s, t)) for s, t in color_pairs()))
 
 
 @dataclass(frozen=True)
@@ -350,28 +367,19 @@ def tau_gadget(ctx: PlaneContext, a, b, x_name: str, y_name: str) -> Polynomial:
 
 
 def tau_of_variable(ctx: PlaneContext, name: str) -> Polynomial:
-    word = [var(name)]
-    for k, (a, b) in enumerate(ctx.pairs, start=1):
-        word.append(var(f"u#{name}#{k}"))
-        word.extend(tau_gadget(ctx, a, b, name, f"y#{name}#{k}").word)
-        word.append(var(f"v#{name}#{k}"))
-    word.append(var(name))
-    return Polynomial(tuple(word))
+    return _wrapped(name, ((f"u#{name}#{k}",
+                            tau_gadget(ctx, a, b, name, f"y#{name}#{k}"),
+                            f"v#{name}#{k}")
+                           for k, (a, b) in enumerate(ctx.pairs, start=1)))
 
 
 def tau(p: Polynomial, n: int) -> Polynomial:
     """Re-host a word over the 2-dimensional rank-1 semigroup in dimension n."""
     ctx = plane_context(n)
-    out: list[Symbol] = []
-    for s in p.word:
-        if s.is_var:
-            out.extend(tau_of_variable(ctx, s.name).word)
-        else:
-            e = s.elem
-            u = _pad(ctx.source.reps[e.i], n)
-            w = _pad(ctx.source.reps[e.lam], n)
-            out.append(const(ctx.target.element_for_vectors(u, w)))
-    return Polynomial(tuple(out))
+    return _rehost(p, partial(tau_of_variable, ctx),
+                   lambda e: ctx.target.element_for_vectors(
+                       _pad(ctx.source.reps[e.i], n),
+                       _pad(ctx.source.reps[e.lam], n)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,14 +456,11 @@ def zeta_core(ctx: TripleContext, v, w, x_name: str) -> Polynomial:
 
 
 def zeta_of_variable(ctx: TripleContext, name: str) -> Polynomial:
-    word = [var(name)]
-    for k, (v, w) in enumerate(itertools.product(ctx.reach, ctx.reach),
-                               start=1):
-        word.append(var(f"y#{name}#{k}"))
-        word.extend(zeta_core(ctx, v, w, name).word)
-        word.append(var(f"z#{name}#{k}"))
-    word.append(var(name))
-    return Polynomial(tuple(word))
+    return _wrapped(name, ((f"y#{name}#{k}", zeta_core(ctx, v, w, name),
+                            f"z#{name}#{k}")
+                           for k, (v, w) in enumerate(
+                               itertools.product(ctx.reach, ctx.reach),
+                               start=1)))
 
 
 def zeta_constant(ctx: TripleContext, e: Element) -> Element:
@@ -467,13 +472,8 @@ def zeta_constant(ctx: TripleContext, e: Element) -> Element:
 def zeta(p: Polynomial, prime: int, n: int) -> Polynomial:
     """Re-host a hollow-3x3 word inside the rank-1 semigroup over GF(prime)."""
     ctx = triple_context(prime, n)
-    out: list[Symbol] = []
-    for s in p.word:
-        if s.is_var:
-            out.extend(zeta_of_variable(ctx, s.name).word)
-        else:
-            out.append(const(zeta_constant(ctx, s.elem)))
-    return Polynomial(tuple(out))
+    return _rehost(p, partial(zeta_of_variable, ctx),
+                   partial(zeta_constant, ctx))
 
 
 def zeta_fixing_evaluation(ctx: TripleContext, x_value: Element):

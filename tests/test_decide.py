@@ -235,9 +235,8 @@ def _separates(S, p, q, v):
 ], ids=["six-variables", "loop-left", "loop-right"])
 def test_loop_edge_hint(monkeypatch, p, q):
     # the words differ only in the loop edge (a, a) or (x, x) of their
-    # adjacency graphs; the hint gives that variable the zero entry's pair
-    # of the violating submatrix and the rest a pair around it, so no
-    # search runs
+    # adjacency graphs; the witness comes from pol_eq's engine runs, never
+    # from the oracle kernel
     p, q = r.word_of(p), r.word_of(q)
     monkeypatch.setattr(decide, "_first", _no_search)
     v = r.term_eq(H3, p, q)
@@ -245,8 +244,8 @@ def test_loop_edge_hint(monkeypatch, p, q):
 
 
 def test_loop_edge_pair_at_default_budget():
-    # without the loop hint this decided not-equal became a
-    # BudgetExceededError (10^8 evaluations)
+    # the witness comes from pol_eq's engine runs at the default budget;
+    # the oracle kernel would face 10^8 evaluations here
     p, q = r.word_of("a b c d e f g h"), r.word_of("a a b c d e f g h")
     v = r.term_eq(H3, p, q)
     assert v.kind == "not-equal" and _separates(S_H3, p, q, v)
@@ -723,6 +722,28 @@ def test_group_lift_uses_group_side():
     assert v.kind == "equal"  # x = x^3 in a group of exponent 2 and J is a point
     v2 = r.term_eq_group(J, Z2, r.word_of("x"), r.word_of("x x"))
     assert v2.kind == "not-equal"
+
+
+def test_group_lift_builds_each_profile_once(monkeypatch):
+    # the shadows of x y x y and y x y x differ over H3; the witness is
+    # pol_eq's, with no second build of the two term profiles
+    calls = []
+    profile = decide.term_profile
+
+    def counted(*args):
+        calls.append(args)
+        return profile(*args)
+
+    monkeypatch.setattr(decide, "term_profile", counted)
+    Z2 = cyclic_group(2)
+    p, q = r.word_of("x y x y"), r.word_of("y x y x")
+    v = r.term_eq_group(H3, Z2, p, q)
+    assert len(calls) == 2
+    assert v.kind == "not-equal"
+    assert v.detail == (("shadow equal", False), ("group equal", True))
+    w = v.witness.as_dict()
+    S = _group_semigroup(H3, Z2)
+    assert r.evaluate(S, p, w) != r.evaluate(S, q, w)
 
 
 def _group_semigroup(M, G):

@@ -37,6 +37,34 @@ def test_unused_import_is_caught():
     assert _unused_imports(tree) == [(1, "os"), (2, "b")]
 
 
+def _nested_imports(tree):
+    """(line, module) for every import that is not a statement of the
+    module's top level."""
+    top = {id(node) for node in tree.body}
+    return sorted((node.lineno, "." * node.level + (node.module or "")
+                   if isinstance(node, ast.ImportFrom)
+                   else node.names[0].name)
+                  for node in ast.walk(tree)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))
+                  and id(node) not in top)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_imports_at_top_level(path):
+    # a function-level import hides a module's dependencies and pays the
+    # import lookup on every call
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+    assert _nested_imports(tree) == []
+
+
+def test_nested_import_is_caught():
+    tree = ast.parse("import os\n\n"
+                     "def f():\n    from .core import x\n    return x\n\n"
+                     "class K:\n    import sys\n\n"
+                     "if os:\n    import json\n")
+    assert _nested_imports(tree) == [(4, ".core"), (8, "sys"), (11, "json")]
+
+
 def _loads(node):
     return {n.id for n in ast.walk(node)
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}

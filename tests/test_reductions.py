@@ -25,6 +25,15 @@ def connected_graphs(n):
             continue
 
 
+def random_connected_graph(rng, n, chords):
+    """A random tree on n vertices plus the given number of chords."""
+    edges = {(rng.randrange(v), v) for v in range(1, n)}
+    target = min(len(edges) + chords, n * (n - 1) // 2)
+    while len(edges) < target:
+        edges.add(tuple(sorted(rng.sample(range(n), 2))))
+    return red.simple_graph(n, edges)
+
+
 def is_proper(G, coloring):
     return all(coloring[a] != coloring[b] for a, b in G.edges)
 
@@ -45,23 +54,44 @@ def test_walk_examples():
     assert len(walk) == 2 * 3 + 1
     path3 = red.simple_graph(3, [(0, 1), (1, 2)])
     assert len(red.edge_walk(path3)) == 2 * 2 + 1
+    # the sigma text follows this order
+    assert red.edge_walk(red.complete_graph(4)) == \
+        (0, 1, 0, 2, 0, 3, 1, 2, 1, 3, 2, 3, 0)
 
 
 def test_walk_covers_each_direction_once():
-    for n in (2, 3, 4):
-        for G in connected_graphs(n):
-            walk = red.edge_walk(G)
-            steps = list(zip(walk, walk[1:]))
-            assert len(steps) == 2 * len(G.edges)
-            assert set(steps) == {(a, b) for a, b in G.edges} | \
-                {(b, a) for a, b in G.edges}
-            for a, b in steps:
-                assert (min(a, b), max(a, b)) in G.edges
+    # every connected graph on 2-4 vertices, and a 2,000-vertex tree plus
+    # 200 chords
+    graphs = [G for n in (2, 3, 4) for G in connected_graphs(n)]
+    graphs.append(random_connected_graph(random.Random(3), 2000, 200))
+    for G in graphs:
+        walk = red.edge_walk(G)
+        steps = list(zip(walk, walk[1:]))
+        assert walk[0] == walk[-1] == 0
+        assert len(steps) == 2 * len(G.edges)
+        assert set(steps) == {(a, b) for a, b in G.edges} | \
+            {(b, a) for a, b in G.edges}
+        for a, b in steps:
+            assert (min(a, b), max(a, b)) in G.edges
+
+
+def test_adjacency_is_the_neighbour_sets():
+    rng = random.Random(11)
+    for n in range(1, 9):
+        for _ in range(20):
+            G = random_connected_graph(rng, n, rng.randrange(n + 1))
+            assert G.adjacency == tuple(
+                tuple(sorted({b if a == v else a
+                              for a, b in G.edges if v in (a, b)}))
+                for v in range(n))
+    assert red.simple_graph(1, []).adjacency == ((),)
 
 
 def test_disconnected_rejected():
-    with pytest.raises(ReesError):
-        red.simple_graph(4, [(0, 1), (2, 3)])
+    for n, edges in ((4, [(0, 1), (2, 3)]), (3, []), (0, []),
+                     (5, [(0, 1), (1, 2), (3, 4)])):
+        with pytest.raises(ReesError, match="^graph must be connected$"):
+            red.simple_graph(n, edges)
     with pytest.raises(ReesError):
         red.simple_graph(2, [(0, 0)])
 
