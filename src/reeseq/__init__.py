@@ -6,7 +6,14 @@ paths for totally balanced and bordered structure matrices, exhaustive
 oracles everywhere), builds the graph encodings behind those procedures,
 generates coloring-hardness instances, and presents rank-1 matrix semigroups
 over prime fields in Rees form.
+
+The fields and reductions modules are imported on first access, as
+reeseq.fields and reeseq.reductions: the CLI's verdict commands use
+neither, and every CLI call is a new process that would otherwise pay for
+them.
 """
+
+import importlib
 
 from .core import (Element, ONE, ReesSemigroup, StructureMatrix, ZERO,
                    combinatorial, element_str, format_matrix_file, is_regular,
@@ -35,3 +42,10 @@ from .words import (Evaluation, Polynomial, Symbol, const,
                     transpose_polynomial, var, word_of)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # PEP 562: called only for a name the package does not bind yet
+    if name in ("fields", "reductions"):
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,7 +10,11 @@ import argparse
 import json
 import sys
 
-from . import decide, fields, matrices, reductions
+# reeseq.fields and reeseq.reductions load on first access, which only
+# gen rank1 and reduce make
+import reeseq
+
+from . import decide, matrices
 from .core import (ONE, ZERO, combinatorial, element_str, format_matrix_file,
                    is_regular, load_matrix)
 from .errors import ParseError, ReesError
@@ -266,8 +270,8 @@ def _run_graph(ns):
 
 def _run_reduce(ns):
     with open(ns.graph, encoding="utf-8") as fh:
-        G = reductions.parse_graph_file(fh.read())
-    inst = reductions.sigma(G)
+        G = reeseq.reductions.parse_graph_file(fh.read())
+    inst = reeseq.reductions.sigma(G)
     text = polynomial_str(inst.polynomial)
     mapping = {"variables": dict(inst.variable_map),
                "vertices": G.n, "edges": len(G.edges),
@@ -308,10 +312,16 @@ def _run_gen(ns):
         M, group = load_matrix(*_gen_args(ns, str))
         M = matrices.border(M)
     elif kind == "direct-sum":
-        A, B = (load_matrix(a)[0] for a in _gen_args(ns, str, str))
+        (A, ga), (B, gb) = (load_matrix(a) for a in _gen_args(ns, str, str))
+        # a trivial-group matrix holds only 0 and 1, which read the same
+        # over any group
+        if not (ga.is_trivial or gb.is_trivial or ga == gb):
+            raise ReesError(f"gen direct-sum: the matrices are over "
+                            f"different groups, {ga.name} and {gb.name}")
         M = matrices.direct_sum(A, B)
+        group = gb if ga.is_trivial else ga
     elif kind == "rank1":
-        rk = fields.rank1_semigroup(*_gen_args(ns, int, int))
+        rk = reeseq.fields.rank1_semigroup(*_gen_args(ns, int, int))
         M, group = rk.semigroup.matrix, rk.semigroup.group
     else:  # shadow
         M = load_matrix(*_gen_args(ns, str))[0].shadow()

@@ -19,23 +19,34 @@ changes no result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .errors import InvalidElementError, IrregularMatrixError, ParseError
+from .frozen import Frozen, slot_setters
 from .groups import FiniteGroup, group_from_name, trivial_group
 
 
 # ---------------------------------------------------------------------------
 # Elements
 
-@dataclass(frozen=True)
-class Element:
+class Element(Frozen):
     """The zero, the optional adjoined identity, or a triple [i, g, lam]."""
-    kind: str  # "zero" | "one" | "triple"
-    i: int = -1
-    g: int = -1
-    lam: int = -1
+    __slots__ = ("kind", "i", "g", "lam")  # kind: "zero" | "one" | "triple"
+
+    def __init__(self, kind: str, i: int = -1, g: int = -1, lam: int = -1):
+        _set_kind(self, kind)
+        _set_i(self, i)
+        _set_g(self, g)
+        _set_lam(self, lam)
+
+    def __eq__(self, other):
+        if type(other) is not Element:
+            return NotImplemented
+        return ((self.kind, self.i, self.g, self.lam)
+                == (other.kind, other.i, other.g, other.lam))
+
+    def __hash__(self):
+        return hash((self.kind, self.i, self.g, self.lam))
 
     def __repr__(self):
         if self.kind == "zero":
@@ -44,6 +55,8 @@ class Element:
             return "Element(1)"
         return f"Element[{self.i + 1},{self.g + 1},{self.lam + 1}]"
 
+
+_set_kind, _set_i, _set_g, _set_lam = slot_setters(Element)
 
 ZERO = Element("zero")
 ONE = Element("one")
@@ -85,10 +98,20 @@ def element_str(e: Element) -> str:
 # ---------------------------------------------------------------------------
 # Structure matrices
 
-@dataclass(frozen=True)
-class StructureMatrix:
+class StructureMatrix(Frozen):
     """An m x n grid over {0} + 1-based group element indices."""
-    entries: tuple[tuple[int, ...], ...]
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...]):
+        _set_entries(self, entries)
+
+    def __eq__(self, other):
+        if type(other) is not StructureMatrix:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash((self.entries,))
 
     @property
     def m(self) -> int:
@@ -123,6 +146,9 @@ class StructureMatrix:
         return "\n".join(" ".join(str(v) for v in row) for row in self.entries)
 
 
+_set_entries, = slot_setters(StructureMatrix)
+
+
 def matrix(rows) -> StructureMatrix:
     rows = tuple(tuple(int(v) for v in row) for row in rows)
     if not rows or not rows[0]:
@@ -143,13 +169,14 @@ def is_regular(M: StructureMatrix) -> bool:
 # ---------------------------------------------------------------------------
 # The semigroup
 
-@dataclass(frozen=True)
-class ReesSemigroup:
-    matrix: StructureMatrix
-    group: FiniteGroup
-    has_identity: bool = False
+class ReesSemigroup(Frozen):
+    __slots__ = ("matrix", "group", "has_identity")
 
-    def __post_init__(self):
+    def __init__(self, matrix: StructureMatrix, group: FiniteGroup,
+                 has_identity: bool = False):
+        object.__setattr__(self, "matrix", matrix)
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "has_identity", has_identity)
         if not is_regular(self.matrix):
             raise IrregularMatrixError("structure matrix must be regular")
         bad = max(v for row in self.matrix.entries for v in row)
@@ -250,7 +277,7 @@ class ReesSemigroup:
     def adjoin_identity(self) -> "ReesSemigroup":
         if self.has_identity:
             raise InvalidElementError("identity already adjoined")
-        return replace(self, has_identity=True)
+        return ReesSemigroup(self.matrix, self.group, True)
 
 
 def combinatorial(M: StructureMatrix, with_identity: bool = False) -> ReesSemigroup:

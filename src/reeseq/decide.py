@@ -55,7 +55,6 @@ from __future__ import annotations
 import itertools
 import operator
 import os
-from dataclasses import dataclass
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 
@@ -63,6 +62,7 @@ from .core import (Element, ONE, ReesSemigroup, StructureMatrix, ZERO,
                    combinatorial, element_str, is_regular, pair, triple)
 from .errors import (BudgetExceededError, IrregularMatrixError, ReesError,
                      UnsupportedMatrixError, WitnessSearchError)
+from .frozen import Frozen, slot_setters
 from .graphs import (CompiledWord, antichain_table, build_identified,
                      components)
 from .groups import FiniteGroup
@@ -83,12 +83,25 @@ def default_budget() -> int:
 # ---------------------------------------------------------------------------
 # Verdicts
 
-@dataclass(frozen=True)
-class Verdict:
-    kind: str  # equal | not-equal | zero | not-zero | sat | unsat
-    method: str
-    witness: Evaluation | None = None
-    detail: tuple = ()
+class Verdict(Frozen):
+    # kind: equal | not-equal | zero | not-zero | sat | unsat
+    __slots__ = ("kind", "method", "witness", "detail")
+
+    def __init__(self, kind: str, method: str,
+                 witness: Evaluation | None = None, detail: tuple = ()):
+        _set_kind(self, kind)
+        _set_method(self, method)
+        _set_witness(self, witness)
+        _set_detail(self, detail)
+
+    def __eq__(self, other):
+        if type(other) is not Verdict:
+            return NotImplemented
+        return ((self.kind, self.method, self.witness, self.detail)
+                == (other.kind, other.method, other.witness, other.detail))
+
+    def __hash__(self):
+        return hash((self.kind, self.method, self.witness, self.detail))
 
     @property
     def positive(self) -> bool:
@@ -100,6 +113,8 @@ class Verdict:
             out += f" witness: {self.witness}"
         return out
 
+
+_set_kind, _set_method, _set_witness, _set_detail = slot_setters(Verdict)
 
 def _emit_eq(S, p, q, witness, method, detail=()):
     w = dict(witness)
@@ -127,17 +142,22 @@ def _emit_sat(S, p, b, witness, method, detail=()):
 # ---------------------------------------------------------------------------
 # Matrix classification
 
-@dataclass(frozen=True)
-class MatrixProfile:
-    all_ones: bool
-    totally_balanced: bool
-    bordered: bool
-    plan: object
-    equal_rows: bool
-    equal_cols: bool
+class MatrixProfile(Frozen):
     # support[side][k]: the indices of the other side that index k of a
     # column (side 0) or row (side 1) allows, as a bitmask
-    support: tuple
+    __slots__ = ("all_ones", "totally_balanced", "bordered", "plan",
+                 "equal_rows", "equal_cols", "support")
+
+    def __init__(self, all_ones: bool, totally_balanced: bool,
+                 bordered: bool, plan, equal_rows: bool, equal_cols: bool,
+                 support: tuple):
+        object.__setattr__(self, "all_ones", all_ones)
+        object.__setattr__(self, "totally_balanced", totally_balanced)
+        object.__setattr__(self, "bordered", bordered)
+        object.__setattr__(self, "plan", plan)
+        object.__setattr__(self, "equal_rows", equal_rows)
+        object.__setattr__(self, "equal_cols", equal_cols)
+        object.__setattr__(self, "support", support)
 
 
 @lru_cache(maxsize=256)
@@ -1102,10 +1122,12 @@ def term_eq_group(M: StructureMatrix, G: FiniteGroup, p: Polynomial,
 # consult the fast paths.  Every first-match question goes through _first;
 # full value tables have their own loop in value_vector.
 
-@dataclass(frozen=True)
-class ZSet:
-    variables: tuple[str, ...]
-    zeros: frozenset
+class ZSet(Frozen):
+    __slots__ = ("variables", "zeros")
+
+    def __init__(self, variables: tuple[str, ...], zeros: frozenset):
+        object.__setattr__(self, "variables", variables)
+        object.__setattr__(self, "zeros", zeros)
 
 
 @lru_cache(maxsize=64)

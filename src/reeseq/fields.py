@@ -12,20 +12,20 @@ unit, and maps to the triple [i, k, lam].
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .core import Element, ReesSemigroup, StructureMatrix, ZERO, triple
 from .errors import ReesError
+from .frozen import Frozen
 from .groups import is_prime, units_group
 
 
-@dataclass(frozen=True)
-class PrimeField:
-    p: int
+class PrimeField(Frozen):
+    __slots__ = ("p",)
 
-    def __post_init__(self):
-        if not is_prime(self.p):
-            raise ReesError(f"{self.p} is not prime")
+    def __init__(self, p: int):
+        if not is_prime(p):
+            raise ReesError(f"{p} is not prime")
+        object.__setattr__(self, "p", p)
 
     def add(self, a, b):
         return (a + b) % self.p
@@ -70,13 +70,16 @@ def line_count(p: int, n: int) -> int:
     return (p ** n - 1) // (p - 1)
 
 
-@dataclass(frozen=True)
-class Rank1Semigroup:
+class Rank1Semigroup(Frozen):
     """The rank-1 semigroup as a Rees matrix semigroup plus the vector view."""
-    field: PrimeField
-    n: int
-    reps: tuple
-    semigroup: ReesSemigroup
+    __slots__ = ("field", "n", "reps", "semigroup")
+
+    def __init__(self, field: PrimeField, n: int, reps: tuple,
+                 semigroup: ReesSemigroup):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "reps", reps)
+        object.__setattr__(self, "semigroup", semigroup)
 
     def index_of(self, v) -> int:
         """Subspace index of a nonzero vector."""
@@ -176,11 +179,13 @@ def l2_quotient_check(p: int):
 # ---------------------------------------------------------------------------
 # Full matrix semigroup
 
-@dataclass(frozen=True)
-class MatrixSemigroup:
+class MatrixSemigroup(Frozen):
     """All n x n matrices over GF(p) under multiplication."""
-    field: PrimeField
-    n: int
+    __slots__ = ("field", "n")
+
+    def __init__(self, field: PrimeField, n: int):
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "n", n)
 
     def elements(self):
         rows = list(itertools.product(range(self.field.p), repeat=self.n))

@@ -26,22 +26,27 @@ that settles every slice at once when two words share them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 
+from .frozen import Frozen
 from .words import Polynomial
 
 
-@dataclass(frozen=True)
-class Digraph:
-    vertices: frozenset
-    edges: frozenset  # ordered pairs
+class Digraph(Frozen):
+    __slots__ = ("vertices", "edges")  # edges: ordered pairs
+
+    def __init__(self, vertices: frozenset, edges: frozenset):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
 
-@dataclass(frozen=True)
-class Bigraph:
-    vertices: frozenset
-    edges: frozenset  # (x_vertex, y_vertex) pairs, X side first
+class Bigraph(Frozen):
+    # edges: (x_vertex, y_vertex) pairs, X side first
+    __slots__ = ("vertices", "edges")
+
+    def __init__(self, vertices: frozenset, edges: frozenset):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
 
 def _sym_vertex(s, side: int):

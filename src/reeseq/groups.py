@@ -9,20 +9,24 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 
 from .errors import GroupTableError
+from .frozen import Frozen
 
 ASSOCIATIVITY_CHECK_LIMIT = 64
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
-    name: str
-    table: tuple[tuple[int, ...], ...]
-    identity: int
-    inverse: tuple[int, ...]
-    labels: tuple[str, ...]
+class FiniteGroup(Frozen):
+    __slots__ = ("name", "table", "identity", "inverse", "labels")
+
+    def __init__(self, name: str, table: tuple[tuple[int, ...], ...],
+                 identity: int, inverse: tuple[int, ...],
+                 labels: tuple[str, ...]):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "identity", identity)
+        object.__setattr__(self, "inverse", inverse)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def order(self) -> int:

@@ -11,10 +11,9 @@ transform), reducing zero-set questions to the identity-matrix case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import StructureMatrix, is_regular, matrix, triple
 from .errors import ReesError
+from .frozen import Frozen
 from .words import Polynomial, Symbol, const
 
 
@@ -63,8 +62,7 @@ def is_bordered(M: StructureMatrix) -> bool:
 # ---------------------------------------------------------------------------
 # Retraction
 
-@dataclass(frozen=True)
-class RetractionPlan:
+class RetractionPlan(Frozen):
     """Certificate that M retracts onto the k x k identity matrix.
 
     row_class/col_class send every line to its class in {0..k-1}: retract
@@ -75,11 +73,16 @@ class RetractionPlan:
 
     and class_row/class_col pick one original line per class back out.
     """
-    k: int
-    row_class: tuple[int, ...]
-    col_class: tuple[int, ...]
-    class_row: tuple[int, ...]
-    class_col: tuple[int, ...]
+    __slots__ = ("k", "row_class", "col_class", "class_row", "class_col")
+
+    def __init__(self, k: int, row_class: tuple[int, ...],
+                 col_class: tuple[int, ...], class_row: tuple[int, ...],
+                 class_col: tuple[int, ...]):
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "row_class", row_class)
+        object.__setattr__(self, "col_class", col_class)
+        object.__setattr__(self, "class_row", class_row)
+        object.__setattr__(self, "class_col", class_col)
 
 
 def _dedup(lines) -> tuple[list[int], list[int]]:

@@ -16,12 +16,12 @@ fixed plane or a fixed orthogonal triple.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 from .core import Element, ReesSemigroup, ZERO, combinatorial, pair
 from .errors import ParseError, ReesError
 from .fields import PrimeField, Rank1Semigroup, rank1_semigroup
+from .frozen import Frozen
 from .matrices import hollow
 from .words import (Polynomial, Symbol, const, evaluate, poly, substitute,
                     var)
@@ -30,12 +30,14 @@ from .words import (Polynomial, Symbol, const, evaluate, poly, substitute,
 # ---------------------------------------------------------------------------
 # Graphs and walks
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    n: int
-    edges: frozenset  # unordered 0-based pairs stored sorted
+class SimpleGraph(Frozen):
+    # edges: unordered 0-based pairs stored sorted; __dict__ holds the
+    # cached_property values
+    __slots__ = ("n", "edges", "__dict__")
 
-    def __post_init__(self):
+    def __init__(self, n: int, edges: frozenset):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edges", edges)
         for a, b in self.edges:
             if not (0 <= a < b < self.n):
                 raise ReesError(f"bad edge ({a}, {b})")
@@ -79,23 +81,30 @@ def complete_graph(n) -> SimpleGraph:
 
 
 def parse_graph_file(text: str) -> SimpleGraph:
-    """First line 'n m', then m lines of 1-based edge endpoints."""
-    lines = [ln for ln in text.splitlines()
+    """First line 'n m', then m lines of 1-based edge endpoints.
+
+    An endpoint outside 1..n is refused here, naming the file's line
+    counted from 1, as an editor shows it.
+    """
+    lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1)
              if ln.strip() and not ln.lstrip().startswith("#")]
     if not lines:
         raise ParseError("empty graph file")
     try:
-        n, m = (int(x) for x in lines[0].split())
+        n, m = (int(x) for x in lines[0][1].split())
     except ValueError as exc:
         raise ParseError("graph header must be 'n m'") from exc
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines")
     edges = []
-    for ln in lines[1:]:
+    for k, ln in lines[1:]:
         try:
             a, b = (int(x) for x in ln.split())
         except ValueError as exc:
             raise ParseError(f"bad edge line {ln!r}") from exc
+        if not (1 <= a <= n and 1 <= b <= n):
+            raise ParseError(f"line {k}: edge {ln.strip()!r} has an "
+                             f"endpoint outside 1..{n}")
         edges.append((a - 1, b - 1))
     return simple_graph(n, edges)
 
@@ -194,12 +203,17 @@ def sigma_of_variable(v: int) -> Polynomial:
                       _aux("z", v, s, t)) for s, t in color_pairs()))
 
 
-@dataclass(frozen=True)
-class ColoringInstance:
-    graph: SimpleGraph
-    walk: tuple
-    polynomial: Polynomial  # the gadget-wrapped walk term
-    variable_map: tuple     # (variable name, 1-based vertex) pairs
+class ColoringInstance(Frozen):
+    # polynomial: the gadget-wrapped walk term; variable_map: (variable
+    # name, 1-based vertex) pairs
+    __slots__ = ("graph", "walk", "polynomial", "variable_map")
+
+    def __init__(self, graph: SimpleGraph, walk: tuple,
+                 polynomial: Polynomial, variable_map: tuple):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "walk", walk)
+        object.__setattr__(self, "polynomial", polynomial)
+        object.__setattr__(self, "variable_map", variable_map)
 
 
 def sigma(G: SimpleGraph) -> ColoringInstance:
@@ -333,11 +347,16 @@ def sat_lift(p: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 # Rank-1 gadget: confining coordinates to the first two dimensions (GF(2))
 
-@dataclass(frozen=True)
-class PlaneContext:
-    source: Rank1Semigroup  # dimension 2
-    target: Rank1Semigroup  # dimension n
-    pairs: tuple            # distinct (a, b), a + b off the protected plane
+class PlaneContext(Frozen):
+    # source: dimension 2; target: dimension n; pairs: distinct (a, b),
+    # a + b off the protected plane
+    __slots__ = ("source", "target", "pairs")
+
+    def __init__(self, source: Rank1Semigroup, target: Rank1Semigroup,
+                 pairs: tuple):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "pairs", pairs)
 
 
 def _pad(v, n):
@@ -420,12 +439,18 @@ def nonorthogonal_set(F: PrimeField, n: int, constraints) -> tuple:
                  if all(F.dot(v, c) for c in constraints))
 
 
-@dataclass(frozen=True)
-class TripleContext:
-    target: Rank1Semigroup
-    triple: tuple      # (v1, v2, v1 + v2)
-    reach: tuple       # vectors non-orthogonal to the whole triple
-    zero_col: tuple    # for each triple index, which triple member it kills
+class TripleContext(Frozen):
+    # triple: (v1, v2, v1 + v2); reach: vectors non-orthogonal to the
+    # whole triple; zero_col: for each triple index, which triple member
+    # it kills
+    __slots__ = ("target", "triple", "reach", "zero_col")
+
+    def __init__(self, target: Rank1Semigroup, triple: tuple, reach: tuple,
+                 zero_col: tuple):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "triple", triple)
+        object.__setattr__(self, "reach", reach)
+        object.__setattr__(self, "zero_col", zero_col)
 
     def triple_indices(self):
         return tuple(self.target.index_of(v) for v in self.triple)

@@ -19,20 +19,31 @@ expressible in source text; they arise only through evaluation.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (Element, ReesSemigroup, element_str,
                    transpose_element, triple)
 from .errors import (EmptyWordError, InvalidElementError,
                      MissingAssignmentError, ParseError)
+from .frozen import Frozen, slot_setters
 
 
-@dataclass(frozen=True)
-class Symbol:
-    kind: str  # "var" | "const"
-    name: str = ""
-    elem: Element | None = None
+class Symbol(Frozen):
+    __slots__ = ("kind", "name", "elem")  # kind: "var" | "const"
+
+    def __init__(self, kind: str, name: str = "", elem: Element | None = None):
+        _set_kind(self, kind)
+        _set_name(self, name)
+        _set_elem(self, elem)
+
+    def __eq__(self, other):
+        if type(other) is not Symbol:
+            return NotImplemented
+        return ((self.kind, self.name, self.elem)
+                == (other.kind, other.name, other.elem))
+
+    def __hash__(self):
+        return hash((self.kind, self.name, self.elem))
 
     @property
     def is_var(self) -> bool:
@@ -42,23 +53,35 @@ class Symbol:
         return self.name if self.is_var else repr(self.elem)
 
 
+_set_kind, _set_name, _set_elem = slot_setters(Symbol)
+
+
 def var(name: str) -> Symbol:
-    return Symbol("var", name=name)
+    return Symbol("var", name)
 
 
 def const(elem: Element) -> Symbol:
     if elem.kind != "triple":
         raise InvalidElementError("constants must be nonzero, non-identity elements")
-    return Symbol("const", elem=elem)
+    return Symbol("const", "", elem)
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    word: tuple[Symbol, ...]
+class Polynomial(Frozen):
+    # __dict__ holds the cached_property values
+    __slots__ = ("word", "__dict__")
 
-    def __post_init__(self):
-        if not self.word:
+    def __init__(self, word: tuple[Symbol, ...]):
+        if not word:
             raise EmptyWordError("polynomials are nonempty words")
+        _set_word(self, word)
+
+    def __eq__(self, other):
+        if type(other) is not Polynomial:
+            return NotImplemented
+        return self.word == other.word
+
+    def __hash__(self):
+        return hash((self.word,))
 
     @property
     def length(self) -> int:
@@ -92,6 +115,8 @@ class Polynomial:
     def __str__(self):
         return polynomial_str(self)
 
+
+_set_word, = slot_setters(Polynomial)
 
 def poly(*symbols) -> Polynomial:
     return Polynomial(tuple(symbols))
@@ -160,13 +185,23 @@ def polynomial_str(p: Polynomial) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(Frozen):
     """A total assignment of semigroup elements to variable names.
 
     Thin wrapper over a mapping; exists mainly so witnesses print uniformly.
     """
-    assignment: tuple[tuple[str, Element], ...]
+    __slots__ = ("assignment",)
+
+    def __init__(self, assignment: tuple[tuple[str, Element], ...]):
+        _set_assignment(self, assignment)
+
+    def __eq__(self, other):
+        if type(other) is not Evaluation:
+            return NotImplemented
+        return self.assignment == other.assignment
+
+    def __hash__(self):
+        return hash((self.assignment,))
 
     @staticmethod
     def of(mapping) -> "Evaluation":
@@ -178,6 +213,8 @@ class Evaluation:
     def __str__(self):
         return ", ".join(f"{k} = {element_str(v)}" for k, v in self.assignment)
 
+
+_set_assignment, = slot_setters(Evaluation)
 
 def evaluate(S: ReesSemigroup, p: Polynomial, assignment) -> Element:
     """Substitute elements for variables and fold the word left to right.

@@ -210,6 +210,29 @@ def test_budget_must_be_positive(i2_file, capsys, budget):
         assert "--budget" in capsys.readouterr().err
 
 
+def _loaded_modules(args, env):
+    """The modules a new interpreter run with args imports."""
+    err = subprocess.run([sys.executable, "-X", "importtime", *args],
+                         env=env, capture_output=True, text=True,
+                         check=True).stderr
+    return {ln.rsplit("|", 1)[1].strip() for ln in err.splitlines()
+            if ln.startswith("import time:")}
+
+
+def test_verdict_call_imports_nothing_it_does_not_use(i2_file):
+    # every CLI call is a new process, so each module it imports is paid
+    # for on every call; compare with what a bare interpreter imports
+    src = os.path.dirname(os.path.dirname(r.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    bare = _loaded_modules(["-c", "pass"], env)
+    call = _loaded_modules(["-m", "reeseq.cli", "term-eq", "--matrix",
+                            i2_file, "x x y y", "y y x x"], env)
+    assert "reeseq.decide" in call - bare
+    assert (call - bare) & {"dataclasses", "inspect", "reeseq.fields",
+                            "reeseq.reductions"} == set()
+
+
 def test_gen_and_shadow(tmp_path, capsys):
     out = tmp_path / "T.mat"
     assert main(["gen", "rank1", "3", "2", "--out", str(out)]) == 0
@@ -229,6 +252,38 @@ def test_gen_and_shadow(tmp_path, capsys):
     main(["gen", "identity", "1", "--out", str(a)])
     assert main(["gen", "direct-sum", str(a), str(a)]) == 0
     assert capsys.readouterr().out.splitlines()[1:] == ["1 0", "0 1"]
+
+
+@pytest.mark.parametrize("order", ["group-first", "group-second"])
+def test_gen_direct_sum_keeps_the_group(tmp_path, capsys, order):
+    # a sum with a trivial-group matrix stays over the other one's group,
+    # and the printed file loads back as the same matrix and group
+    c3 = tmp_path / "c3.mat"
+    c3.write_text("2 2 cyclic3\n1 2\n3 1\n", encoding="utf-8")
+    i2 = tmp_path / "i2.mat"
+    i2.write_text(r.format_matrix_file(r.identity(2)), encoding="utf-8")
+    operands = [c3, i2] if order == "group-first" else [i2, c3]
+    out = tmp_path / "sum.mat"
+    assert main(["gen", "direct-sum", *map(str, operands),
+                 "--out", str(out)]) == 0
+    A, B = (r.load_matrix(path)[0] for path in operands)
+    assert r.load_matrix(out) == (r.direct_sum(A, B), r.cyclic_group(3))
+    assert main(["analyze-matrix", str(out)]) == 0
+    assert "group: cyclic3" in capsys.readouterr().out
+
+
+def test_gen_direct_sum_refuses_two_groups(tmp_path, capsys):
+    c3 = tmp_path / "c3.mat"
+    c3.write_text("1 1 cyclic3\n2\n", encoding="utf-8")
+    c2 = tmp_path / "c2.mat"
+    c2.write_text("1 1 cyclic2\n2\n", encoding="utf-8")
+    assert main(["gen", "direct-sum", str(c3), str(c3)]) == 0
+    capsys.readouterr()
+    assert main(["gen", "direct-sum", str(c3), str(c2)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: gen direct-sum: the matrices are over "
+                            "different groups, cyclic3 and cyclic2\n")
 
 
 def test_reduce_3col(tmp_path, capsys):
@@ -270,6 +325,16 @@ def test_malformed_file_is_an_error(tmp_path, capsys):
     bad = tmp_path / "bad.mat"
     bad.write_text("2 2\n1 1\n", encoding="utf-8")
     assert main(["term-eq", "--matrix", str(bad), "x", "x"]) == 2
+
+
+def test_reduce_names_the_line_of_an_out_of_range_edge(tmp_path, capsys):
+    # endpoints are 1-based in the file; the blank and comment lines
+    # count, so the message points at the line an editor shows
+    gfile = tmp_path / "G.graph"
+    gfile.write_text("3 2\n# a path\n1 2\n\n1 4\n", encoding="utf-8")
+    assert main(["reduce", "3col", str(gfile)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 5: edge '1 4' has an endpoint outside 1..3\n")
 
 
 @pytest.fixture()

@@ -1,15 +1,19 @@
 """Source hygiene the test suite can check without a linter."""
 
 import ast
+import importlib
 import pathlib
 
 import pytest
+
+import reeseq
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "reeseq"
 TESTS = pathlib.Path(__file__).resolve().parent
 
 # __init__.py imports to re-export, so its names count as used
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ALL_MODULES = sorted(SRC.glob("*.py"))
 
 
 def _unused_imports(tree):
@@ -204,3 +208,73 @@ def test_unread_field_is_caught():
                       (8, "B", "v")]
     assert _unread_fields(tree, _attribute_reads(tree)) == [(5, "A", "y"),
                                                             (8, "B", "u")]
+
+
+def _imported_modules(tree):
+    """The absolute module names the module's import statements name."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module)
+    return out
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_dataclasses(path):
+    # importing dataclasses loads inspect, ast, dis and tokenize, which
+    # every CLI process would pay for; values derive from reeseq.frozen
+    assert "dataclasses" not in {name.split(".")[0]
+                                 for name in _imported_modules(_parse(path))}
+
+
+def test_imported_modules_are_found():
+    tree = ast.parse("import os.path, sys as system\n"
+                     "from dataclasses import dataclass\n"
+                     "from . import core\nfrom .words import var\n")
+    assert _imported_modules(tree) == {"os.path", "sys", "dataclasses"}
+
+
+def _dynamic_imports(tree):
+    """For each call of import_module or __import__, the name of the
+    top-level definition around it, or "<module>"."""
+    def callee(node):
+        f = node.func
+        return f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", "")
+    out = []
+    for stmt in tree.body:
+        where = stmt.name if isinstance(stmt, (
+            ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+            else "<module>"
+        out += [where for node in ast.walk(stmt)
+                if isinstance(node, ast.Call)
+                and callee(node) in ("import_module", "__import__")]
+    return out
+
+
+def test_one_dynamic_import():
+    # the package's one dynamic import is its PEP 562 hook, and it serves
+    # fields and reductions only: every other module is imported where
+    # the code that uses it can be read
+    found = {path.name: _dynamic_imports(_parse(path))
+             for path in ALL_MODULES}
+    assert {name: calls for name, calls in found.items() if calls} == \
+        {"__init__.py": ["__getattr__"]}
+    served = set()
+    for path in ALL_MODULES:
+        try:
+            module = reeseq.__getattr__(path.stem)
+        except AttributeError:
+            continue
+        assert module is importlib.import_module(f"reeseq.{path.stem}")
+        served.add(path.stem)
+    assert served == {"fields", "reductions"}
+
+
+def test_dynamic_import_is_found():
+    tree = ast.parse("import importlib\nos = __import__('os')\n\n"
+                     "def f(name):\n"
+                     "    return importlib.import_module(name)\n\n"
+                     "class K:\n    m = importlib.import_module('json')\n")
+    assert _dynamic_imports(tree) == ["<module>", "f", "K"]

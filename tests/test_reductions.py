@@ -7,7 +7,7 @@ import pytest
 
 import reeseq as r
 from reeseq import reductions as red
-from reeseq.errors import BudgetExceededError, ReesError
+from reeseq.errors import BudgetExceededError, ParseError, ReesError
 from reeseq.words import evaluate
 
 
@@ -99,6 +99,14 @@ def test_disconnected_rejected():
 def test_graph_file_parsing():
     G = red.parse_graph_file("3 2\n1 2\n2 3\n")
     assert G.n == 3 and G.edges == frozenset({(0, 1), (1, 2)})
+    # the file checks its own 1-based endpoints; the library's message
+    # stays in its 0-based terms
+    for edge in ("1 4", "0 2"):
+        with pytest.raises(ParseError, match=f"^line 3: edge '{edge}' has "
+                           "an endpoint outside 1..3$"):
+            red.parse_graph_file(f"3 2\n1 2\n{edge}\n")
+    with pytest.raises(ReesError, match=r"^bad edge \(0, 3\)$"):
+        red.simple_graph(3, [(0, 1), (0, 3)])
 
 
 # ---------------------------------------------------------------------------
