@@ -32,14 +32,15 @@ matrix, where zero-ness is consistency of graph components) and on
 bordered ones (the border evaluation), and zset-eq on all-ones and totally
 balanced matrices (variable sets and constraint systems).  Both hold with
 the identity adjoined too, over every elimination slice on the balanced
-class.  There zset-eq and term-eq compare slice 0 and then the two words'
-families (graphs.CompiledWord.families), one scan that settles every
-slice when they are equal; only words whose families differ walk the
-slices, up to the first that differs.  Elsewhere term-eq with identity
-decides from term profiles and takes the witness of the elimination slice
-they name, and every other question with identity falls back to the
-exhaustive oracle, under a budget, when allow_brute is set, and the
-verdict records that it did.
+class.  There zset-eq and term-eq compare slice 0, then the words'
+records (graphs.CompiledWord.records, what one scan meets), then, only if
+the records differ, their families (the records' minimal masks), each
+settling every slice when equal; only words whose families differ too
+walk the slices, up to the first that differs.  Elsewhere term-eq with
+identity decides from term profiles and takes the witness of the
+elimination slice they name, and every other question with identity falls
+back to the exhaustive oracle, under a budget, when allow_brute is set,
+and the verdict records that it did.
 
 Every verdict carries a method tag, and negative (positive, for
 satisfiability) verdicts carry a witness evaluation that is re-checked
@@ -323,15 +324,17 @@ def _slice_mismatch(key, cwp, cwq, full: bool):
     names differ, as (mask, key of p, key of q), or None when every slice
     agrees; key(cw, mask) reads one slice, and full is _slice_masks'.
 
-    Slice 0 goes first.  When it agrees, the two words' variables and
-    families (CompiledWord.families) decide: equal ones make every slice
-    agree, and only otherwise are the other slices walked, in _slice_masks
-    order, up to the first that differs.
+    Slice 0 goes first.  When it agrees, words over the same variables
+    agree on every slice if their records (CompiledWord.records) are equal,
+    or else their families, the records' minimal masks; only otherwise are
+    the other slices walked, in _slice_masks order, up to the first that
+    differs.
     """
     a, b = key(cwp, 0), key(cwq, 0)
     if a != b:
         return 0, a, b
-    if cwp.varmask == cwq.varmask and cwp.families() == cwq.families():
+    if cwp.varmask == cwq.varmask and (cwp.records() == cwq.records()
+                                       or cwp.families() == cwq.families()):
         return None
     masks = _slice_masks(len(cwp.names), full)
     for mask in itertools.islice(masks, 1, None):  # past slice 0
@@ -398,9 +401,9 @@ def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
     differ: the plain witness for that slice, with its eliminated variables
     set to the identity.  On the balanced class (TB1) the verdict is that
     of the TB1 profiles, reached without building them: slice 0, then the
-    words' families, and only when those differ a walk up to the first
-    mismatching slice.  Elsewhere the slice is read off the two profiles
-    by _witness_slice.
+    words' records, then their families, and only when those differ too a
+    walk up to the first mismatching slice.  Elsewhere the slice is read
+    off the two profiles by _witness_slice.
     """
     _require_term(p)  # first, as term_profile checks it
     prof = classify_matrix(M)

@@ -20,12 +20,15 @@ with side 1 = X and side 2 = Y.
 
 Procedures that test many slices of one word (its variables partly
 eliminated) use CompiledWord instead: the identified graph on integer
-vertices, one union-find pass per slice, and the word's families, one scan
-that settles every slice at once when two words share them.
+vertices, one union-find pass per slice, and the word's records, what one
+scan meets, with the families minimised from them.  Two words' slices are
+compared in the order slice 0, records, families, walk: equal records or
+families settle every slice at once.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import compress
 
 from .frozen import Frozen
@@ -125,7 +128,7 @@ def is_consistent(component) -> bool:
     return len(_indices_of(component)) <= 1
 
 
-# the ends of a word, as vertices of CompiledWord.families
+# the ends of a word, as vertices of CompiledWord.records
 START, END = -1, -2
 
 
@@ -139,8 +142,9 @@ class CompiledWord:
     constant.  A slice drops the positions whose bit is in a mask; dropping
     removes only variables and never relabels a constant, so one compilation
     of the hat-transformed word serves every slice of it.  labels and ends
-    read one slice; families reads all 2^V of them in one scan, as far as
-    comparing two words goes.
+    read one slice; records and families read all 2^V of them from one
+    scan, as far as comparing two words goes: records first, families
+    only when the records differ, and a walk only when both do.
     """
 
     def __init__(self, p: Polynomial, names):
@@ -204,17 +208,42 @@ class CompiledWord:
         kept = [pos for pos in self.positions if not pos[0] & drop]
         return kept[0][1], kept[-1][2]
 
-    def families(self) -> dict:
-        """Minimal separating masks of the vertex pairs a slice can join.
+    def records(self) -> frozenset:
+        """Every (y, x, mask) met by one forward scan from START and from
+        each position: y is the Y vertex where the scan starts (START, -1,
+        for the word's start), x the X vertex of a later position (END, -2,
+        for the word's end) and mask the variables strictly between them.
 
-        Maps (y, x), the Y vertex of a position and the X vertex of a later
-        one, to the inclusion-minimal bitmasks of the variables strictly
-        between two such positions; START (-1) as y stands for the start
-        of the word and END (-2) as x for its end.  One forward scan from
-        each position and from START records them.  A scan stops at a
-        constant or at its own variable again, and passes over a variable
-        it has met already, whose mask would hold that of its first
-        occurrence.
+        A scan stops at a constant or at its own variable again, and passes
+        over a variable it has met already, whose mask would hold that of
+        its first occurrence.  Scanned once per word; families() minimises
+        the records, so equal records give equal families.
+        """
+        return self._records
+
+    # families reads this, not records(), so that the tests can replace
+    # either certificate on its own
+    @cached_property
+    def _records(self) -> frozenset:
+        out = set()
+        add = out.add
+        positions = self.positions
+        scans = [(START, 0, 0)] + [(y, bit, a + 1) for a, (bit, _, y)
+                                   in enumerate(positions)]
+        for y, own, start in scans:
+            mask = 0
+            for bit, x, _ in positions[start:]:
+                if not bit & mask:
+                    add((y, x, mask))
+                if not bit or bit == own:
+                    break
+                mask |= bit
+            else:
+                add((y, END, mask))
+        return frozenset(out)
+
+    def families(self) -> dict:
+        """(y, x) mapped to the inclusion-minimal masks of its records.
 
         Two kept positions are adjacent in slice `drop` exactly when all
         between them are dropped variables, so the slice has the edge
@@ -224,30 +253,13 @@ class CompiledWord:
         families therefore have the same labels and ends in every slice.
         """
         fam: dict = {}
-        positions = self.positions
-        scans = [(START, 0, 0)] + [(y, bit, a + 1) for a, (bit, _, y)
-                                   in enumerate(positions)]
-        for y, own, start in scans:
-            mask = 0
-            for bit, x, _ in positions[start:]:
-                if not bit & mask:
-                    _keep_minimal(fam, (y, x), mask)
-                if not bit or bit == own:
-                    break
-                mask |= bit
-            else:
-                _keep_minimal(fam, (y, END), mask)
-        return {key: frozenset(masks) for key, masks in fam.items()}
-
-
-def _keep_minimal(fam: dict, key, mask: int) -> None:
-    """Add mask to the antichain of minimal masks kept under key."""
-    masks = fam.get(key)
-    if masks is None:
-        fam[key] = [mask]
-    elif all(m & mask != m for m in masks):
-        masks[:] = [m for m in masks if m & mask != mask]
-        masks.append(mask)
+        for y, x, mask in self._records:
+            fam.setdefault((y, x), []).append(mask)
+        # masks under one key are distinct: n is below m when n | m == m
+        return {key: frozenset(masks if len(masks) == 1 else
+                               [m for m in masks
+                                if not any(n | m == m != n for n in masks)])
+                for key, masks in fam.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -83,8 +83,9 @@ def complete_graph(n) -> SimpleGraph:
 def parse_graph_file(text: str) -> SimpleGraph:
     """First line 'n m', then m lines of 1-based edge endpoints.
 
-    An endpoint outside 1..n is refused here, naming the file's line
-    counted from 1, as an editor shows it.
+    An endpoint outside 1..n, a loop and an edge given twice (either way
+    round) are refused here, naming the file's line counted from 1, as an
+    editor shows it.
     """
     lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1)
              if ln.strip() and not ln.lstrip().startswith("#")]
@@ -96,17 +97,21 @@ def parse_graph_file(text: str) -> SimpleGraph:
         raise ParseError("graph header must be 'n m'") from exc
     if len(lines) - 1 != m:
         raise ParseError(f"expected {m} edge lines")
-    edges = []
+    first: dict = {}  # each edge's line
     for k, ln in lines[1:]:
         try:
             a, b = (int(x) for x in ln.split())
         except ValueError as exc:
             raise ParseError(f"bad edge line {ln!r}") from exc
+        edge = f"line {k}: edge {ln.strip()!r}"
         if not (1 <= a <= n and 1 <= b <= n):
-            raise ParseError(f"line {k}: edge {ln.strip()!r} has an "
-                             f"endpoint outside 1..{n}")
-        edges.append((a - 1, b - 1))
-    return simple_graph(n, edges)
+            raise ParseError(f"{edge} has an endpoint outside 1..{n}")
+        if a == b:
+            raise ParseError(f"{edge} is a loop")
+        seen = first.setdefault((min(a, b) - 1, max(a, b) - 1), k)
+        if seen != k:
+            raise ParseError(f"{edge} repeats line {seen}")
+    return simple_graph(n, first)
 
 
 def edge_walk(G: SimpleGraph) -> tuple:

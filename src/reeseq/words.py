@@ -11,9 +11,10 @@ Concrete syntax (whitespace-separated tokens):
     IDENT  := letter (letter | digit | '_' | '#' | '.' | "'")*
 
 A postfix '^' INT on any symbol abbreviates repetition.  The three-component
-constant form carries a 1-based group element index and is only accepted over
-non-combinatorial semigroups.  The zero and the adjoined identity are not
-expressible in source text; they arise only through evaluation.
+constant form [i,g,lam] carries a 1-based group element index in the middle,
+as elements print, and is only accepted over non-combinatorial semigroups.
+The zero and the adjoined identity are not expressible in source text; they
+arise only through evaluation.
 """
 
 from __future__ import annotations
@@ -130,9 +131,9 @@ def word_of(names: str) -> Polynomial:
 # ---------------------------------------------------------------------------
 # Parsing and printing
 
-# a constant's coordinates are groups 1-3, a variable's name group 4 and the
-# repetition count group 5
-_TOKEN = re.compile(r"(?:\[(\d+),(\d+)(?:,(\d+))?\]"
+# a constant's coordinates [i,g,lam] are groups 1-3 (g optional), a
+# variable's name group 4 and the repetition count group 5
+_TOKEN = re.compile(r"(?:\[(\d+),(?:(\d+),)?(\d+)\]"
                     r"|([A-Za-z_][A-Za-z0-9_#.']*))(?:\^(\d+))?")
 
 
@@ -160,7 +161,7 @@ def _token_run(tok: str, S: ReesSemigroup) -> list[Symbol]:
     m = _TOKEN.fullmatch(tok)
     if not m:
         raise ParseError(f"bad token {tok!r}")
-    i, lam, g, name, reps = m.groups()
+    i, g, lam, name, reps = m.groups()
     reps = int(reps) if reps else 1
     if reps < 1:
         raise ParseError(f"repetition must be positive in {tok!r}")

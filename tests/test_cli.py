@@ -337,6 +337,17 @@ def test_reduce_names_the_line_of_an_out_of_range_edge(tmp_path, capsys):
         "error: line 5: edge '1 4' has an endpoint outside 1..3\n")
 
 
+@pytest.mark.parametrize("edges, message", [
+    ("1 2\n2 3\n1 2\n", "line 4: edge '1 2' repeats line 2"),
+    ("1 2\n3 3\n2 3\n", "line 3: edge '3 3' is a loop")])
+def test_reduce_refuses_repeated_and_loop_edges(tmp_path, capsys, edges,
+                                                message):
+    gfile = tmp_path / "G.graph"
+    gfile.write_text("3 3\n" + edges, encoding="utf-8")
+    assert main(["reduce", "3col", str(gfile)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.fixture()
 def foo_bar_graph(tmp_path):
     path = tmp_path / "bad.graph"

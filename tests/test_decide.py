@@ -8,6 +8,7 @@ import types
 from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reeseq as r
 from conftest import all_terms, checked_kind, matrix_classes
@@ -166,26 +167,34 @@ def _certificate_pairs(M, rng, count, consts):
         yield tuple(" ".join(x) for x in pair)
 
 
-def _families_agree(M, p, q):
+def _compiled_pair(M, p, q):
     from reeseq.graphs import CompiledWord
     plan = r.classify_matrix(M).plan
     names = tuple(sorted(set(p.variables) | set(q.variables)))
-    cwp, cwq = (CompiledWord(r.hat_transform(w, plan), names) for w in (p, q))
-    return cwp.varmask == cwq.varmask and cwp.families() == cwq.families()
+    return (CompiledWord(r.hat_transform(w, plan), names) for w in (p, q))
 
 
-def _no_families(cw):
-    return object()  # equal to nothing, so every comparison walks
+def _tier_agrees(M, p, q, tier):
+    """Do the two words' variables and records (or families) agree?"""
+    cwp, cwq = _compiled_pair(M, p, q)
+    return cwp.varmask == cwq.varmask and \
+        getattr(cwp, tier)() == getattr(cwq, tier)()
+
+
+def _fresh_object(cw):
+    return object()  # equal to nothing, so that tier settles nothing
 
 
 @pytest.mark.parametrize("M", BALANCED_S1, ids=lambda M: str(M.entries))
 def test_families_certificate_is_sound(monkeypatch, M):
-    # whenever two words' families agree, the oracle over S^1 finds them
-    # equal (terms as functions, polynomials in their zero sets), and every
-    # verdict, certified or not, is the one the full slice walk gives
+    # whenever two words' records, or their families, agree, the oracle
+    # over S^1 finds them equal (terms as functions, polynomials in their
+    # zero sets); the records certify every pair the families do; and
+    # every verdict, certified or not, is the one the later tiers give
+    # with records (then families too) made to settle nothing
     rng = random.Random(14)
     S, S1 = r.combinatorial(M), r.combinatorial(M, True)
-    cases, certified = [], 0
+    cases, certified = [], {"records": 0, "families": 0}
     for consts in (False, True):
         for texts in _certificate_pairs(M, rng, 300, consts):
             p, q = (r.parse_polynomial(t, S) for t in texts)
@@ -194,17 +203,34 @@ def test_families_certificate_is_sound(monkeypatch, M):
                 brute = r.brute_zset_eq
             else:
                 fast, brute = r.term_eq_s1(M, p, q), r.brute_eq
-            if _families_agree(M, p, q):
+            agree = [tier for tier in certified if _tier_agrees(M, p, q, tier)]
+            if agree:
                 assert brute(S1, p, q).kind == "equal", texts
                 assert fast.kind == "equal", texts
-                certified += 1
+            for tier in agree:
+                certified[tier] += 1
             cases.append((consts, p, q, fast))
-    assert certified > len(cases) // 3
-    monkeypatch.setattr(decide.CompiledWord, "families", _no_families)
-    for consts, p, q, fast in cases:
-        walked = r.pol_zset_eq(M, p, q, adjoin_identity=True) if consts \
-            else r.term_eq_s1(M, p, q)
-        assert walked == fast, (str(p), str(q))
+    assert certified["records"] == certified["families"] > len(cases) // 3
+    for tier in certified:
+        monkeypatch.setattr(decide.CompiledWord, tier, _fresh_object)
+        for consts, p, q, fast in cases:
+            slower = r.pol_zset_eq(M, p, q, adjoin_identity=True) \
+                if consts else r.term_eq_s1(M, p, q)
+            assert slower == fast, (tier, str(p), str(q))
+
+
+def test_families_settle_what_records_miss(monkeypatch):
+    # over I2, x y x y y x and x y y y y x differ in their records but
+    # not in their families, so the families tier settles them equal
+    # with no walk over the slices
+    p, q = r.word_of("x y x y y x"), r.word_of("x y y y y x")
+    cwp, cwq = _compiled_pair(I2, p, q)
+    assert cwp.records() != cwq.records()
+    assert cwp.families() == cwq.families()
+    monkeypatch.setattr(decide, "_slice_masks", _no_slice_walk)
+    assert r.term_eq_s1(I2, p, q).kind == "equal"
+    assert r.pol_zset_eq(I2, p, q, adjoin_identity=True,
+                         allow_brute=False).kind == "equal"
 
 
 def test_term_oracle_agreement_2x2():
@@ -316,6 +342,41 @@ def test_identity_slices_match_oracles(M):
         p, q = rng.choice(pool), rng.choice(pool)
         v = r.pol_zset_eq(M, p, q, adjoin_identity=True)
         assert v.kind == r.brute_zset_eq(S1, p, q).kind, (str(p), str(q))
+
+
+@st.composite
+def _rewritten_pair(draw, M):
+    """Two words over one to four variables, perhaps with constants of M:
+    u u against u u u inside one word, a word against itself with one of
+    its symbols inserted once more, or a word against a shuffle of it."""
+    consts = [f"[{i + 1},{lam + 1}]" for i in range(M.n) for lam in range(M.m)]
+    names = ["w", "x", "y", "z"][:draw(st.integers(1, 4))]
+    syms = names + (consts if draw(st.booleans()) else [])
+    w = draw(st.permutations(names + draw(st.lists(st.sampled_from(syms),
+                                                   max_size=4))))
+    kind = draw(st.sampled_from(("cube", "insert", "shuffle")))
+    if kind == "shuffle":
+        return w, draw(st.permutations(w))
+    t = draw(st.integers(0, len(w) - 1))
+    if kind == "insert":
+        return w, w[:t] + [draw(st.sampled_from(w))] + w[t:]
+    u = w[t:t + draw(st.integers(1, 3))]
+    return w[:t] + u + u + w[t + len(u):], w[:t] + u + u + u + w[t + len(u):]
+
+
+@pytest.mark.parametrize("M", IDENTITY_SLICE_MATRICES[:3],
+                         ids=["I2", "I3", "T33"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_equal_records_are_equal_over_s1(M, data):
+    # equal variables and records of the hat-transformed words mean equal
+    # terms, and equal zero sets for words with constants, over S^1
+    texts = data.draw(_rewritten_pair(M))
+    S = r.combinatorial(M)
+    p, q = (r.parse_polynomial(" ".join(t), S) for t in texts)
+    if _tier_agrees(M, p, q, "records"):
+        brute = r.brute_eq if p.is_term and q.is_term else r.brute_zset_eq
+        assert brute(r.combinatorial(M, True), p, q).kind == "equal", texts
 
 
 @pytest.mark.parametrize("M", [r.matrix(((1, 1, 0, 0), (0, 0, 1, 0),

@@ -201,6 +201,29 @@ def test_families_read_every_slice():
             assert read == edges, (str(p), drop)
 
 
+def test_families_are_the_minimal_records():
+    # families() keeps, under each (y, x) of records(), the masks with no
+    # other mask of that key inside them; the records are scanned once
+    from reeseq.graphs import CompiledWord
+    S3 = r.combinatorial(r.identity(3))
+    rng = random.Random(9)
+    syms = ["w", "x", "y", "z", "x", "y", "[1,1]", "[1,2]", "[2,3]", "[3,3]"]
+    names = ("w", "x", "y", "z")
+    for _ in range(300):
+        p = r.parse_polynomial(" ".join(rng.choice(syms)
+                                        for _ in range(rng.randint(1, 10))), S3)
+        cw = CompiledWord(p, names)
+        records = cw.records()
+        assert cw.records() is records
+        masks = {}
+        for y, x, mask in records:
+            masks.setdefault((y, x), set()).add(mask)
+        assert cw.families() == {
+            key: frozenset(m for m in ms
+                           if not any(n != m and n & m == n for n in ms))
+            for key, ms in masks.items()}, str(p)
+
+
 def test_antichain_table_matches_definition():
     # the table is read off one families scan; it must equal the factor
     # definition pair by pair, constants skipped inside a factor

@@ -105,6 +105,13 @@ def test_graph_file_parsing():
         with pytest.raises(ParseError, match=f"^line 3: edge '{edge}' has "
                            "an endpoint outside 1..3$"):
             red.parse_graph_file(f"3 2\n1 2\n{edge}\n")
+    # a loop, and an edge given again either way round, are refused too
+    with pytest.raises(ParseError, match="^line 3: edge '3 3' is a loop$"):
+        red.parse_graph_file("3 2\n1 2\n3 3\n")
+    for again in ("1 2", "2 1"):
+        with pytest.raises(ParseError, match=f"^line 4: edge '{again}' "
+                           "repeats line 2$"):
+            red.parse_graph_file(f"3 3\n1 2\n2 3\n{again}\n")
     with pytest.raises(ReesError, match=r"^bad edge \(0, 3\)$"):
         red.simple_graph(3, [(0, 1), (0, 3)])
 

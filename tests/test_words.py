@@ -73,7 +73,7 @@ def _random_tokens(rng, group_order):
             if g is None or group_order == 1:
                 text, g = f"[{i},{lam}]", 1
             else:
-                text = f"[{i},{lam},{g}]"
+                text = f"[{i},{g},{lam}]"
             sym = r.const(r.triple(i - 1, g - 1, lam - 1))
         reps = 1
         if rng.random() < 0.3:
@@ -120,6 +120,20 @@ def test_group_constants_round_trip():
     assert r.parse_polynomial(printed, S) == p
     with pytest.raises(ParseError):
         r.parse_polynomial("[1,3,2]", S)  # group index out of range
+
+
+def test_group_constants_read_as_printed():
+    # a three-part constant is [i,g,lam], the order elements print in; over
+    # the 4x4 matrix of gen rank1 3 2 (units of GF(3)), triple(0, 1, 2)
+    # prints as [1,2,3], and every element reads back as itself
+    S = r.fields.rank1_semigroup(3, 2).semigroup
+    assert r.element_str(r.triple(0, 1, 2)) == "[1,2,3]"
+    assert r.parse_polynomial("x [1,2,3]", S).word[1].elem == \
+        r.triple(0, 1, 2)
+    for e in S.nonzero_triples():
+        p = r.parse_polynomial(f"x {r.element_str(e)} x", S)
+        assert p.word[1].elem == e
+        assert r.parse_polynomial(r.polynomial_str(p), S) == p
 
 
 def test_accessors():
