@@ -41,21 +41,20 @@ def _add_common(sub):
                           "verdict; term-eq decides without one "
                           "(default REESEQ_BUDGET or 10^7)")
     sub.add_argument("--brute", action="store_true",
-                     help="decide matrices with no fast path: homomorphism "
-                          "search without identity, the exhaustive oracle "
-                          "with it; term-eq needs neither")
+                     help="admit what has no polynomial bound: homomorphism "
+                          "search on general matrices, and the exhaustive "
+                          "oracle with the identity adjoined where no fast "
+                          "path takes it; term-eq needs neither")
     sub.add_argument("--explain", action="store_true",
                      help="print the dispatch path and certificate")
     sub.add_argument("--format", choices=("plain", "json"), default="plain")
 
 
-# op -> (number of polynomials, fast procedure, exhaustive oracle), named
-# in decide and looked up per call, so that rebinding them reaches the CLI
-_OPS = {"term-eq": (2, "term_eq", "brute_eq"),
-        "pol-eq": (2, "pol_eq", "brute_eq"),
-        "zset-eq": (2, "pol_zset_eq", None),
-        "pol-zero": (1, "pol_zero", "brute_zero"),
-        "pol-sat": (1, "pol_sat", "brute_sat")}
+# op -> (number of polynomials, fast procedure), named in decide and looked
+# up per call, so that rebinding one reaches the CLI
+_OPS = {"term-eq": (2, "term_eq"), "pol-eq": (2, "pol_eq"),
+        "zset-eq": (2, "pol_zset_eq"), "pol-zero": (1, "pol_zero"),
+        "pol-sat": (1, "pol_sat")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,8 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("brute-check")
     sub.set_defaults(func=_run_brute_check)
     _add_common(sub)
-    sub.add_argument("--op", required=True,
-                     choices=[op for op, row in _OPS.items() if row[2]])
+    sub.add_argument("--op", required=True, choices=list(_OPS))
     sub.add_argument("words", nargs="+")
 
     sub = subs.add_parser("analyze-matrix")
@@ -215,7 +213,7 @@ def _run_brute_check(ns):
     M, S = _load_context(ns)
     args = _args(ns.op, ns.words, S)
     fast = _fast(ns.op, M, args, ns, allow_brute=True)
-    oracle = getattr(decide, _OPS[ns.op][2])(S, *args, budget=ns.budget)
+    oracle = decide.oracle(ns.op, S, args, ns.budget)
     print(f"fast:   {fast.kind} [{fast.method}]")
     print(f"oracle: {oracle.kind} [{oracle.method}]")
     if fast.kind != oracle.kind:

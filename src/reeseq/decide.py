@@ -18,9 +18,9 @@ questions reduce to the search:
 * pol-zero on a matrix neither totally balanced nor bordered is one
   search with no masks;
 * pol-sat masks the leftmost column and the rightmost row to the target's;
-* zset-eq, on bordered matrices and (with allow_brute) on general ones,
-  searches for a nonzero evaluation of one word that puts an adjacent pair
-  of the other on a zero entry of M, one search per row with a zero;
+* zset-eq, on bordered and general matrices, searches for a nonzero
+  evaluation of one word that puts an adjacent pair of the other on a
+  zero entry of M, one search per row with a zero;
 * pol-eq checks the zero sets, then runs one search per index x, with p's
   leftmost symbol on column x and q's on any other column (likewise rows
   at the right ends);
@@ -38,9 +38,18 @@ the records differ, their families (the records' minimal masks), each
 settling every slice when equal; only words whose families differ too
 walk the slices, up to the first that differs.  Elsewhere term-eq with
 identity decides from term profiles and takes the witness of the
-elimination slice they name, and every other question with identity falls
-back to the exhaustive oracle, under a budget, when allow_brute is set,
-and the verdict records that it did.
+elimination slice they name.
+
+allow_brute (--brute in the CLI) admits what has no polynomial bound:
+homomorphism search on general matrices (neither totally balanced nor
+bordered), and the budgeted exhaustive oracle with the identity adjoined
+where no fast path takes it.  _POLYNOMIAL lists, per question, the
+classes with a polynomial procedure, plain and with the identity; one
+gate reads it, and without allow_brute raises UnsupportedMatrixError,
+saying whether the matrix class or the adjoined identity is the reason
+and what allow_brute runs.  oracle is the one function outside the
+oracle section that runs an oracle, whose method tag, brute-force, says
+that it ran.  term-eq needs no allow_brute.
 
 Every verdict carries a method tag, and negative (positive, for
 satisfiability) verdicts carry a witness evaluation that is re-checked
@@ -177,6 +186,50 @@ def classify_matrix(M: StructureMatrix) -> MatrixProfile:
                      for lam in range(M.m)))
     return MatrixProfile(is_all_ones(M), balanced, is_bordered(M),
                          plan, rows, cols, support)
+
+
+# ---------------------------------------------------------------------------
+# What allow_brute gates
+#
+# Each question's matrix classes with a polynomial procedure, without and
+# with the identity adjoined.  An all-ones matrix is balanced, and so is a
+# matrix both balanced and bordered; general is neither.
+
+_POLYNOMIAL = {
+    "pol-zero": (("balanced", "bordered"), ("balanced", "bordered")),
+    "zset-eq": (("balanced", "bordered"), ("balanced",)),
+    "pol-eq": (("balanced", "bordered"), ()),
+    "pol-sat": (("balanced", "bordered"), ())}
+
+
+def _gate(question, prof, S, allow_brute, budget, *args):
+    """None when question has a polynomial procedure on prof's class over S,
+    or when allow_brute admits the homomorphism search over the plain
+    semigroup; the oracle's verdict on args when allow_brute admits it with
+    the identity adjoined; else UnsupportedMatrixError."""
+    cls = ("balanced" if prof.totally_balanced
+           else "bordered" if prof.bordered else "general")
+    plain, with_identity = _POLYNOMIAL[question]
+    if cls in (with_identity if S.has_identity else plain):
+        return None
+    if allow_brute:
+        return oracle(question, S, args, budget) if S.has_identity else None
+    why = ("with the identity adjoined" if cls in plain else
+           f"for {cls} matrices (neither totally balanced nor bordered)")
+    runs = "the exhaustive oracle" if S.has_identity else "homomorphism search"
+    raise UnsupportedMatrixError(f"{question}: no polynomial procedure "
+                                 f"{why}; allow_brute (--brute) runs {runs}")
+
+
+def oracle(question: str, S: ReesSemigroup, args,
+           budget: int | None = None) -> Verdict:
+    """The exhaustive oracle of a CLI question on the tuple args over S:
+    brute_eq for term-eq and pol-eq, brute_zset_eq, brute_zero and
+    brute_sat for the others.  Each is looked up when it runs, so a
+    rebinding in this module reaches it."""
+    return {"term-eq": brute_eq, "pol-eq": brute_eq, "zset-eq": brute_zset_eq,
+            "pol-zero": brute_zero, "pol-sat": brute_sat}[question](
+                S, *args, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -443,10 +496,16 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
     With the identity adjoined, an identity-valued variable drops out of the
     word, so the question closes over every elimination slice; a word can be
     identically zero plain yet revivable through the identity.
+
+    allow_brute admits homomorphism search on general matrices, and the
+    exhaustive oracle there with the identity adjoined; without it those
+    calls raise UnsupportedMatrixError.
     """
     prof = classify_matrix(M)
     S = combinatorial(M, adjoin_identity)
     validate_polynomial(S, p)
+    if (v := _gate("pol-zero", prof, S, allow_brute, budget, p)) is not None:
+        return v
 
     if prof.totally_balanced:
         method = "balanced-consistency"
@@ -481,12 +540,6 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
             return Verdict("zero", "border-evaluation", None, detail)
         return _emit_nonzero(S, p, e0, "border-evaluation", detail)
 
-    if not allow_brute:
-        raise UnsupportedMatrixError(
-            "matrix is neither totally balanced nor bordered; "
-            "pass allow_brute to use the oracle")
-    if adjoin_identity:
-        return brute_zero(S, p, budget=budget)
     w = _homomorphism(_Network(M, p), (), _Budget(budget))
     if w is None:
         return Verdict("zero", "homomorphism-search")
@@ -529,21 +582,20 @@ def _border_completion(M, p):
 def pol_zset_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
                 adjoin_identity: bool = False, allow_brute: bool = True,
                 budget: int | None = None) -> Verdict:
-    """Do p and q vanish on exactly the same evaluations?"""
+    """Do p and q vanish on exactly the same evaluations?
+
+    allow_brute admits homomorphism search on general matrices, and the
+    exhaustive oracle on bordered and general ones with the identity
+    adjoined; without it those calls raise UnsupportedMatrixError.
+    """
     prof = classify_matrix(M)
     S = combinatorial(M, adjoin_identity)
     validate_polynomial(S, p)
     validate_polynomial(S, q)
-
+    if (v := _gate("zset-eq", prof, S, allow_brute, budget, p, q)) is not None:
+        return v
     if prof.totally_balanced:
         return _zset_balanced(S, prof, p, q, adjoin_identity)[0]
-
-    if adjoin_identity or not prof.bordered:
-        if not allow_brute:
-            raise UnsupportedMatrixError("no fast zero-set procedure for "
-                                         "this matrix class")
-        if adjoin_identity:
-            return brute_zset_eq(S, p, q, budget=budget)
     return _zset_zero_pairs(S, _Network(M, p), _Network(M, q),
                             _Budget(budget))[0]
 
@@ -744,17 +796,17 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     one homomorphism search per index x, p's end on x and q's on any
     other, at most n + m of them.  A side whose two ends are one symbol
     is skipped.
+
+    allow_brute admits homomorphism search on general matrices, and the
+    exhaustive oracle on every matrix with the identity adjoined; without
+    it those calls raise UnsupportedMatrixError.
     """
     prof = classify_matrix(M)
     S = combinatorial(M, adjoin_identity)
     validate_polynomial(S, p)
     validate_polynomial(S, q)
-    if adjoin_identity or not (prof.totally_balanced or prof.bordered):
-        if not allow_brute:
-            raise UnsupportedMatrixError("no fast equivalence procedure for "
-                                         "this matrix class")
-        if adjoin_identity:
-            return brute_eq(S, p, q, budget=budget)
+    if (v := _gate("pol-eq", prof, S, allow_brute, budget, p, q)) is not None:
+        return v
 
     method = "zset-plus-endpoints"
     # one budget and one network per word for every search of the verdict;
@@ -804,7 +856,12 @@ def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
 
     Over the plain semigroup a nonzero target is one homomorphism search,
     with the leftmost symbol's column pinned to b's and the rightmost
-    symbol's row to b's.
+    symbol's row to b's.  The targets 0 and 1 are settled first, on every
+    matrix.
+
+    For other targets, allow_brute admits homomorphism search on general
+    matrices, and the exhaustive oracle on every matrix with the identity
+    adjoined; without it those calls raise UnsupportedMatrixError.
     """
     S = combinatorial(M, adjoin_identity)
     validate_polynomial(S, p)
@@ -824,12 +881,8 @@ def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
         return Verdict("unsat", "identity-target")
 
     prof = classify_matrix(M)
-    if adjoin_identity or not (prof.totally_balanced or prof.bordered):
-        if not allow_brute:
-            raise UnsupportedMatrixError("no fast satisfiability procedure "
-                                         "for this matrix class")
-        if adjoin_identity:
-            return brute_sat(S, p, b, budget=budget)
+    if (v := _gate("pol-sat", prof, S, allow_brute, budget, p, b)) is not None:
+        return v
     w = _homomorphism(_Network(M, p), ((p.leftmost, 1, 1 << b.i),
                                        (p.rightmost, 2, 1 << b.lam)),
                       _Budget(budget))

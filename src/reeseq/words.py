@@ -30,12 +30,14 @@ from .frozen import Frozen, slot_setters
 
 
 class Symbol(Frozen):
-    __slots__ = ("kind", "name", "elem")  # kind: "var" | "const"
+    # kind: "var" | "const"; is_var, read in every inner loop, is set once
+    __slots__ = ("kind", "name", "elem", "is_var")
 
     def __init__(self, kind: str, name: str = "", elem: Element | None = None):
         _set_kind(self, kind)
         _set_name(self, name)
         _set_elem(self, elem)
+        _set_is_var(self, kind == "var")
 
     def __eq__(self, other):
         if type(other) is not Symbol:
@@ -46,15 +48,11 @@ class Symbol(Frozen):
     def __hash__(self):
         return hash((self.kind, self.name, self.elem))
 
-    @property
-    def is_var(self) -> bool:
-        return self.kind == "var"
-
     def __repr__(self):
         return self.name if self.is_var else repr(self.elem)
 
 
-_set_kind, _set_name, _set_elem = slot_setters(Symbol)
+_set_kind, _set_name, _set_elem, _set_is_var = slot_setters(Symbol)
 
 
 def var(name: str) -> Symbol:

@@ -148,6 +148,8 @@ def test_brute_check_agreement(i2_file, capsys):
     # same fast procedures as the single calls and agrees with its oracle
     for op, words, code in (("term-eq", ["x x y y", "y y x x"], 0),
                             ("pol-eq", ["[1,1] x x [2,2]", "[1,1] x [2,2]"], 1),
+                            ("zset-eq", ["[1,1] u^2 [1,1]", "[1,1] u [1,1]"],
+                             0),
                             ("pol-zero", ["[1,2] x [1,1] x [2,2]"], 0),
                             ("pol-sat", ["[1,1] x", "[2,1]"], 1)):
         for extra in ([], ["--adjoin-identity"]):
@@ -459,7 +461,7 @@ def _argv(draw):
         return [cmd, "--matrix", "MAT", "--kind", kind, draw(_word())]
     argv = [cmd, "--matrix", "MAT"]
     if cmd == "brute-check":
-        argv += ["--op", draw(st.sampled_from(["term-eq", "pol-eq",
+        argv += ["--op", draw(st.sampled_from(["term-eq", "pol-eq", "zset-eq",
                                                "pol-zero", "pol-sat"]))]
     for flag in ("--adjoin-identity", "--brute", "--explain"):
         if draw(st.booleans()):

@@ -414,6 +414,62 @@ def test_pol_zero_unsupported_class():
     assert v.method == "homomorphism-search"
 
 
+# class -> question -> method tags for x [1,1] y (and y [1,1] x, or the
+# target [1,1]) with allow_brute, plain and with the identity adjoined
+_ROUTES = {
+    "all-ones": {"pol-zero": ("balanced-consistency",) * 2,
+                 "zset-eq": ("all-ones-variables",) * 2,
+                 "pol-eq": ("zset-plus-endpoints", "brute-force"),
+                 "pol-sat": ("homomorphism-search", "brute-force")},
+    "balanced": {"pol-zero": ("balanced-consistency",) * 2,
+                 "zset-eq": ("balanced-constraint-systems",) * 2,
+                 "pol-eq": ("zset-plus-endpoints", "brute-force"),
+                 "pol-sat": ("homomorphism-search", "brute-force")},
+    "bordered": {"pol-zero": ("border-evaluation",) * 2,
+                 "zset-eq": ("homomorphism-search", "brute-force"),
+                 "pol-eq": ("zset-plus-endpoints", "brute-force"),
+                 "pol-sat": ("homomorphism-search", "brute-force")},
+    "general": {"pol-zero": ("homomorphism-search", "brute-force"),
+                "zset-eq": ("homomorphism-search", "brute-force"),
+                "pol-eq": ("zset-plus-endpoints", "brute-force"),
+                "pol-sat": ("homomorphism-search", "brute-force")},
+}
+_ROUTE_MATRICES = {"all-ones": r.all_ones(2, 2), "balanced": I2,
+                   "bordered": r.border(I2), "general": H3}
+
+
+@pytest.mark.parametrize("identity", [False, True], ids=["plain", "S1"])
+@pytest.mark.parametrize("cls", sorted(_ROUTES))
+def test_brute_gate_routes(cls, identity):
+    # with allow_brute each gated question runs the pinned procedure;
+    # without it, it gives the same verdict where that procedure is
+    # polynomial, and otherwise refuses, naming the question, the reason
+    # (the identity exactly when the class alone has a procedure) and what
+    # allow_brute runs
+    M = _ROUTE_MATRICES[cls]
+    S = r.combinatorial(M, identity)
+    p, q = (r.parse_polynomial(t, S) for t in ("x [1,1] y", "y [1,1] x"))
+    calls = {"pol-zero": partial(r.pol_zero, M, p),
+             "zset-eq": partial(r.pol_zset_eq, M, p, q),
+             "pol-eq": partial(r.pol_eq, M, p, q),
+             "pol-sat": partial(r.pol_sat, M, p, r.pair(0, 0))}
+    for question, run in calls.items():
+        v = run(adjoin_identity=identity)
+        method = _ROUTES[cls][question][identity]
+        assert v.method == method, question
+        checked_kind(v)
+        if cls != "general" and method != "brute-force":
+            assert run(adjoin_identity=identity, allow_brute=False) == v
+            continue
+        with pytest.raises(UnsupportedMatrixError) as err:
+            run(adjoin_identity=identity, allow_brute=False)
+        text = str(err.value)
+        assert text.startswith(question + ":"), text
+        assert ("identity" in text) == (cls != "general"), text
+        assert text.endswith("the exhaustive oracle" if identity
+                             else "homomorphism search"), text
+
+
 # ---------------------------------------------------------------------------
 # homomorphism search
 
@@ -1171,3 +1227,16 @@ def test_fast_paths_never_reach_the_kernel():
                     todo.append(ref)
     assert {"_homomorphism", "_Network", "_narrow", "classify_matrix",
             "brute_eq"} <= set(via)
+
+
+def test_one_site_runs_an_oracle():
+    # of decide's functions outside the oracle section, oracle alone names
+    # the exhaustive oracles, and the brute gate alone calls it
+    oracles = {"brute_eq", "brute_zset_eq", "brute_zero", "brute_sat"}
+    refs = {name: set().union(*(_global_names(code)
+                                for code in _decide_codes(name)))
+            for name in vars(decide) if name not in oracles}
+    assert [name for name, names in refs.items() if names & oracles] \
+        == ["oracle"]
+    assert [name for name, names in refs.items() if "oracle" in names] \
+        == ["_gate"]
