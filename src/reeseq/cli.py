@@ -37,14 +37,16 @@ def _add_common(sub):
                      help="work over the semigroup with identity adjoined")
     sub.add_argument("--budget", type=positive_int, default=None,
                      help="evaluation budget for exhaustive search, search "
-                          "nodes for all the homomorphism searches of one "
-                          "verdict; term-eq decides without one "
-                          "(default REESEQ_BUDGET or 10^7)")
+                          "nodes for all the homomorphism searches and "
+                          "elimination slices of one verdict; term-eq "
+                          "decides without one (default REESEQ_BUDGET or "
+                          "10^7)")
     sub.add_argument("--brute", action="store_true",
                      help="admit what has no polynomial bound: homomorphism "
-                          "search on general matrices, and the exhaustive "
-                          "oracle with the identity adjoined where no fast "
-                          "path takes it; term-eq needs neither")
+                          "search on general matrices (neither totally "
+                          "balanced nor bordered), over each elimination "
+                          "slice with the identity adjoined; term-eq needs "
+                          "no --brute")
     sub.add_argument("--explain", action="store_true",
                      help="print the dispatch path and certificate")
     sub.add_argument("--format", choices=("plain", "json"), default="plain")

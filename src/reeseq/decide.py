@@ -30,26 +30,32 @@ The exceptions are the paper's polynomial certificates: pol-zero on totally
 balanced matrices (the hat transform relabels words onto an identity
 matrix, where zero-ness is consistency of graph components) and on
 bordered ones (the border evaluation), and zset-eq on all-ones and totally
-balanced matrices (variable sets and constraint systems).  Both hold with
-the identity adjoined too, over every elimination slice on the balanced
-class.  There zset-eq and term-eq compare slice 0, then the words'
-records (graphs.CompiledWord.records, what one scan meets), then, only if
-the records differ, their families (the records' minimal masks), each
+balanced matrices (variable sets and constraint systems).
+
+With the identity adjoined, an assignment sets some variables to ONE,
+dropping them from the word, so each question splits over these
+elimination slices: p = q when on every slice the slice words are equal
+over the plain semigroup or both empty; the zero sets agree when they
+agree on every slice; p is zero when every slice is; p = b is solvable
+when some slice solves it.  pol-zero keeps its certificates, over every
+slice on the balanced class.  There zset-eq, term-eq and pol-eq compare
+one key per slice, slice 0 first, then the words' records
+(graphs.CompiledWord.records, what one scan meets), then, only if the
+records differ, their families (the records' minimal masks), each
 settling every slice when equal; only words whose families differ too
-walk the slices, up to the first that differs.  Elsewhere term-eq with
-identity decides from term profiles and takes the witness of the
-elimination slice they name.
+walk the keys, up to the first slice that differs.  Elsewhere term-eq
+decides from term profiles, and every other question walks the slices
+with the plain procedure (_walk) up to the first that decides, after
+pol-sat and pol-zero have tried to refute every slice at once from the
+constants.  A witness is the plain witness of the deciding slice with its
+eliminated variables set to ONE.
 
 allow_brute (--brute in the CLI) admits what has no polynomial bound:
 homomorphism search on general matrices (neither totally balanced nor
-bordered), and the budgeted exhaustive oracle with the identity adjoined
-where no fast path takes it.  _POLYNOMIAL lists, per question, the
-classes with a polynomial procedure, plain and with the identity; one
-gate reads it, and without allow_brute raises UnsupportedMatrixError,
-saying whether the matrix class or the adjoined identity is the reason
-and what allow_brute runs.  oracle is the one function outside the
-oracle section that runs an oracle, whose method tag, brute-force, says
-that it ran.  term-eq needs no allow_brute.
+bordered), over each elimination slice with the identity adjoined; _gate
+refuses those calls without it.  term-eq needs no allow_brute.  No
+decision procedure runs an exhaustive oracle; oracle, the one function
+outside the oracle section that names them, serves the CLI's brute-check.
 
 Every verdict carries a method tag, and negative (positive, for
 satisfiability) verdicts carry a witness evaluation that is re-checked
@@ -190,42 +196,25 @@ def classify_matrix(M: StructureMatrix) -> MatrixProfile:
 
 # ---------------------------------------------------------------------------
 # What allow_brute gates
-#
-# Each question's matrix classes with a polynomial procedure, without and
-# with the identity adjoined.  An all-ones matrix is balanced, and so is a
-# matrix both balanced and bordered; general is neither.
 
-_POLYNOMIAL = {
-    "pol-zero": (("balanced", "bordered"), ("balanced", "bordered")),
-    "zset-eq": (("balanced", "bordered"), ("balanced",)),
-    "pol-eq": (("balanced", "bordered"), ()),
-    "pol-sat": (("balanced", "bordered"), ())}
-
-
-def _gate(question, prof, S, allow_brute, budget, *args):
-    """None when question has a polynomial procedure on prof's class over S,
-    or when allow_brute admits the homomorphism search over the plain
-    semigroup; the oracle's verdict on args when allow_brute admits it with
-    the identity adjoined; else UnsupportedMatrixError."""
-    cls = ("balanced" if prof.totally_balanced
-           else "bordered" if prof.bordered else "general")
-    plain, with_identity = _POLYNOMIAL[question]
-    if cls in (with_identity if S.has_identity else plain):
-        return None
-    if allow_brute:
-        return oracle(question, S, args, budget) if S.has_identity else None
-    why = ("with the identity adjoined" if cls in plain else
-           f"for {cls} matrices (neither totally balanced nor bordered)")
-    runs = "the exhaustive oracle" if S.has_identity else "homomorphism search"
-    raise UnsupportedMatrixError(f"{question}: no polynomial procedure "
-                                 f"{why}; allow_brute (--brute) runs {runs}")
+def _gate(question, prof, S, allow_brute) -> None:
+    """Refuse question on a general matrix (neither totally balanced nor
+    bordered) unless allow_brute admits homomorphism search there, over
+    each elimination slice when S has the identity adjoined."""
+    if prof.totally_balanced or prof.bordered or allow_brute:
+        return
+    runs = " on each elimination slice" if S.has_identity else ""
+    raise UnsupportedMatrixError(
+        f"{question}: no polynomial procedure for general matrices (neither "
+        f"totally balanced nor bordered); allow_brute (--brute) runs "
+        f"homomorphism search{runs}")
 
 
 def oracle(question: str, S: ReesSemigroup, args,
            budget: int | None = None) -> Verdict:
-    """The exhaustive oracle of a CLI question on the tuple args over S:
-    brute_eq for term-eq and pol-eq, brute_zset_eq, brute_zero and
-    brute_sat for the others.  Each is looked up when it runs, so a
+    """The exhaustive oracle of a CLI question on the tuple args over S, for
+    brute-check: brute_eq for term-eq and pol-eq, brute_zset_eq, brute_zero
+    and brute_sat for the others.  Each is looked up when it runs, so a
     rebinding in this module reaches it."""
     return {"term-eq": brute_eq, "pol-eq": brute_eq, "zset-eq": brute_zset_eq,
             "pol-zero": brute_zero, "pol-sat": brute_sat}[question](
@@ -372,22 +361,23 @@ def _witness_slice(kp, kq) -> tuple[str, ...]:
     return tuple(sorted(min(fp ^ fq, key=lambda A: (len(A), sorted(A)))))
 
 
-def _slice_mismatch(key, cwp, cwq, full: bool):
+def _slice_mismatch(key, cwp, cwq, full: bool, certify: bool = True):
     """The first elimination slice on which two compiled words over the same
     names differ, as (mask, key of p, key of q), or None when every slice
     agrees; key(cw, mask) reads one slice, and full is _slice_masks'.
 
     Slice 0 goes first.  When it agrees, words over the same variables
     agree on every slice if their records (CompiledWord.records) are equal,
-    or else their families, the records' minimal masks; only otherwise are
-    the other slices walked, in _slice_masks order, up to the first that
-    differs.
+    or else their families, the records' minimal masks, unless certify is
+    false; only otherwise are the other slices walked, in _slice_masks
+    order, up to the first that differs.
     """
     a, b = key(cwp, 0), key(cwq, 0)
     if a != b:
         return 0, a, b
-    if cwp.varmask == cwq.varmask and (cwp.records() == cwq.records()
-                                       or cwp.families() == cwq.families()):
+    if certify and cwp.varmask == cwq.varmask and (
+            cwp.records() == cwq.records()
+            or cwp.families() == cwq.families()):
         return None
     masks = _slice_masks(len(cwp.names), full)
     for mask in itertools.islice(masks, 1, None):  # past slice 0
@@ -395,6 +385,42 @@ def _slice_mismatch(key, cwp, cwq, full: bool):
         if a != b:
             return mask, a, b
     return None
+
+
+def _walk(words, nodes, settle, kind: str, emit) -> Verdict:
+    """A question over the semigroup with the identity adjoined that splits
+    over the elimination slices of words: kind when settle decides no
+    slice, else emit's verdict for the first, in _slice_masks order, that
+    settle decides.
+
+    settle(*slice words), an empty one read as None, gives None or a plain
+    witness over the slice words' variables and detail rows.  Each slice
+    visited spends one node of the verdict's budget.
+    """
+    names = tuple(sorted(set().union(*(w.variables for w in words))))
+    for mask in _slice_masks(len(names)):
+        nodes.spend()
+        W = _mask_names(names, mask)
+        hit = settle(*[eliminate_variables(w, W) for w in words])
+        if hit is not None:
+            return _emit_slice(emit, "elimination-slices", W, hit)
+    return Verdict(kind, "elimination-slices", None,
+                   (("elimination slices", 2 ** len(names)),))
+
+
+def _emit_slice(emit, method, W, hit):
+    """emit's verdict on a slice's plain witness and detail rows, hit, with
+    the slice's eliminated variables W set to ONE."""
+    w, detail = hit
+    w.update(dict.fromkeys(W, ONE))
+    return emit(w, method, (("identity slice", W),) + detail)
+
+
+def _dead_pair(M, p) -> bool:
+    """Do two adjacent constants of p meet a zero entry of M?  Constants
+    are never eliminated, so then every slice of p is zero."""
+    return any(not (s.is_var or t.is_var) and not M.entry(s.elem.lam, t.elem.i)
+               for s, t in zip(p.word, p.word[1:]))
 
 
 def _balanced_s1_detail(prof, p, q):
@@ -497,15 +523,14 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
     word, so the question closes over every elimination slice; a word can be
     identically zero plain yet revivable through the identity.
 
-    allow_brute admits homomorphism search on general matrices, and the
-    exhaustive oracle there with the identity adjoined; without it those
-    calls raise UnsupportedMatrixError.
+    allow_brute admits homomorphism search on general matrices, over each
+    slice with the identity adjoined; without it those calls raise
+    UnsupportedMatrixError.
     """
     prof = classify_matrix(M)
     S = combinatorial(M, adjoin_identity)
     validate_polynomial(S, p)
-    if (v := _gate("pol-zero", prof, S, allow_brute, budget, p)) is not None:
-        return v
+    _gate("pol-zero", prof, S, allow_brute)
 
     if prof.totally_balanced:
         method = "balanced-consistency"
@@ -514,9 +539,7 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
         cw = CompiledWord(ph, names)
         # two adjacent constants that conflict kill every slice alike, and
         # slice 0 alone shows it
-        pairs = zip(cw.positions, cw.positions[1:])
-        walk = adjoin_identity and not any(not a[0] | b[0] and a[2] != b[1]
-                                           for a, b in pairs)
+        walk = adjoin_identity and not _dead_pair(M, p)
         masks = _slice_masks(len(names)) if walk else (0,)
         alive = next((W for W in masks if cw.labels(W) is not None), None)
         W = None if alive is None else _mask_names(names, alive)
@@ -540,10 +563,17 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
             return Verdict("zero", "border-evaluation", None, detail)
         return _emit_nonzero(S, p, e0, "border-evaluation", detail)
 
-    w = _homomorphism(_Network(M, p), (), _Budget(budget))
-    if w is None:
+    nodes = _Budget(budget)
+    if adjoin_identity:
+        if _dead_pair(M, p):
+            return Verdict("zero", "elimination-slices", None,
+                           (("every slice", "a zero constant pair"),))
+        return _walk((p,), nodes, partial(_search_slice, M, nodes, None),
+                     "zero", partial(_emit_nonzero, S, p))
+    hit = _search_slice(M, nodes, None, p)
+    if hit is None:
         return Verdict("zero", "homomorphism-search")
-    return _emit_nonzero(S, p, w, "homomorphism-search")
+    return _emit_nonzero(S, p, hit[0], "homomorphism-search")
 
 
 def _balanced_nonzero_witness(plan, ph, pins):
@@ -584,20 +614,39 @@ def pol_zset_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
                 budget: int | None = None) -> Verdict:
     """Do p and q vanish on exactly the same evaluations?
 
-    allow_brute admits homomorphism search on general matrices, and the
-    exhaustive oracle on bordered and general ones with the identity
-    adjoined; without it those calls raise UnsupportedMatrixError.
+    With the identity adjoined, the balanced class compares constraint
+    systems slice by slice; bordered and general matrices walk the slices
+    with homomorphism search.  allow_brute admits homomorphism search on
+    general matrices; without it those calls raise UnsupportedMatrixError.
     """
     prof = classify_matrix(M)
     S = combinatorial(M, adjoin_identity)
     validate_polynomial(S, p)
     validate_polynomial(S, q)
-    if (v := _gate("zset-eq", prof, S, allow_brute, budget, p, q)) is not None:
-        return v
+    _gate("zset-eq", prof, S, allow_brute)
     if prof.totally_balanced:
         return _zset_balanced(S, prof, p, q, adjoin_identity)[0]
-    return _zset_zero_pairs(S, _Network(M, p), _Network(M, q),
-                            _Budget(budget))[0]
+    nodes = _Budget(budget)
+    if adjoin_identity:
+        return _walk((p, q), nodes,
+                     partial(_zset_slice, combinatorial(M), M, nodes),
+                     "equal", partial(_emit_eq_zset, S, p, q))
+    return _zset_zero_pairs(S, _Network(M, p), _Network(M, q), nodes)[0]
+
+
+def _zset_slice(S, M, nodes, pw, qw):
+    """zset-eq on one elimination slice over the plain semigroup S: None
+    when the zero sets of the slice words agree, else a witness over their
+    variables and detail rows.  An empty word reads ONE, never zero; a word
+    is zero somewhere when it has a variable or its constants meet a zero."""
+    if pw is None or qw is None:
+        live = pw or qw
+        w = {} if live is None else dict.fromkeys(live.variables, ZERO)
+        if live is None or not w and evaluate(S, live, w) != ZERO:
+            return None
+        return w, (("empty slice word", pw is None, qw is None),)
+    v = _zset_zero_pairs(S, _Network(M, pw), _Network(M, qw), nodes)[0]
+    return None if v.witness is None else (v.witness.as_dict(), v.detail)
 
 
 def _emit_eq_zset(S, p, q, witness, method, detail):
@@ -615,15 +664,17 @@ def _system(names, labels) -> tuple:
     have the same constraint system, namely which variable vertices each
     connected component glues together and which index (if any) it pins
     them to.  Components without variable vertices constrain nothing, and
-    so do unpinned singletons; both are dropped.
+    so do unpinned singletons; both are dropped.  Each part is a sorted
+    tuple, so that its repr is the same in every process.
     """
     if labels is None:
         return ("zero",)
     groups = _label_groups(names, labels)
-    kept = frozenset(v[1] for vs in groups.values() for v in vs)
+    kept = tuple(sorted({v[1] for vs in groups.values() for v in vs}))
     return ("system", kept,
-            frozenset((vs, -1 - c if c < 0 else None)
-                      for c, vs in groups.items() if c < 0 or len(vs) > 1))
+            tuple(sorted((tuple(sorted(vs)), -1 - c if c < 0 else None)
+                         for c, vs in groups.items()
+                         if c < 0 or len(vs) > 1)))
 
 
 def _zset_balanced(S, prof, p, q, with_identity):
@@ -743,7 +794,9 @@ def _zset_zero_pairs(S, netp, netq, nodes):
         w = wq if v in p.variables else wp
         w[v] = ZERO
     else:
-        hit = _zero_pair(netp, q, nodes) or _zero_pair(netq, p, nodes)
+        pp, pq = _pair_keys(p), _pair_keys(q)
+        hit = (_zero_pair(netp, pq, pp, nodes)
+               or _zero_pair(netq, pp, pq, nodes))
         if hit is None:
             return Verdict("equal", method, None,
                            (("zero pairs", "none separates the words"),)), True
@@ -754,21 +807,29 @@ def _zset_zero_pairs(S, netp, netq, nodes):
     return _emit_eq_zset(S, p, q, w, method, detail), wp is not None
 
 
-def _zero_pair(net, dst, nodes):
+def _pair_keys(p) -> dict:
+    """p's adjacent symbol pairs in first-occurrence order, keyed by plain
+    values (a variable's name, a constant's coordinates), which hash
+    without calling Symbol.__hash__."""
+    keys = [s.name if s.is_var else (s.elem.i, s.elem.g, s.elem.lam)
+            for s in p.word]
+    return dict(zip(zip(keys, keys[1:]), zip(p.word, p.word[1:])))
+
+
+def _zero_pair(net, pairs, own, nodes):
     """An adjacent pair s t of dst and a zero entry M(lam, i), as text,
     and a nonzero evaluation of src, net's word, with s's row on lam and
     t's column on i, under which dst is zero; None when there is none.
-    One search per row lam with a zero keeps t's column among that row's
-    zeros, and i is read off the witness.  A pair that src has too would
-    kill src as well, so it is skipped.
+    pairs and own are the _pair_keys of dst and src.  One search per row
+    lam with a zero keeps t's column among that row's zeros, and i is read
+    off the witness.  A pair that src has too would kill src as well, so it
+    is skipped.
     """
     full = (1 << len(net.support[0])) - 1
     rows = [(lam, ones) for lam, ones in enumerate(net.support[1])
             if ones != full]
-    src = net.word
-    own = set(zip(src.word, src.word[1:]))
-    for s, t in dict.fromkeys(zip(dst.word, dst.word[1:])):
-        if (s, t) in own:
+    for key, (s, t) in pairs.items():
+        if key in own:
             continue
         for lam, ones in rows:
             w = _homomorphism(net, ((s, 2, 1 << lam), (t, 1, full ^ ones)),
@@ -797,22 +858,53 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     other, at most n + m of them.  A side whose two ends are one symbol
     is skipped.
 
-    allow_brute admits homomorphism search on general matrices, and the
-    exhaustive oracle on every matrix with the identity adjoined; without
-    it those calls raise UnsupportedMatrixError.
+    With the identity adjoined, p = q exactly when on every elimination
+    slice the slice words are equal or both empty.  The balanced class
+    compares one key per slice (_eq_key) through _slice_mismatch, and
+    searches only the slice that differs; every other class walks the
+    slices with the plain procedure.  allow_brute admits homomorphism
+    search on general matrices; without it those calls raise
+    UnsupportedMatrixError.
     """
     prof = classify_matrix(M)
     S = combinatorial(M, adjoin_identity)
     validate_polynomial(S, p)
     validate_polynomial(S, q)
-    if (v := _gate("pol-eq", prof, S, allow_brute, budget, p, q)) is not None:
-        return v
-
-    method = "zset-plus-endpoints"
-    # one budget and one network per word for every search of the verdict;
-    # the balanced class (all-ones included) compares zero sets without
-    # one, and either comparison says whether p is nonzero somewhere
+    _gate("pol-eq", prof, S, allow_brute)
+    # one budget for every search and every slice of the verdict
     nodes = _Budget(budget)
+    if not adjoin_identity:
+        return _eq_plain(S, M, prof, p, q, nodes)
+    settle = partial(_eq_slice, combinatorial(M), M, prof, nodes)
+    if not prof.totally_balanced:
+        return _walk((p, q), nodes, settle, "equal",
+                     partial(_emit_eq, S, p, q))
+    method = "balanced-elimination-slices"
+    names = tuple(sorted(set(p.variables + q.variables)))
+    words = {CompiledWord(hat_transform(w, prof.plan), names): w
+             for w in (p, q)}
+    cwp, cwq = words
+    # equal records or families fix each slice's end vertices, so they
+    # settle the ends too once the constants that can be ends agree
+    hit = _slice_mismatch(partial(_eq_key, prof, words), cwp, cwq, True,
+                          _end_constants(p) == _end_constants(q))
+    if hit is None:
+        return Verdict("equal", method, None,
+                       (("slice keys", "agree on every slice"),))
+    W = _mask_names(names, hit[0])
+    found = settle(eliminate_variables(p, W), eliminate_variables(q, W))
+    if found is None:
+        raise WitnessSearchError(f"{p} and {q} agree with {W} eliminated; "
+                                 "the slice keys are wrong")
+    return _emit_slice(partial(_emit_eq, S, p, q), method, W, found)
+
+
+def _eq_plain(S, M, prof, p, q, nodes) -> Verdict:
+    """pol-eq over the plain semigroup S of M, for validated words."""
+    method = "zset-plus-endpoints"
+    # one network per word for every search of the verdict; the balanced
+    # class (all-ones included) compares zero sets without one, and either
+    # comparison says whether p is nonzero somewhere
     if prof.totally_balanced:
         net = None
         z, alive = _zset_balanced(S, prof, p, q, False)
@@ -849,6 +941,68 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
                                            ("endpoint scan", "clean")))
 
 
+def _eq_slice(S, M, prof, nodes, pw, qw):
+    """pol-eq on one elimination slice over the plain semigroup S: None
+    when the slice words are equal or both empty, else a witness over
+    their variables and detail rows.  An empty word reads ONE, which no
+    plain value equals."""
+    if pw is None or qw is None:
+        if pw is qw:
+            return None
+        return (dict.fromkeys((pw or qw).variables, ZERO),
+                (("empty slice word", pw is None, qw is None),))
+    v = _eq_plain(S, M, prof, pw, qw, nodes)
+    return None if v.witness is None else (v.witness.as_dict(), v.detail)
+
+
+def _eq_key(prof, words, cw, W):
+    """Plain pol-eq's key for slice W of a compiled word on the balanced
+    class: two slice words are equal over the plain semigroup exactly when
+    their keys are.  words maps each compiled word to its word.
+
+    An empty slice reads "empty" and a zero one None.  Otherwise equal
+    words have equal zero sets: the kept variables on an all-ones matrix,
+    elsewhere the labels, the constraint system.  They have equal ends
+    too, the column of the first kept symbol and the row of the last.  Off
+    all-ones the label of the first X vertex (a constant vertex reads as
+    its pin) names the class of that column, and a free class can be any
+    of at least two.  The class fixes the column unless it can hold two
+    equal columns; only then does the end symbol (a variable's name, a
+    constant's column) enter the key.  On an all-ones matrix, one class,
+    that is whenever M has two columns.  Rows likewise.
+    """
+    positions = cw.positions
+    kept = [t for t, pos in enumerate(positions) if not pos[0] & W]
+    if not kept:
+        return "empty"
+    word = words[cw].word
+    first, last = word[kept[0]], word[kept[-1]]
+    sx = first.name if first.is_var else first.elem.i
+    sy = last.name if last.is_var else last.elem.lam
+    if prof.all_ones:
+        return (cw.varmask & ~W, sx if prof.equal_cols else None,
+                sy if prof.equal_rows else None)
+    lab = cw.labels(W)
+    if lab is None:
+        return None
+    base, plan = cw.base, prof.plan
+    x, y = positions[kept[0]][1], positions[kept[-1]][2]
+    lx = lab[x] if x < base else base - 1 - x
+    ly = lab[y] if y < base else base - 1 - y
+    if not prof.equal_cols or lx < 0 and plan.col_class.count(-1 - lx) < 2:
+        sx = None
+    if not prof.equal_rows or ly < 0 and plan.row_class.count(-1 - ly) < 2:
+        sy = None
+    return tuple(lab), lx, ly, sx, sy
+
+
+def _end_constants(p):
+    """The column of p's first constant and the row of its last, the only
+    constants that can end a slice of p; None for a term."""
+    consts = [s.elem for s in p.word if not s.is_var]
+    return (consts[0].i, consts[-1].lam) if consts else None
+
+
 def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
             adjoin_identity: bool = False, allow_brute: bool = True,
             budget: int | None = None) -> Verdict:
@@ -856,12 +1010,15 @@ def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
 
     Over the plain semigroup a nonzero target is one homomorphism search,
     with the leftmost symbol's column pinned to b's and the rightmost
-    symbol's row to b's.  The targets 0 and 1 are settled first, on every
-    matrix.
+    symbol's row to b's.  With the identity adjoined, p = b is solvable
+    when some elimination slice solves it.  Constants are never eliminated,
+    so a constant end outside b's column or row, or two adjacent constants
+    on a zero entry, refutes every slice at once; otherwise the slices are
+    walked up to the first that solves it.  The targets 0 and 1 are
+    settled first, on every matrix.
 
     For other targets, allow_brute admits homomorphism search on general
-    matrices, and the exhaustive oracle on every matrix with the identity
-    adjoined; without it those calls raise UnsupportedMatrixError.
+    matrices; without it those calls raise UnsupportedMatrixError.
     """
     S = combinatorial(M, adjoin_identity)
     validate_polynomial(S, p)
@@ -880,15 +1037,33 @@ def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
                              "identity-target")
         return Verdict("unsat", "identity-target")
 
-    prof = classify_matrix(M)
-    if (v := _gate("pol-sat", prof, S, allow_brute, budget, p, b)) is not None:
-        return v
-    w = _homomorphism(_Network(M, p), ((p.leftmost, 1, 1 << b.i),
-                                       (p.rightmost, 2, 1 << b.lam)),
-                      _Budget(budget))
-    if w is None:
-        return Verdict("unsat", "homomorphism-search")
-    return _emit_sat(S, p, b, w, "homomorphism-search")
+    _gate("pol-sat", classify_matrix(M), S, allow_brute)
+    nodes = _Budget(budget)
+    if not adjoin_identity:
+        hit = _search_slice(M, nodes, b, p)
+        if hit is None:
+            return Verdict("unsat", "homomorphism-search")
+        return _emit_sat(S, p, b, hit[0], "homomorphism-search")
+    a, z = p.leftmost, p.rightmost
+    if (not a.is_var and a.elem.i != b.i
+            or not z.is_var and z.elem.lam != b.lam or _dead_pair(M, p)):
+        return Verdict("unsat", "elimination-slices", None,
+                       (("every slice", "refuted by the constants"),))
+    return _walk((p,), nodes, partial(_search_slice, M, nodes, b), "unsat",
+                 partial(_emit_sat, S, p, b))
+
+
+def _search_slice(M, nodes, b, pw):
+    """One homomorphism search on a slice word over the plain semigroup,
+    for a nonzero value (b None) or for the value b, the ends masked to
+    b's column and row: its witness and no detail rows, or None.  An empty
+    word (None) reads ONE, nonzero and no target."""
+    if pw is None:
+        return None if b is not None else ({}, ())
+    wants = () if b is None else ((pw.leftmost, 1, 1 << b.i),
+                                  (pw.rightmost, 2, 1 << b.lam))
+    w = _homomorphism(_Network(M, pw), wants, nodes)
+    return None if w is None else (w, ())
 
 
 # ---------------------------------------------------------------------------
@@ -948,8 +1123,8 @@ class _Network:
 
 class _Budget:
     """One verdict's search nodes, shared by all of its runs: every value
-    tried is a node, and more than limit of them raise
-    BudgetExceededError."""
+    tried is a node, and so is every elimination slice a walk visits; more
+    than limit of them raise BudgetExceededError."""
 
     __slots__ = ("limit", "spent")
 
@@ -959,6 +1134,12 @@ class _Budget:
             raise BudgetExceededError(
                 f"budget must be positive, got {self.limit}")
         self.spent = 0
+
+    def spend(self) -> None:
+        self.spent += 1
+        if self.spent > self.limit:
+            raise BudgetExceededError(f"search exceeds budget {self.limit} "
+                                      "nodes")
 
 
 def _narrow(doms, nbrs, support, queue, trail) -> bool:
@@ -1078,11 +1259,7 @@ def _homomorphism(net: _Network, wants, nodes: _Budget) -> dict | None:
                     if not rest:
                         frames.pop()
                         continue
-                    nodes.spent += 1
-                    if nodes.spent > nodes.limit:
-                        raise BudgetExceededError(
-                            "homomorphism search exceeds budget "
-                            f"{nodes.limit} nodes")
+                    nodes.spend()
                     low = rest & -rest
                     frame[1] = rest ^ low
                     trail.append((v, doms[v]))
@@ -1134,13 +1311,34 @@ def brute_group_eq(G: FiniteGroup, p: Polynomial, q: Polynomial, *,
     return None
 
 
+def _group_counterexample(G: FiniteGroup, p: Polynomial, q: Polynomial):
+    """An assignment on which the group readings of two terms differ, as
+    name -> group element for the variables off the identity, or None.
+
+    With every variable but x on the identity a word reads g^c(x), c(x)
+    the count of x in it; so when the exponent of G does not divide the
+    difference d of x's counts, an element whose order does not divide d,
+    on x alone, separates the words.  In an abelian group a word reads the
+    product of the g_x^c(x), so that count test decides; a non-abelian
+    group that passes it is enumerated by brute_group_eq.
+    """
+    counts = {}
+    for sign, word in ((1, p), (-1, q)):
+        for s in word.word:
+            counts[s.name] = counts.get(s.name, 0) + sign
+    for x, d in counts.items():
+        if d % G.exponent:
+            return {x: next(g for g, k in enumerate(G.orders) if d % k)}
+    return None if G.is_abelian else brute_group_eq(G, p, q)
+
+
 def term_eq_group(M: StructureMatrix, G: FiniteGroup, p: Polynomial,
                   q: Polynomial) -> Verdict:
     """Term equivalence over M(G, M) for a 0-1 matrix M.
 
     Splits into the combinatorial shadow, compared by term profiles, and
-    the group reading of the words, decided by brute_group_eq.  The witness
-    comes from the side that differs, with no search: the group
+    the group reading of the words, decided by _group_counterexample.  The
+    witness comes from the side that differs, with no search: the group
     counterexample g placed on a nonzero cell M(lam0, i0), where every word
     takes the value [i0, w(g), lam0]; else the shadow witness with the group
     identity in every coordinate, since forgetting the group coordinate is a
@@ -1151,7 +1349,7 @@ def term_eq_group(M: StructureMatrix, G: FiniteGroup, p: Polynomial,
     _require_term(p)
     _require_term(q)
     shadow_equal = term_profile(M, p) == term_profile(M, q)
-    gw = None if p == q else brute_group_eq(G, p, q)
+    gw = None if p == q else _group_counterexample(G, p, q)
     method = "shadow-plus-group"
     detail = (("shadow equal", shadow_equal), ("group equal", gw is None))
     if shadow_equal and gw is None:

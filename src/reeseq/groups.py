@@ -7,8 +7,10 @@ bound (the cubic check is cheap at the scales used here).
 
 from __future__ import annotations
 
+import math
 import re
 import warnings
+from functools import cached_property
 
 from .errors import GroupTableError
 from .frozen import Frozen
@@ -17,7 +19,8 @@ ASSOCIATIVITY_CHECK_LIMIT = 64
 
 
 class FiniteGroup(Frozen):
-    __slots__ = ("name", "table", "identity", "inverse", "labels")
+    # __dict__ holds the cached_property values
+    __slots__ = ("name", "table", "identity", "inverse", "labels", "__dict__")
 
     def __init__(self, name: str, table: tuple[tuple[int, ...], ...],
                  identity: int, inverse: tuple[int, ...],
@@ -41,6 +44,27 @@ class FiniteGroup(Frozen):
     @property
     def is_trivial(self) -> bool:
         return len(self.table) == 1
+
+    @cached_property
+    def orders(self) -> tuple[int, ...]:
+        """The order of each element."""
+        out = []
+        for a in range(len(self.table)):
+            k, x = 1, a
+            while x != self.identity:
+                k, x = k + 1, self.table[x][a]
+            out.append(k)
+        return tuple(out)
+
+    @cached_property
+    def exponent(self) -> int:
+        """The least e > 0 with g^e the identity for every g."""
+        return math.lcm(*self.orders)
+
+    @cached_property
+    def is_abelian(self) -> bool:
+        t = self.table
+        return all(t[a][b] == t[b][a] for a in range(len(t)) for b in range(a))
 
 
 def finite_group(table, name="group", labels=None) -> FiniteGroup:

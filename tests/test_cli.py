@@ -159,6 +159,45 @@ def test_brute_check_agreement(i2_file, capsys):
             assert out.endswith("agree\n"), (op, extra, out)
 
 
+def test_brute_check_with_identity_runs_the_walk(tmp_path, capsys):
+    # with the identity adjoined the fast side of brute-check walks the
+    # elimination slices, so it checks something other than the oracle
+    path = tmp_path / "H3.mat"
+    path.write_text(r.format_matrix_file(r.hollow(3)), encoding="utf-8")
+    for op, words in (("pol-eq", ["x y x", "x y y x"]),
+                      ("zset-eq", ["x y", "y x"]),
+                      ("pol-zero", ["[1,2] x [2,1]"]),
+                      ("pol-sat", ["x [1,2] y", "[2,3]"])):
+        argv = ["brute-check", "--matrix", str(path), "--op", op,
+                "--adjoin-identity", *words]
+        assert main(argv) in (0, 1), op
+        fast, oracle, verdict = capsys.readouterr().out.splitlines()
+        assert fast.startswith("fast: ") and "[brute-force]" not in fast, op
+        assert oracle.endswith("[brute-force]"), op
+        assert fast.split()[1] == oracle.split()[1], op
+        assert verdict == "agree", op
+
+
+def test_constraint_rows_repr_alike_in_every_process():
+    # the balanced zero-set detail holds unpinned components, whose pin is
+    # None; two processes with one hash seed must repr it alike
+    script = ("import reeseq as r\n"
+              "M = r.identity(3)\nS = r.combinatorial(M)\n"
+              "for p, q in (('x y z', 'x y y z'), ('x [1,1] y z', 'z y x'),\n"
+              "             ('u v w u', 'u w v u'), ('a b c d', 'd c b a')):\n"
+              "    p, q = r.parse_polynomial(p, S), r.parse_polynomial(q, S)\n"
+              "    print(repr(r.pol_zset_eq(M, p, q).detail))\n"
+              "    print(repr(r.pol_eq(M, p, q).detail))\n")
+    src = os.path.dirname(os.path.dirname(r.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=path)
+    runs = [subprocess.run([sys.executable, "-c", script], env=env,
+                           check=True, capture_output=True, text=True,
+                           timeout=60).stdout for _ in range(2)]
+    assert "None" in runs[0]
+    assert runs[0] == runs[1]
+
+
 def test_batch_file(i2_file, tmp_path, capsys):
     inst = tmp_path / "batch.txt"
     inst.write_text("EQ x x y y | y y x x\n[1,1] x x [2,2]\n",

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import reeseq as r
 from conftest import all_terms, checked_kind, matrix_classes
-from reeseq import decide
+from reeseq import cli, decide
 from reeseq.core import ReesSemigroup, StructureMatrix
 from reeseq.errors import (BudgetExceededError, ReesError,
                            UnsupportedMatrixError)
@@ -415,24 +415,27 @@ def test_pol_zero_unsupported_class():
 
 
 # class -> question -> method tags for x [1,1] y (and y [1,1] x, or the
-# target [1,1]) with allow_brute, plain and with the identity adjoined
+# target [1,1]) with allow_brute, plain and with the identity adjoined; no
+# route ends in an exhaustive oracle
 _ROUTES = {
     "all-ones": {"pol-zero": ("balanced-consistency",) * 2,
                  "zset-eq": ("all-ones-variables",) * 2,
-                 "pol-eq": ("zset-plus-endpoints", "brute-force"),
-                 "pol-sat": ("homomorphism-search", "brute-force")},
+                 "pol-eq": ("zset-plus-endpoints",
+                            "balanced-elimination-slices"),
+                 "pol-sat": ("homomorphism-search", "elimination-slices")},
     "balanced": {"pol-zero": ("balanced-consistency",) * 2,
                  "zset-eq": ("balanced-constraint-systems",) * 2,
-                 "pol-eq": ("zset-plus-endpoints", "brute-force"),
-                 "pol-sat": ("homomorphism-search", "brute-force")},
+                 "pol-eq": ("zset-plus-endpoints",
+                            "balanced-elimination-slices"),
+                 "pol-sat": ("homomorphism-search", "elimination-slices")},
     "bordered": {"pol-zero": ("border-evaluation",) * 2,
-                 "zset-eq": ("homomorphism-search", "brute-force"),
-                 "pol-eq": ("zset-plus-endpoints", "brute-force"),
-                 "pol-sat": ("homomorphism-search", "brute-force")},
-    "general": {"pol-zero": ("homomorphism-search", "brute-force"),
-                "zset-eq": ("homomorphism-search", "brute-force"),
-                "pol-eq": ("zset-plus-endpoints", "brute-force"),
-                "pol-sat": ("homomorphism-search", "brute-force")},
+                 "zset-eq": ("homomorphism-search", "elimination-slices"),
+                 "pol-eq": ("zset-plus-endpoints", "elimination-slices"),
+                 "pol-sat": ("homomorphism-search", "elimination-slices")},
+    "general": {"pol-zero": ("homomorphism-search", "elimination-slices"),
+                "zset-eq": ("homomorphism-search", "elimination-slices"),
+                "pol-eq": ("zset-plus-endpoints", "elimination-slices"),
+                "pol-sat": ("homomorphism-search", "elimination-slices")},
 }
 _ROUTE_MATRICES = {"all-ones": r.all_ones(2, 2), "balanced": I2,
                    "bordered": r.border(I2), "general": H3}
@@ -441,11 +444,10 @@ _ROUTE_MATRICES = {"all-ones": r.all_ones(2, 2), "balanced": I2,
 @pytest.mark.parametrize("identity", [False, True], ids=["plain", "S1"])
 @pytest.mark.parametrize("cls", sorted(_ROUTES))
 def test_brute_gate_routes(cls, identity):
-    # with allow_brute each gated question runs the pinned procedure;
-    # without it, it gives the same verdict where that procedure is
-    # polynomial, and otherwise refuses, naming the question, the reason
-    # (the identity exactly when the class alone has a procedure) and what
-    # allow_brute runs
+    # with allow_brute each gated question runs the pinned procedure, or
+    # with the identity its walk over the elimination slices; without it,
+    # it gives the same verdict off the general class, and there refuses,
+    # naming the question, the class and what allow_brute runs
     M = _ROUTE_MATRICES[cls]
     S = r.combinatorial(M, identity)
     p, q = (r.parse_polynomial(t, S) for t in ("x [1,1] y", "y [1,1] x"))
@@ -458,16 +460,16 @@ def test_brute_gate_routes(cls, identity):
         method = _ROUTES[cls][question][identity]
         assert v.method == method, question
         checked_kind(v)
-        if cls != "general" and method != "brute-force":
+        if cls != "general":
             assert run(adjoin_identity=identity, allow_brute=False) == v
             continue
         with pytest.raises(UnsupportedMatrixError) as err:
             run(adjoin_identity=identity, allow_brute=False)
         text = str(err.value)
         assert text.startswith(question + ":"), text
-        assert ("identity" in text) == (cls != "general"), text
-        assert text.endswith("the exhaustive oracle" if identity
-                             else "homomorphism search"), text
+        assert "for general matrices" in text, text
+        assert text.endswith("homomorphism search on each elimination slice"
+                             if identity else "homomorphism search"), text
 
 
 # ---------------------------------------------------------------------------
@@ -724,19 +726,26 @@ def test_zset_bordered_constants():
 
 @pytest.mark.parametrize("M", [r.border(I2), H3],
                          ids=["border-identity2", "hollow3"])
-def test_zset_with_identity_off_balanced_is_the_oracle(M):
-    # bordered and general matrices have no identity-adjoined zero-set
-    # procedure: allow_brute hands the question to brute_zset_eq over S^1,
-    # verdict, method and witness alike, and without it the call refuses
+def test_zset_with_identity_off_balanced_walks_slices(M):
+    # bordered and general matrices decide identity-adjoined zero sets by
+    # walking the elimination slices with homomorphism search, never the
+    # oracle; the general class needs allow_brute for it
     S1 = r.combinatorial(M, with_identity=True)
     pool = [r.parse_polynomial(t, S1)
-            for t in ("u", "v", "u v", "v u", "u u", "u [1,2] v", "[2,1] u")]
+            for t in ("u", "v", "u v", "v u", "u u", "u [1,2] v", "[2,1] u",
+                      "[1,2] [2,1]", "[1,2] u [2,1]")]
     kinds = set()
     for p in pool:
         for q in pool:
             fast = r.pol_zset_eq(M, p, q, adjoin_identity=True)
-            assert fast == r.brute_zset_eq(S1, p, q), (str(p), str(q))
+            assert fast.kind == r.brute_zset_eq(S1, p, q).kind, \
+                (str(p), str(q))
+            assert fast.method == "elimination-slices"
             kinds.add(checked_kind(fast))
+            if r.is_bordered(M):
+                assert r.pol_zset_eq(M, p, q, adjoin_identity=True,
+                                     allow_brute=False) == fast
+                continue
             with pytest.raises(UnsupportedMatrixError):
                 r.pol_zset_eq(M, p, q, adjoin_identity=True,
                               allow_brute=False)
@@ -813,21 +822,101 @@ def test_group_lift_examples():
     S = ReesSemigroup(StructureMatrix(entries), Z2)
     assert v.kind == r.brute_eq(S, p, q).kind
     assert r.term_eq_group(I2, Z2, p, p).kind == "equal"
-    # a word equals itself over every group, so its 4^12 group readings are
-    # not enumerated; words that differ still are, past the default budget
+    # a word equals itself over every group, and over an abelian group two
+    # words whose counts agree modulo the exponent are equal: neither is
+    # enumerated (4^12 group readings, past the default budget).  p12 and
+    # its reverse differ in the shadow alone
     names = [f"v{k}" for k in range(12)]
     p12 = r.word_of(" ".join(names))
     v = r.term_eq_group(I2, cyclic_group(4), p12, p12)
     assert v.kind == "equal"
     assert v.detail == (("shadow equal", True), ("group equal", True))
-    with pytest.raises(BudgetExceededError):
-        r.term_eq_group(I2, cyclic_group(4), p12,
-                        r.word_of(" ".join(reversed(names))))
+    rev = r.word_of(" ".join(reversed(names)))
+    v = r.term_eq_group(I2, cyclic_group(4), p12, rev)
+    assert v.kind == "not-equal"
+    assert v.detail == (("shadow equal", False), ("group equal", True))
+    S4 = _group_semigroup(I2, cyclic_group(4))
+    assert r.evaluate(S4, p12, v.witness) != r.evaluate(S4, rev, v.witness)
     # the trivial group reduces to the plain procedure
     triv = r.term_eq_group(I2, r.trivial_group(), r.word_of("x y"),
                            r.word_of("y x"))
     assert triv.kind == r.term_eq(I2, r.word_of("x y"),
                                   r.word_of("y x")).kind
+
+
+def _s3():
+    """The symmetric group on three points, as a Cayley table."""
+    perms = list(itertools.permutations(range(3)))
+    index = {g: k for k, g in enumerate(perms)}
+    return r.finite_group(tuple(tuple(index[tuple(g[h[t]] for t in range(3))]
+                                      for h in perms) for g in perms),
+                          name="S3")
+
+
+def test_group_orders_and_exponent():
+    S3 = _s3()
+    assert (sorted(S3.orders), S3.exponent, S3.is_abelian) == \
+        ([1, 2, 2, 2, 3, 3], 6, False)
+    Z6 = cyclic_group(6)
+    assert (Z6.orders, Z6.exponent, Z6.is_abelian) == \
+        ((1, 6, 3, 2, 3, 6), 6, True)
+    assert (r.units_group(5).exponent, r.trivial_group().exponent) == (4, 1)
+    # the cached values are not fields: equality and repr are unchanged
+    assert cyclic_group(6) == Z6 and "orders" not in repr(Z6)
+
+
+def _group_reading(G, word, e):
+    acc = G.identity
+    for s in word.word:
+        acc = G.mul(acc, e.get(s.name, G.identity))
+    return acc
+
+
+def test_group_counting_matches_the_oracle():
+    # the count test decides every cyclic and units group up to order 7,
+    # and S3 together with its enumeration; a counterexample separates the
+    # two readings.  Half the pairs are shuffles or carry a power of the
+    # exponent, so equal readings are common
+    rng = random.Random(17)
+    groups = [cyclic_group(k) for k in range(1, 8)]
+    groups += [r.units_group(p) for p in (2, 3, 5, 7)] + [_s3()]
+    kinds = set()
+    for G in groups:
+        for k in range(60):
+            p = [rng.choice("xyz") for _ in range(rng.randint(1, 6))]
+            if k % 3 == 0:
+                q = rng.sample(p, len(p))
+            elif k % 3 == 1:
+                x = rng.choice(p)
+                q = p[:] + [x] * G.exponent
+                rng.shuffle(q)
+            else:
+                q = [rng.choice("xyz") for _ in range(rng.randint(1, 6))]
+            p, q = r.word_of(" ".join(p)), r.word_of(" ".join(q))
+            got = decide._group_counterexample(G, p, q)
+            want = r.brute_group_eq(G, p, q)
+            assert (got is None) == (want is None), (G.name, str(p), str(q))
+            kinds.add(got is None)
+            if got is not None:
+                assert _group_reading(G, p, got) != _group_reading(G, q, got)
+    assert kinds == {True, False}
+
+
+def test_group_lift_counts_without_enumerating(monkeypatch):
+    # an abelian group never reaches brute_group_eq; S3 does once the
+    # counts agree, and x y against y x differs there
+    monkeypatch.setattr(decide, "brute_group_eq", _no_search)
+    names = [f"v{k}" for k in range(12)]
+    p = r.word_of(" ".join(names + names[:1]))
+    q = r.word_of(" ".join(names[::-1] + names[:1] * 7))
+    for G, kind in ((cyclic_group(6), "equal"), (cyclic_group(4), "not-equal"),
+                    (r.units_group(7), "equal")):
+        v = r.term_eq_group(r.all_ones(1, 1), G, p, q)
+        assert (v.kind, v.detail[1]) == (kind, ("group equal", kind == "equal"))
+    monkeypatch.undo()
+    v = r.term_eq_group(r.all_ones(1, 1), _s3(), r.word_of("x y"),
+                        r.word_of("y x"))
+    assert v.kind == "not-equal"
 
 
 def test_group_lift_uses_group_side():
@@ -1208,8 +1297,9 @@ def test_oracles_never_reach_fast_paths():
 
 
 def test_fast_paths_never_reach_the_kernel():
-    # the converse: the fast paths reach the oracles' search kernel only
-    # through the brute_* fallbacks they declare, where the walk stops
+    # the converse: the fast paths never reach the oracles' search kernel;
+    # the walk stops at brute_group_eq, which enumerates the group readings
+    # of words over a non-abelian group
     kernel = {"_first", "_fold", "_space", "_tables", "value_vector"}
     via = dict.fromkeys(("pol_zero", "pol_zset_eq", "pol_eq", "pol_sat",
                          "term_eq", "term_eq_s1", "term_eq_group",
@@ -1226,17 +1316,20 @@ def test_fast_paths_never_reach_the_kernel():
                     via[ref] = name
                     todo.append(ref)
     assert {"_homomorphism", "_Network", "_narrow", "classify_matrix",
-            "brute_eq"} <= set(via)
+            "_walk", "brute_group_eq"} <= set(via)
+    assert not {"oracle", "brute_eq", "brute_zset_eq", "brute_zero",
+                "brute_sat"} & set(via)
 
 
 def test_one_site_runs_an_oracle():
     # of decide's functions outside the oracle section, oracle alone names
-    # the exhaustive oracles, and the brute gate alone calls it
+    # the exhaustive oracles; no function of decide calls it, and the CLI's
+    # brute-check does
     oracles = {"brute_eq", "brute_zset_eq", "brute_zero", "brute_sat"}
     refs = {name: set().union(*(_global_names(code)
                                 for code in _decide_codes(name)))
             for name in vars(decide) if name not in oracles}
     assert [name for name, names in refs.items() if names & oracles] \
         == ["oracle"]
-    assert [name for name, names in refs.items() if "oracle" in names] \
-        == ["_gate"]
+    assert [name for name, names in refs.items() if "oracle" in names] == []
+    assert "oracle" in set(_global_names(cli._run_brute_check.__code__))
