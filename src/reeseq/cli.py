@@ -229,14 +229,13 @@ def _run_analyze(ns):
     M, group = load_matrix(ns.matrix)
     shadow = M.shadow()
     regular = is_regular(M)
-    balanced = matrices.is_totally_balanced(shadow) if regular else False
     plan = residual = None
     if regular and M.is_zero_one:
         plan, residual = matrices.retract(M)
     record = {
         "rows": M.m, "cols": M.n, "group": group.name,
         "regular": regular,
-        "totally_balanced": balanced and M.is_zero_one,
+        "totally_balanced": plan is not None,
         "bordered": matrices.is_bordered(shadow),
         "retract_k": plan.k if plan else None,
         "row_classes": list(plan.row_class) if plan else None,

@@ -24,7 +24,8 @@ questions reduce to the search:
 * pol-eq checks the zero sets, then runs one search per index x, with p's
   leftmost symbol on column x and q's on any other column (likewise rows
   at the right ends);
-* term-eq decides from term profiles and takes pol-eq's witness.
+* term-eq decides from term profiles and takes the plain pol-eq
+  procedure's witness.
 
 The exceptions are the paper's polynomial certificates: pol-zero on totally
 balanced matrices (the hat transform relabels words onto an identity
@@ -57,13 +58,16 @@ refuses those calls without it.  term-eq needs no allow_brute.  No
 decision procedure runs an exhaustive oracle; oracle, the one function
 outside the oracle section that names them, serves the CLI's brute-check.
 
-Every verdict carries a method tag, and negative (positive, for
-satisfiability) verdicts carry a witness evaluation that is re-checked
-through words.evaluate at emission time.  The exhaustive oracles at the
-bottom, the ground truth the fast paths are tested against, share one
-search kernel that only they and value_vector (the one loop that builds
-full value tables) use; they never call a fast path, and no fast path
-calls the kernel.
+Procedures find and questions emit: a procedure returns a witness (or
+None) and detail rows, and only the public questions and the oracles turn
+that finding into a Verdict, through the four _emit_* functions.  Every
+verdict carries a method tag, and negative (positive, for satisfiability)
+verdicts carry a witness evaluation, re-checked once, by the question's
+emitter through words.evaluate, over the semigroup the question is about.
+The exhaustive oracles at the bottom, the ground truth the fast paths are
+tested against, share one search kernel that only they and value_vector
+(the one loop that builds full value tables) use; they never call a fast
+path, and no fast path calls the kernel.
 """
 
 from __future__ import annotations
@@ -83,7 +87,7 @@ from .graphs import (CompiledWord, antichain_table, build_identified,
                      components)
 from .groups import FiniteGroup
 from .matrices import (hat_transform, is_all_ones, is_bordered,
-                       is_totally_balanced, lift_element_map, retract)
+                       lift_element_map, retract)
 from .words import (Evaluation, Polynomial, eliminate_variables, evaluate,
                     left_sequencing, right_sequencing, validate_polynomial)
 
@@ -132,27 +136,43 @@ class Verdict(Frozen):
 
 _set_kind, _set_method, _set_witness, _set_detail = slot_setters(Verdict)
 
-def _emit_eq(S, p, q, witness, method, detail=()):
-    w = dict(witness)
+# The four emitters turn a question's finding, a witness (a name -> element
+# dict) or None, into its verdict: the positive kind for None, else the
+# negative one (sat for pol-sat) once the witness is checked over S, the
+# semigroup of the question.
+
+def _emit_eq(S, p, q, w, method, detail=()):
+    if w is None:
+        return Verdict("equal", method, None, detail)
     if evaluate(S, p, w) == evaluate(S, q, w):
-        raise WitnessSearchError(f"bogus inequality witness {witness} "
+        raise WitnessSearchError(f"bogus inequality witness {w} "
                                  f"for {p} vs {q}")
     return Verdict("not-equal", method, Evaluation.of(w), detail)
 
 
-def _emit_nonzero(S, p, witness, method, detail=()):
-    w = dict(witness)
+def _emit_nonzero(S, p, w, method, detail=()):
+    if w is None:
+        return Verdict("zero", method, None, detail)
     if evaluate(S, p, w) == ZERO:
-        raise WitnessSearchError(f"bogus nonzero witness {witness} for {p}")
+        raise WitnessSearchError(f"bogus nonzero witness {w} for {p}")
     return Verdict("not-zero", method, Evaluation.of(w), detail)
 
 
-def _emit_sat(S, p, b, witness, method, detail=()):
-    w = dict(witness)
+def _emit_sat(S, p, b, w, method, detail=()):
+    if w is None:
+        return Verdict("unsat", method, None, detail)
     if evaluate(S, p, w) != b:
-        raise WitnessSearchError(f"bogus solution {witness} for {p} = "
+        raise WitnessSearchError(f"bogus solution {w} for {p} = "
                                  f"{element_str(b)}")
     return Verdict("sat", method, Evaluation.of(w), detail)
+
+
+def _emit_eq_zset(S, p, q, w, method, detail=()):
+    if w is None:
+        return Verdict("equal", method, None, detail)
+    if (evaluate(S, p, w) == ZERO) == (evaluate(S, q, w) == ZERO):
+        raise WitnessSearchError(f"bogus zero-set witness {w}")
+    return Verdict("not-equal", method, Evaluation.of(w), detail)
 
 
 # ---------------------------------------------------------------------------
@@ -182,16 +202,15 @@ def classify_matrix(M: StructureMatrix) -> MatrixProfile:
         raise UnsupportedMatrixError("fast procedures expect a 0-1 matrix")
     if not is_regular(M):
         raise IrregularMatrixError("structure matrix must be regular")
-    balanced = is_totally_balanced(M)
-    plan = retract(M)[0] if balanced else None
-    rows = len(set(M.entries)) < M.m
-    cols = len({M.col(i) for i in range(M.n)}) < M.n
+    # a plan exists exactly when M is totally balanced, and the residual
+    # keeps one line of each kind
+    plan, residual = retract(M)
     support = (tuple(sum(1 << lam for lam in range(M.m) if M.entry(lam, i))
                      for i in range(M.n)),
                tuple(sum(1 << i for i in range(M.n) if M.entry(lam, i))
                      for lam in range(M.m)))
-    return MatrixProfile(is_all_ones(M), balanced, is_bordered(M),
-                         plan, rows, cols, support)
+    return MatrixProfile(is_all_ones(M), plan is not None, is_bordered(M),
+                         plan, residual.m < M.m, residual.n < M.n, support)
 
 
 # ---------------------------------------------------------------------------
@@ -387,14 +406,14 @@ def _slice_mismatch(key, cwp, cwq, full: bool, certify: bool = True):
     return None
 
 
-def _walk(words, nodes, settle, kind: str, emit) -> Verdict:
+def _walk(words, nodes, settle):
     """A question over the semigroup with the identity adjoined that splits
-    over the elimination slices of words: kind when settle decides no
-    slice, else emit's verdict for the first, in _slice_masks order, that
-    settle decides.
+    over the elimination slices of words, as the finding (witness, method,
+    detail rows) of the first slice, in _slice_masks order, that settle
+    decides; the witness is None when settle decides none.
 
-    settle(*slice words), an empty one read as None, gives None or a plain
-    witness over the slice words' variables and detail rows.  Each slice
+    settle(*slice words), an empty one read as None, gives a plain witness
+    over the slice words' variables, or None, and detail rows.  Each slice
     visited spends one node of the verdict's budget.
     """
     names = tuple(sorted(set().union(*(w.variables for w in words))))
@@ -402,18 +421,20 @@ def _walk(words, nodes, settle, kind: str, emit) -> Verdict:
         nodes.spend()
         W = _mask_names(names, mask)
         hit = settle(*[eliminate_variables(w, W) for w in words])
-        if hit is not None:
-            return _emit_slice(emit, "elimination-slices", W, hit)
-    return Verdict(kind, "elimination-slices", None,
-                   (("elimination slices", 2 ** len(names)),))
+        if hit[0] is not None:
+            return _on_slice(W, hit, "elimination-slices")
+    return None, "elimination-slices", (("elimination slices",
+                                         2 ** len(names)),)
 
 
-def _emit_slice(emit, method, W, hit):
-    """emit's verdict on a slice's plain witness and detail rows, hit, with
-    the slice's eliminated variables W set to ONE."""
+def _on_slice(W, hit, method):
+    """The finding (witness, method, detail rows) over the semigroup with
+    the identity adjoined of hit, a plain witness and detail rows on the
+    slice that eliminates W: W's variables set to ONE, the slice named
+    first."""
     w, detail = hit
     w.update(dict.fromkeys(W, ONE))
-    return emit(w, method, (("identity slice", W),) + detail)
+    return w, method, (("identity slice", W),) + detail
 
 
 def _dead_pair(M, p) -> bool:
@@ -450,26 +471,30 @@ def _balanced_s1_detail(prof, p, q):
 def term_eq(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
     """Decide p = q for terms over the combinatorial semigroup of M.
 
-    The verdict comes from the term profiles; a witness from pol_eq, which
-    decides every 0-1 matrix by pinned homomorphism searches at the default
-    budget, so no decided verdict is lost to an evaluation budget.
+    The verdict comes from the term profiles; a witness from the plain
+    pol-eq procedure, which decides every 0-1 matrix by pinned homomorphism
+    searches at the default budget, so no decided verdict is lost to an
+    evaluation budget.
     """
     kp = term_profile(M, p)
     kq = term_profile(M, q)
     method = {"J": "all-ones-endpoints", "TB": "balanced-components",
               "G": "adjacency-endpoints"}[kp[0]]
-    detail = _profile_detail(kp, kq)
-    if kp == kq:
-        return Verdict("equal", method, None, detail)
-    return Verdict("not-equal", method, _profile_witness(M, p, q), detail)
+    w = None if kp == kq else _profile_witness(M, p, q)
+    return _emit_eq(combinatorial(M), p, q, w, method,
+                    _profile_detail(kp, kq))
 
 
-def _profile_witness(M: StructureMatrix, p: Polynomial, q: Polynomial):
-    """pol_eq's witness for two terms whose profiles differ."""
-    w = pol_eq(M, p, q).witness
+def _profile_witness(M: StructureMatrix, p: Polynomial, q: Polynomial,
+                     W=()) -> dict:
+    """The plain pol-eq procedure's witness for two terms whose profiles
+    differ on the slice that eliminates W, with W's variables set to ONE."""
+    pw, qw = (eliminate_variables(u, W) for u in (p, q)) if W else (p, q)
+    w, _ = _eq_plain(M, classify_matrix(M), pw, qw, _Budget(None))
     if w is None:
-        raise WitnessSearchError(f"term profiles of {p} and {q} differ "
-                                 "but pol_eq finds them equal")
+        raise WitnessSearchError(f"{p} and {q} agree with {W} eliminated; "
+                                 "the term profiles are wrong")
+    w.update(dict.fromkeys(W, ONE))
     return w
 
 
@@ -477,12 +502,12 @@ def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
     """Decide p = q for terms over the semigroup of M with identity adjoined.
 
     A witness comes from an elimination slice on which the plain words
-    differ: the plain witness for that slice, with its eliminated variables
-    set to the identity.  On the balanced class (TB1) the verdict is that
-    of the TB1 profiles, reached without building them: slice 0, then the
-    words' records, then their families, and only when those differ too a
-    walk up to the first mismatching slice.  Elsewhere the slice is read
-    off the two profiles by _witness_slice.
+    differ: the plain pol-eq procedure's witness for that slice, with its
+    eliminated variables set to the identity.  On the balanced class (TB1)
+    the verdict is that of the TB1 profiles, reached without building them:
+    slice 0, then the words' records, then their families, and only when
+    those differ too a walk up to the first mismatching slice.  Elsewhere
+    the slice is read off the two profiles by _witness_slice.
     """
     _require_term(p)  # first, as term_profile checks it
     prof = classify_matrix(M)
@@ -490,23 +515,14 @@ def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
         _require_term(q)
         method = "balanced-elimination-slices"
         detail, W = _balanced_s1_detail(prof, p, q)
-        if W is None:
-            return Verdict("equal", method, None, detail)
     else:
         kp = term_profile(M, p, with_identity=True)
         kq = term_profile(M, q, with_identity=True)
         method = {"J1": "all-ones-sequencing",
                   "G1": "sequencing-antichains"}[kp[0]]
         detail = _profile_detail(kp, kq)
-        if kp == kq:
-            return Verdict("equal", method, None, detail)
-        W = _witness_slice(kp, kq)
-    v = pol_eq(M, eliminate_variables(p, W), eliminate_variables(q, W))
-    if v.witness is None:
-        raise WitnessSearchError(f"{p} and {q} agree with {W} eliminated; "
-                                 "the term profiles are wrong")
-    w = v.witness.as_dict()
-    w.update(dict.fromkeys(W, ONE))
+        W = None if kp == kq else _witness_slice(kp, kq)
+    w = None if W is None else _profile_witness(M, p, q, W)
     return _emit_eq(combinatorial(M, with_identity=True), p, q, w, method,
                     detail)
 
@@ -545,7 +561,7 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
         W = None if alive is None else _mask_names(names, alive)
         detail = (("plan size", prof.plan.k), ("surviving slice", W))
         if W is None:
-            return Verdict("zero", method, None, detail)
+            return _emit_nonzero(S, p, None, method, detail)
         # the witness slice alone goes through the explicit graph
         pw = eliminate_variables(ph, W)
         w = dict.fromkeys(W, ONE)
@@ -557,23 +573,19 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
         # a dead border evaluation pins the zero on an adjacent constant
         # pair, which no assignment (identity included) can separate
         e0 = _border_completion(M, p)
-        v = evaluate(combinatorial(M), p, e0)
-        detail = (("border evaluation", Evaluation.of(e0)),)
-        if v == ZERO:
-            return Verdict("zero", "border-evaluation", None, detail)
-        return _emit_nonzero(S, p, e0, "border-evaluation", detail)
+        dead = evaluate(combinatorial(M), p, e0) == ZERO
+        return _emit_nonzero(S, p, None if dead else e0, "border-evaluation",
+                             (("border evaluation", Evaluation.of(e0)),))
 
     nodes = _Budget(budget)
-    if adjoin_identity:
-        if _dead_pair(M, p):
-            return Verdict("zero", "elimination-slices", None,
-                           (("every slice", "a zero constant pair"),))
-        return _walk((p,), nodes, partial(_search_slice, M, nodes, None),
-                     "zero", partial(_emit_nonzero, S, p))
-    hit = _search_slice(M, nodes, None, p)
-    if hit is None:
-        return Verdict("zero", "homomorphism-search")
-    return _emit_nonzero(S, p, hit[0], "homomorphism-search")
+    if not adjoin_identity:
+        w, _ = _search_slice(M, nodes, None, p)
+        return _emit_nonzero(S, p, w, "homomorphism-search")
+    if _dead_pair(M, p):
+        return _emit_nonzero(S, p, None, "elimination-slices",
+                             (("every slice", "a zero constant pair"),))
+    return _emit_nonzero(S, p, *_walk((p,), nodes,
+                                      partial(_search_slice, M, nodes, None)))
 
 
 def _balanced_nonzero_witness(plan, ph, pins):
@@ -625,35 +637,28 @@ def pol_zset_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     validate_polynomial(S, q)
     _gate("zset-eq", prof, S, allow_brute)
     if prof.totally_balanced:
-        return _zset_balanced(S, prof, p, q, adjoin_identity)[0]
+        w, method, detail, _ = _zset_balanced(prof, p, q, adjoin_identity)
+        return _emit_eq_zset(S, p, q, w, method, detail)
     nodes = _Budget(budget)
     if adjoin_identity:
-        return _walk((p, q), nodes,
-                     partial(_zset_slice, combinatorial(M), M, nodes),
-                     "equal", partial(_emit_eq_zset, S, p, q))
-    return _zset_zero_pairs(S, _Network(M, p), _Network(M, q), nodes)[0]
+        return _emit_eq_zset(S, p, q, *_walk((p, q), nodes,
+                                             partial(_zset_slice, M, nodes)))
+    w, detail, _ = _zset_zero_pairs(_Network(M, p), _Network(M, q), nodes)
+    return _emit_eq_zset(S, p, q, w, "homomorphism-search", detail)
 
 
-def _zset_slice(S, M, nodes, pw, qw):
-    """zset-eq on one elimination slice over the plain semigroup S: None
-    when the zero sets of the slice words agree, else a witness over their
-    variables and detail rows.  An empty word reads ONE, never zero; a word
+def _zset_slice(M, nodes, pw, qw):
+    """zset-eq on one elimination slice over the plain semigroup of M: a
+    witness over the slice words' variables, or None when their zero sets
+    agree, and detail rows.  An empty word reads ONE, never zero; a word
     is zero somewhere when it has a variable or its constants meet a zero."""
     if pw is None or qw is None:
         live = pw or qw
-        w = {} if live is None else dict.fromkeys(live.variables, ZERO)
-        if live is None or not w and evaluate(S, live, w) != ZERO:
-            return None
-        return w, (("empty slice word", pw is None, qw is None),)
-    v = _zset_zero_pairs(S, _Network(M, pw), _Network(M, qw), nodes)[0]
-    return None if v.witness is None else (v.witness.as_dict(), v.detail)
-
-
-def _emit_eq_zset(S, p, q, witness, method, detail):
-    w = dict(witness)
-    if (evaluate(S, p, w) == ZERO) == (evaluate(S, q, w) == ZERO):
-        raise WitnessSearchError(f"bogus zero-set witness {witness}")
-    return Verdict("not-equal", method, Evaluation.of(w), detail)
+        if live is None or not live.variables and not _dead_pair(M, live):
+            return None, ()
+        return (dict.fromkeys(live.variables, ZERO),
+                (("empty slice word", pw is None, qw is None),))
+    return _zset_zero_pairs(_Network(M, pw), _Network(M, qw), nodes)[:2]
 
 
 def _system(names, labels) -> tuple:
@@ -677,20 +682,22 @@ def _system(names, labels) -> tuple:
                          if c < 0 or len(vs) > 1)))
 
 
-def _zset_balanced(S, prof, p, q, with_identity):
+def _zset_balanced(prof, p, q, with_identity):
     """Zero sets compared on a totally balanced matrix, all-ones included,
-    for words already validated against S; the verdict comes with whether
-    plain p is nonzero somewhere (None with the identity: no caller asks)."""
+    for validated words: a witness or None, the method and detail rows, and
+    whether plain p is nonzero somewhere (None with the identity: no caller
+    asks)."""
     if prof.all_ones:
+        method = "all-ones-variables"
         same = set(p.variables) == set(q.variables)
         detail = (("variables", tuple(sorted(p.variables)),
                    tuple(sorted(q.variables)), same),)
         if same:
-            return Verdict("equal", "all-ones-variables", None, detail), True
+            return None, method, detail, True
         v = sorted(set(p.variables) ^ set(q.variables))[0]
         e = {u: pair(0, 0) for u in p.variables + q.variables}
         e[v] = ZERO
-        return _emit_eq_zset(S, p, q, e, "all-ones-variables", detail), True
+        return e, method, detail, True
 
     method = "balanced-constraint-systems"
     names = tuple(sorted(set(p.variables + q.variables)))
@@ -706,8 +713,8 @@ def _zset_balanced(S, prof, p, q, with_identity):
         alive = lp is not None
         hit = None if lp == lq else (0, lp, lq)
     if hit is None:
-        agree = (("constraint systems", "agree on every slice"),)
-        return Verdict("equal", method, None, agree), alive
+        return None, method, (("constraint systems",
+                               "agree on every slice"),), alive
     mask, lp, lq = hit
     W = _mask_names(names, mask)
     detail = (("identity slice", W),
@@ -736,7 +743,7 @@ def _zset_balanced(S, prof, p, q, with_identity):
     w.update(dict.fromkeys(W, ONE))
     if kill is not None:
         w[kill] = ZERO
-    return _emit_eq_zset(S, p, q, w, method, detail), alive
+    return w, method, detail, alive
 
 
 def _separator(live, dead):
@@ -767,10 +774,11 @@ def _separator(live, dead):
     return None
 
 
-def _zset_zero_pairs(S, netp, netq, nodes):
+def _zset_zero_pairs(netp, netq, nodes):
     """Zero sets compared through homomorphism search under pins, on the
-    compiled networks of p and q and within one budget; the verdict comes
-    with whether p is nonzero somewhere, which the first search shows.
+    compiled networks of p and q and within one budget: a witness or None,
+    detail rows, and whether p is nonzero somewhere, which the first search
+    shows.
 
     A word that is identically zero decides at once, and so does a variable
     that only one word has: set to zero, it kills that word alone.
@@ -778,12 +786,10 @@ def _zset_zero_pairs(S, netp, netq, nodes):
     leaves Z(src) exactly when src stays nonzero while some adjacent pair
     of dst meets a zero entry of M.
     """
-    method = "homomorphism-search"
     p, q = netp.word, netq.word
     wp, wq = (_homomorphism(net, (), nodes) for net in (netp, netq))
     if wp is None and wq is None:
-        return Verdict("equal", method, None,
-                       (("both identically zero", True),)), False
+        return None, (("both identically zero", True),), False
     if wp is None or wq is None:
         detail = (("identically zero", wp is None, wq is None, False),)
         w = wq if wp is None else wp
@@ -798,13 +804,12 @@ def _zset_zero_pairs(S, netp, netq, nodes):
         hit = (_zero_pair(netp, pq, pp, nodes)
                or _zero_pair(netq, pp, pq, nodes))
         if hit is None:
-            return Verdict("equal", method, None,
-                           (("zero pairs", "none separates the words"),)), True
+            return None, (("zero pairs", "none separates the words"),), True
         st, cell, w = hit
         detail = (("zero pair", st, cell, False),)
     for u in p.variables + q.variables:
         w.setdefault(u, ZERO)
-    return _emit_eq_zset(S, p, q, w, method, detail), wp is not None
+    return w, detail, wp is not None
 
 
 def _pair_keys(p) -> dict:
@@ -874,11 +879,11 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     # one budget for every search and every slice of the verdict
     nodes = _Budget(budget)
     if not adjoin_identity:
-        return _eq_plain(S, M, prof, p, q, nodes)
-    settle = partial(_eq_slice, combinatorial(M), M, prof, nodes)
+        w, detail = _eq_plain(M, prof, p, q, nodes)
+        return _emit_eq(S, p, q, w, "zset-plus-endpoints", detail)
+    settle = partial(_eq_slice, M, prof, nodes)
     if not prof.totally_balanced:
-        return _walk((p, q), nodes, settle, "equal",
-                     partial(_emit_eq, S, p, q))
+        return _emit_eq(S, p, q, *_walk((p, q), nodes, settle))
     method = "balanced-elimination-slices"
     names = tuple(sorted(set(p.variables + q.variables)))
     words = {CompiledWord(hat_transform(w, prof.plan), names): w
@@ -889,36 +894,34 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     hit = _slice_mismatch(partial(_eq_key, prof, words), cwp, cwq, True,
                           _end_constants(p) == _end_constants(q))
     if hit is None:
-        return Verdict("equal", method, None,
-                       (("slice keys", "agree on every slice"),))
+        return _emit_eq(S, p, q, None, method,
+                        (("slice keys", "agree on every slice"),))
     W = _mask_names(names, hit[0])
     found = settle(eliminate_variables(p, W), eliminate_variables(q, W))
-    if found is None:
+    if found[0] is None:
         raise WitnessSearchError(f"{p} and {q} agree with {W} eliminated; "
                                  "the slice keys are wrong")
-    return _emit_slice(partial(_emit_eq, S, p, q), method, W, found)
+    return _emit_eq(S, p, q, *_on_slice(W, found, method))
 
 
-def _eq_plain(S, M, prof, p, q, nodes) -> Verdict:
-    """pol-eq over the plain semigroup S of M, for validated words."""
-    method = "zset-plus-endpoints"
+def _eq_plain(M, prof, p, q, nodes):
+    """pol-eq over the plain semigroup of M, for validated words: a witness
+    or None, and detail rows."""
     # one network per word for every search of the verdict; the balanced
     # class (all-ones included) compares zero sets without one, and either
     # comparison says whether p is nonzero somewhere
     if prof.totally_balanced:
         net = None
-        z, alive = _zset_balanced(S, prof, p, q, False)
+        w, _, detail, alive = _zset_balanced(prof, p, q, False)
     else:
         net = _Network(M, p)
-        z, alive = _zset_zero_pairs(S, net, _Network(M, q), nodes)
-    if z.kind != "equal":
-        return Verdict("not-equal", method, z.witness,
-                       (("zero-sets equal", False),) + z.detail)
+        w, detail, alive = _zset_zero_pairs(net, _Network(M, q), nodes)
+    if w is not None:
+        return w, (("zero-sets equal", False),) + detail
     # past this test p is nonzero somewhere, so (zero sets agreeing) both
     # words have the same variables and every want names one of p's
     if not alive:
-        return Verdict("equal", method, None, (("zero-sets equal", True),
-                                               ("identically zero", True)))
+        return None, (("zero-sets equal", True), ("identically zero", True))
     if net is None:
         net = _Network(M, p)
     for side, a, b, size in ((1, p.leftmost, q.leftmost, M.n),
@@ -933,26 +936,23 @@ def _eq_plain(S, M, prof, p, q, nodes) -> Verdict:
                 continue
             e = w[b.name] if b.is_var else b.elem
             y = e.i if side == 1 else e.lam
-            detail = (("zero-sets equal", True),
-                      ("distinct " + ("columns" if side == 1 else "rows")
-                       + " at the ends", x + 1, y + 1))
-            return _emit_eq(S, p, q, w, method, detail)
-    return Verdict("equal", method, None, (("zero-sets equal", True),
-                                           ("endpoint scan", "clean")))
+            return w, (("zero-sets equal", True),
+                       ("distinct " + ("columns" if side == 1 else "rows")
+                        + " at the ends", x + 1, y + 1))
+    return None, (("zero-sets equal", True), ("endpoint scan", "clean"))
 
 
-def _eq_slice(S, M, prof, nodes, pw, qw):
-    """pol-eq on one elimination slice over the plain semigroup S: None
-    when the slice words are equal or both empty, else a witness over
-    their variables and detail rows.  An empty word reads ONE, which no
+def _eq_slice(M, prof, nodes, pw, qw):
+    """pol-eq on one elimination slice over the plain semigroup of M: a
+    witness over the slice words' variables, or None when they are equal
+    or both empty, and detail rows.  An empty word reads ONE, which no
     plain value equals."""
     if pw is None or qw is None:
         if pw is qw:
-            return None
+            return None, ()
         return (dict.fromkeys((pw or qw).variables, ZERO),
                 (("empty slice word", pw is None, qw is None),))
-    v = _eq_plain(S, M, prof, pw, qw, nodes)
-    return None if v.witness is None else (v.witness.as_dict(), v.detail)
+    return _eq_plain(M, prof, pw, qw, nodes)
 
 
 def _eq_key(prof, words, cw, W):
@@ -1025,45 +1025,38 @@ def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
     S.check_element(b)
 
     if b == ZERO:
-        if p.variables:
-            w = {v: ZERO for v in p.variables}
-            return _emit_sat(S, p, b, w, "zero-target")
-        if evaluate(S, p, {}) == ZERO:
-            return _emit_sat(S, p, b, {}, "zero-target")
-        return Verdict("unsat", "zero-target")
+        w = dict.fromkeys(p.variables, ZERO)
+        if not w and evaluate(S, p, w) != ZERO:
+            w = None
+        return _emit_sat(S, p, b, w, "zero-target")
     if b == ONE:
-        if p.is_term:
-            return _emit_sat(S, p, b, {v: ONE for v in p.variables},
-                             "identity-target")
-        return Verdict("unsat", "identity-target")
+        w = dict.fromkeys(p.variables, ONE) if p.is_term else None
+        return _emit_sat(S, p, b, w, "identity-target")
 
     _gate("pol-sat", classify_matrix(M), S, allow_brute)
     nodes = _Budget(budget)
     if not adjoin_identity:
-        hit = _search_slice(M, nodes, b, p)
-        if hit is None:
-            return Verdict("unsat", "homomorphism-search")
-        return _emit_sat(S, p, b, hit[0], "homomorphism-search")
+        w, _ = _search_slice(M, nodes, b, p)
+        return _emit_sat(S, p, b, w, "homomorphism-search")
     a, z = p.leftmost, p.rightmost
     if (not a.is_var and a.elem.i != b.i
             or not z.is_var and z.elem.lam != b.lam or _dead_pair(M, p)):
-        return Verdict("unsat", "elimination-slices", None,
-                       (("every slice", "refuted by the constants"),))
-    return _walk((p,), nodes, partial(_search_slice, M, nodes, b), "unsat",
-                 partial(_emit_sat, S, p, b))
+        return _emit_sat(S, p, b, None, "elimination-slices",
+                         (("every slice", "refuted by the constants"),))
+    return _emit_sat(S, p, b, *_walk((p,), nodes,
+                                     partial(_search_slice, M, nodes, b)))
 
 
 def _search_slice(M, nodes, b, pw):
     """One homomorphism search on a slice word over the plain semigroup,
     for a nonzero value (b None) or for the value b, the ends masked to
-    b's column and row: its witness and no detail rows, or None.  An empty
-    word (None) reads ONE, nonzero and no target."""
+    b's column and row: its witness, or None, and no detail rows.  An
+    empty word (None) reads ONE, nonzero and no target."""
     if pw is None:
-        return None if b is not None else ({}, ())
+        return (None if b is not None else {}), ()
     wants = () if b is None else ((pw.leftmost, 1, 1 << b.i),
                                   (pw.rightmost, 2, 1 << b.lam))
-    w = _homomorphism(_Network(M, pw), wants, nodes)
-    return None if w is None else (w, ())
+    return _homomorphism(_Network(M, pw), wants, nodes), ()
 
 
 # ---------------------------------------------------------------------------
@@ -1364,7 +1357,7 @@ def term_eq_group(M: StructureMatrix, G: FiniteGroup, p: Polynomial,
              for v in dict.fromkeys(p.variables + q.variables)}
     else:
         w = {v: e if e == ZERO else triple(e.i, G.identity, e.lam)
-             for v, e in _profile_witness(M, p, q).assignment}
+             for v, e in _profile_witness(M, p, q).items()}
     return _emit_eq(S, p, q, w, method, detail)
 
 
@@ -1460,26 +1453,19 @@ def _first(S: ReesSemigroup, words, test, budget) -> dict | None:
 
 def brute_eq(S: ReesSemigroup, p: Polynomial, q: Polynomial, *,
              budget: int | None = None) -> Verdict:
-    w = _first(S, (p, q), operator.ne, budget)
-    if w is None:
-        return Verdict("equal", "brute-force")
-    return _emit_eq(S, p, q, w, "brute-force")
+    return _emit_eq(S, p, q, _first(S, (p, q), operator.ne, budget),
+                    "brute-force")
 
 
 def brute_zero(S: ReesSemigroup, p: Polynomial, *,
                budget: int | None = None) -> Verdict:
-    w = _first(S, (p,), bool, budget)
-    if w is None:
-        return Verdict("zero", "brute-force")
-    return _emit_nonzero(S, p, w, "brute-force")
+    return _emit_nonzero(S, p, _first(S, (p,), bool, budget), "brute-force")
 
 
 def brute_sat(S: ReesSemigroup, p: Polynomial, b: Element, *,
               budget: int | None = None) -> Verdict:
     S.check_element(b)
     w = _first(S, (p,), partial(operator.eq, _tables(S)[1][b]), budget)
-    if w is None:
-        return Verdict("unsat", "brute-force")
     return _emit_sat(S, p, b, w, "brute-force")
 
 
@@ -1493,10 +1479,8 @@ def brute_zset(S: ReesSemigroup, p: Polynomial, *, var_order=None,
 
 def brute_zset_eq(S: ReesSemigroup, p: Polynomial, q: Polynomial, *,
                   budget: int | None = None) -> Verdict:
-    w = _first(S, (p, q), _zero_differs, budget)
-    if w is None:
-        return Verdict("equal", "brute-force")
-    return _emit_eq_zset(S, p, q, w, "brute-force", ())
+    return _emit_eq_zset(S, p, q, _first(S, (p, q), _zero_differs, budget),
+                         "brute-force")
 
 
 def value_vector(S: ReesSemigroup, p: Polynomial, var_order, *,

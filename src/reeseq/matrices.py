@@ -5,8 +5,10 @@ one zero; equivalently, any two rows sharing a 1 in a common column are
 identical, and likewise for columns.  Such matrices collapse, by deleting
 duplicate rows and columns, to a permutation matrix; retract composes each
 line's surviving duplicate with the permutation into a retraction plan onto
-the k x k identity matrix.  The plan relabels a polynomial's constants (hat
-transform), reducing zero-set questions to the identity-matrix case.
+the k x k identity matrix.  So retract recognizes the class in O(mn): a plan
+exists exactly when the matrix is totally balanced.  The plan relabels a
+polynomial's constants (hat transform), reducing zero-set questions to the
+identity-matrix case.
 """
 
 from __future__ import annotations
@@ -21,7 +23,11 @@ from .words import Polynomial, Symbol, const
 # Recognition
 
 def is_totally_balanced(M: StructureMatrix) -> bool:
-    """No 2x2 submatrix with exactly one zero (definitional scan)."""
+    """No 2x2 submatrix with exactly one zero (definitional scan).
+
+    O(m^2 n^2), kept as the tests' reference for retract on small grids;
+    no decision procedure calls it.
+    """
     rows, cols = range(M.m), range(M.n)
     return not any(M.entry(a, c) and M.entry(a, d) and M.entry(b, c)
                    and not M.entry(b, d)
@@ -32,8 +38,10 @@ def is_totally_balanced(M: StructureMatrix) -> bool:
 def is_totally_balanced_by_lines(M: StructureMatrix) -> bool:
     """Equivalent characterization: lines sharing a 1 are equal lines.
 
-    Kept as a second, independent definition that the tests check
-    is_totally_balanced against; no decision procedure calls it.
+    Kept as a second, independent definition, O(m^2 n + m n^2), that the
+    tests check is_totally_balanced against and use as the reference for
+    retract on matrices too large for the scan; no decision procedure
+    calls it.
     """
     for a in range(M.m):
         for b in range(a + 1, M.m):
@@ -102,17 +110,16 @@ def retract(M: StructureMatrix):
     """
     if not is_regular(M) or not M.is_zero_one:
         raise ReesError("retraction expects a regular 0-1 matrix")
-    rows, row_to = _dedup(M.entries)
-    cols, col_to = _dedup(M.col(i) for i in range(M.n))
-    residual = matrix(tuple(tuple(M.entry(r, c) for c in cols) for r in rows))
+    entries = M.entries
+    rows, row_to = _dedup(entries)
+    cols, col_to = _dedup(zip(*entries))
+    residual = StructureMatrix(tuple(tuple(entries[r][c] for c in cols)
+                                     for r in rows))
 
     k = len(rows)
-    if len(cols) != k:
-        return None, residual
-    # permutation matrix: exactly one 1 per residual row and column
-    if any(sum(row) != 1 for row in residual.entries):
-        return None, residual
-    if any(sum(residual.entry(r, c) for r in range(k)) != 1 for c in range(k)):
+    # permutation matrix: square, exactly one 1 per residual row and column
+    if len(cols) != k or any(sum(line) != 1 for line in residual.entries) \
+            or any(sum(line) != 1 for line in zip(*residual.entries)):
         return None, residual
 
     # label row classes by survivor order, so that each class's surviving
@@ -127,10 +134,9 @@ def retract(M: StructureMatrix):
     col_class = tuple(col_label[c] for c in col_to)
     plan = RetractionPlan(k, row_class, col_class, tuple(rows),
                           tuple(class_col))
-    for lam in range(M.m):
-        for i in range(M.n):
-            if (M.entry(lam, i) == 1) != (row_class[lam] == col_class[i]):
-                raise ReesError("retraction plan failed self-check")
+    if any((v == 1) != (rc == cc) for row, rc in zip(entries, row_class)
+           for v, cc in zip(row, col_class)):
+        raise ReesError("retraction plan failed self-check")
     return plan, residual
 
 

@@ -45,6 +45,42 @@ def test_golden_json_record(i2_file, capsys):
                     '"verdict": "equal", "witness": null}')
 
 
+@pytest.mark.parametrize("name,argv,record", [
+    ("I2", ["zset-eq", "x [1,1] y", "x y"],
+     '{"detail": [["identity slice", "()"], ["constraints", "(system, '
+     '(x, y), ((((v, x, 2), (v, y, 1)), 0)))", "(system, (x, y), ((((v, x, '
+     '2), (v, y, 1)), None)))", "False"]], "method": '
+     '"balanced-constraint-systems", "op": "zset-eq", "verdict": '
+     '"not-equal", "witness": {"x": "[1,2]", "y": "[2,1]"}}'),
+    ("J22", ["pol-eq", "--adjoin-identity", "x y z x", "x z y x"],
+     '{"detail": [["identity slice", "(x)"], ["zero-sets equal", "True"], '
+     '["distinct columns at the ends", "1", "2"]], "method": '
+     '"balanced-elimination-slices", "op": "pol-eq", "verdict": '
+     '"not-equal", "witness": {"x": "1", "y": "[1,1]", "z": "[2,1]"}}'),
+    ("I2", ["term-eq", "--adjoin-identity", "x x y x", "x x y y"],
+     '{"detail": [["matrix class", "TB1", "TB1", "True"], ["first '
+     'mismatching slice, eliminated", "(x)"], ["graph components", '
+     '"{{(v, y, 1)}, {(v, y, 2)}}", "{{(v, y, 1), (v, y, 2)}}", "False"], '
+     '["left-endpoint component", "{(v, y, 1)}", "{(v, y, 1), (v, y, 2)}", '
+     '"False"], ["right-endpoint component", "{(v, y, 2)}", "{(v, y, 1), '
+     '(v, y, 2)}", "False"], ["right symbol (equal rows)", "None", "None", '
+     '"True"], ["left symbol (equal columns)", "None", "None", "True"]], '
+     '"method": "balanced-elimination-slices", "op": "term-eq", "verdict": '
+     '"not-equal", "witness": {"x": "1", "y": "[1,2]"}}'),
+], ids=["zset-eq-I2", "pol-eq-J22-S1", "term-eq-I2-S1"])
+def test_golden_negative_records(tmp_path, capsys, name, argv, record):
+    # negatives whose witness comes from a plain procedure, re-checked by
+    # the question over its own semigroup (with an identity slice in two)
+    M = {"I2": r.identity(2), "J22": r.all_ones(2, 2)}[name]
+    path = tmp_path / f"{name}.mat"
+    path.write_text(r.format_matrix_file(M), encoding="utf-8")
+    op, *rest = argv
+    code = main([op, "--matrix", str(path), "--format", "json", "--explain",
+                 *rest])
+    assert code == 1
+    assert capsys.readouterr().out.strip() == record
+
+
 def test_json_witness_round_trips(i2_file, capsys):
     main(["pol-zero", "--matrix", i2_file, "--format", "json", "x y"])
     record = json.loads(capsys.readouterr().out)

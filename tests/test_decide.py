@@ -15,7 +15,7 @@ from conftest import all_terms, checked_kind, matrix_classes
 from reeseq import cli, decide
 from reeseq.core import ReesSemigroup, StructureMatrix
 from reeseq.errors import (BudgetExceededError, ReesError,
-                           UnsupportedMatrixError)
+                           UnsupportedMatrixError, WitnessSearchError)
 from reeseq.groups import cyclic_group
 
 
@@ -1269,14 +1269,18 @@ def _global_names(code):
             yield from _global_names(const)
 
 
-def _decide_codes(name):
-    """The code of decide's function of that name, or of every method of
-    its class of that name; nothing for other names."""
-    obj = getattr(decide, name, None)
+def _codes(namespace, name):
+    """The code of the function of that name in a module's namespace, or of
+    every method of its class of that name, if the module defines it;
+    nothing for other names."""
+    obj = namespace.get(name)
     obj = getattr(obj, "__wrapped__", obj)  # classify_matrix is cached
     fns = vars(obj).values() if isinstance(obj, type) else (obj,)
     return [fn.__code__ for fn in fns if isinstance(fn, types.FunctionType)
-            and fn.__module__ == decide.__name__]
+            and fn.__module__ == namespace["__name__"]]
+
+
+_decide_codes = partial(_codes, vars(decide))
 
 
 def test_oracles_never_reach_fast_paths():
@@ -1333,3 +1337,105 @@ def test_one_site_runs_an_oracle():
         == ["oracle"]
     assert [name for name, names in refs.items() if "oracle" in names] == []
     assert "oracle" in set(_global_names(cli._run_brute_check.__code__))
+
+
+EMITTERS = {"_emit_eq", "_emit_nonzero", "_emit_sat", "_emit_eq_zset"}
+QUESTIONS = {"term_eq", "term_eq_s1", "term_eq_group", "pol_zero",
+             "pol_zset_eq", "pol_eq", "pol_sat"}
+
+
+def _sites(namespace, targets):
+    """The functions and classes of a module's namespace whose code names
+    any of targets."""
+    return {name for name in namespace
+            if any(set(_global_names(code)) & targets
+                   for code in _codes(namespace, name))}
+
+
+def test_questions_emit_and_emitters_evaluate():
+    # procedures find, questions emit: only the public questions and the
+    # oracles turn a finding into a verdict, and only the emitters evaluate
+    # a witness, besides pol-zero's border evaluation and pol-sat's zero
+    # target
+    assert _sites(vars(decide), EMITTERS) == QUESTIONS | {
+        "brute_eq", "brute_zero", "brute_sat", "brute_zset_eq"}
+    assert _sites(vars(decide), {"evaluate"}) == \
+        EMITTERS | {"pol_zero", "pol_sat"}
+
+
+def test_extra_emission_site_is_caught():
+    namespace = {"__name__": "fake"}
+    exec("def _emit_eq(S, p):\n    return evaluate(S, p)\n\n"
+         "def pol_eq(S, p):\n    return _emit_eq(S, p)\n\n"
+         "def _eq_plain(S, p):\n    return [_emit_eq(S, u) for u in p]\n\n"
+         "class _Net:\n    def run(self):\n        return evaluate(self)\n",
+         namespace)
+    assert _sites(namespace, EMITTERS) == {"pol_eq", "_eq_plain"}
+    assert _sites(namespace, {"evaluate"}) == {"_emit_eq", "_Net"}
+
+
+def _all_zero(*words):
+    """An assignment that puts every variable of words on ZERO: it
+    separates no two words and solves no nonzero target."""
+    return {u: r.ZERO for w in words for u in w.variables}
+
+
+@pytest.mark.parametrize("question", [
+    lambda p, q: r.pol_eq(H3, p, q),
+    lambda p, q: r.pol_eq(H3, p, q, adjoin_identity=True),
+    lambda p, q: r.pol_eq(I2, p, q, adjoin_identity=True),
+    lambda p, q: r.term_eq(H3, p, q),
+    lambda p, q: r.term_eq(I2, p, q),
+    lambda p, q: r.term_eq_s1(H3, p, q),
+    lambda p, q: r.term_eq_s1(I2, p, q),
+    lambda p, q: r.term_eq_group(H3, cyclic_group(2), p, q),
+    lambda p, q: r.pol_zset_eq(H3, p, q),
+    lambda p, q: r.pol_zset_eq(H3, p, q, adjoin_identity=True),
+    lambda p, q: r.pol_sat(H3, p, r.pair(0, 1)),
+    lambda p, q: r.pol_sat(H3, p, r.pair(0, 1), adjoin_identity=True),
+    lambda p, q: r.pol_zero(H3, p),
+    lambda p, q: r.pol_zero(H3, p, adjoin_identity=True),
+], ids=["pol-eq", "pol-eq-S1", "pol-eq-I2-S1", "term-eq", "term-eq-I2",
+        "term-eq-S1", "term-eq-I2-S1", "term-eq-group", "zset-eq",
+        "zset-eq-S1", "pol-sat", "pol-sat-S1", "pol-zero", "pol-zero-S1"])
+def test_a_bad_finding_still_raises(monkeypatch, question):
+    # the procedures' findings are checked by the question alone; a finding
+    # that does not separate must still raise
+    monkeypatch.setattr(decide, "_eq_plain", lambda M, prof, p, q, nodes:
+                        (_all_zero(p, q), ()))
+    monkeypatch.setattr(decide, "_zset_zero_pairs", lambda netp, netq, nodes:
+                        (_all_zero(netp.word, netq.word), (), True))
+    monkeypatch.setattr(decide, "_search_slice", lambda M, nodes, b, pw:
+                        (_all_zero(pw), ()))
+    with pytest.raises(WitnessSearchError):
+        question(r.word_of("x y"), r.word_of("y x"))
+
+
+def test_cli_exits_2_on_a_bad_finding(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(decide, "_eq_plain", lambda M, prof, p, q, nodes:
+                        (_all_zero(p, q), ()))
+    path = tmp_path / "H3.mat"
+    path.write_text(r.format_matrix_file(H3), encoding="utf-8")
+    assert cli.main(["pol-eq", "--matrix", str(path), "--brute",
+                     "x y", "y x"]) == 2
+    assert "bogus inequality witness" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("run", [
+    lambda p, q: r.pol_eq(r.all_ones(2, 2), r.word_of(p), r.word_of(q),
+                          adjoin_identity=True),
+    lambda p, q: r.term_eq_s1(I2, r.word_of(p), r.word_of(q)),
+], ids=["pol-eq-J22-S1", "term-eq-I2-S1"])
+@pytest.mark.parametrize("p,q", [("x y", "y x"), ("x y x", "x x y")])
+def test_each_witness_is_evaluated_once(monkeypatch, run, p, q):
+    # one evaluation per word, by the question's emitter over S1
+    calls = []
+
+    def counted(S, word, w):
+        calls.append(S.has_identity)
+        return r.evaluate(S, word, w)
+
+    monkeypatch.setattr(decide, "evaluate", counted)
+    v = run(p, q)
+    assert checked_kind(v) == "not-equal"
+    assert calls == [True, True]

@@ -46,10 +46,9 @@ def _walked_eq(M, p, q):
     """pol-eq over S^1 by the plain slice walk, with no slice key."""
     prof = decide.classify_matrix(M)
     nodes = decide._Budget(None)
-    settle = partial(decide._eq_slice, r.combinatorial(M), M, prof, nodes)
-    return decide._walk((p, q), nodes, settle, "equal",
-                        partial(decide._emit_eq, r.combinatorial(M, True),
-                                p, q))
+    settle = partial(decide._eq_slice, M, prof, nodes)
+    return decide._emit_eq(r.combinatorial(M, True), p, q,
+                           *decide._walk((p, q), nodes, settle))
 
 
 @pytest.mark.parametrize("M", WALK_MATRICES, ids=lambda M: str(M.entries))
@@ -181,11 +180,11 @@ def test_empty_slice_words():
     nodes = decide._Budget(None)
     live, dead, var = (r.parse_polynomial(t, S)
                        for t in ("[1,2] [1,3]", "[1,1] [1,2]", "x [2,3]"))
-    zset = partial(decide._zset_slice, S, H3, nodes)
-    assert zset(None, None) is None and zset(None, live) is None
+    zset = partial(decide._zset_slice, H3, nodes)
+    assert zset(None, None)[0] is None and zset(None, live)[0] is None
     assert zset(dead, None) == ({}, (("empty slice word", False, True),))
     assert zset(None, var)[0] == {"x": r.ZERO}
-    eq = partial(decide._eq_slice, S, H3, decide.classify_matrix(H3), nodes)
-    assert eq(None, None) is None
+    eq = partial(decide._eq_slice, H3, decide.classify_matrix(H3), nodes)
+    assert eq(None, None)[0] is None
     assert eq(None, live) == ({}, (("empty slice word", True, False),))
     assert eq(var, None)[0] == {"x": r.ZERO}

@@ -156,3 +156,82 @@ def test_permute_matches_element_relabeling():
     for lam in range(M.m):
         for i in range(M.n):
             assert N.entry(rp[lam], cp[i]) == M.entry(lam, i)
+
+
+def _check_profile(M, balanced):
+    """Every MatrixProfile field of M against its definition; balanced is
+    a reference verdict on total balance."""
+    prof = r.classify_matrix.__wrapped__(M)  # uncached: every grid is new
+    rows, cols = M.entries, [M.col(i) for i in range(M.n)]
+    assert prof.all_ones == all(v == 1 for row in rows for v in row)
+    assert prof.totally_balanced == balanced
+    assert prof.bordered == (M.m >= 2 and M.n >= 2 and all(rows[-1])
+                             and all(cols[-1]))
+    assert prof.equal_rows == (len(set(rows)) < M.m)
+    assert prof.equal_cols == (len(set(cols)) < M.n)
+    assert all((prof.support[0][i] >> lam & 1) == M.entry(lam, i)
+               and (prof.support[1][lam] >> i & 1) == M.entry(lam, i)
+               for lam in range(M.m) for i in range(M.n))
+    assert len(prof.support[0]) == M.n and len(prof.support[1]) == M.m
+    plan = prof.plan
+    assert (plan is not None) == balanced
+    if plan is not None:
+        # one class per distinct row and column, the defining property,
+        # and a line of each class picked back out
+        assert plan.k == len(set(rows)) == len(set(cols))
+        assert all((M.entry(lam, i) == 1)
+                   == (plan.row_class[lam] == plan.col_class[i])
+                   for lam in range(M.m) for i in range(M.n))
+        assert [plan.row_class[lam] for lam in plan.class_row] == \
+            [plan.col_class[i] for i in plan.class_col] == list(range(plan.k))
+
+
+def test_profile_fields_on_every_grid_up_to_4x4():
+    # the definitional scan is the reference for total balance here
+    count = 0
+    for m in range(1, 5):
+        for n in range(1, 5):
+            for grid in regular_grids(m, n):
+                M = r.matrix(grid)
+                _check_profile(M, r.is_totally_balanced(M))
+                count += 1
+    assert count == 46312
+
+
+def _random_regular(rng, m, n):
+    """A random regular m x n 0-1 matrix: a random pattern, a balanced one
+    (line classes, entry 1 on equal classes) or a balanced one with one
+    entry flipped, its empty lines then given a 1 each."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        density = rng.random()
+        grid = [[int(rng.random() < density) for _ in range(n)]
+                for _ in range(m)]
+    else:
+        k = rng.randint(1, min(m, n))
+        rc = [rng.randrange(k) for _ in range(m)]
+        cc = [rng.randrange(k) for _ in range(n)]
+        grid = [[int(rc[lam] == cc[i]) for i in range(n)] for lam in range(m)]
+        if kind == 2:
+            lam, i = rng.randrange(m), rng.randrange(n)
+            grid[lam][i] ^= 1
+    for lam in range(m):
+        if not any(grid[lam]):
+            grid[lam][rng.randrange(n)] = 1
+    for i in range(n):
+        if not any(grid[lam][i] for lam in range(m)):
+            grid[rng.randrange(m)][i] = 1
+    return r.matrix(tuple(tuple(row) for row in grid))
+
+
+def test_profile_fields_on_random_matrices_up_to_12x12():
+    # the lines characterization is the reference here, the scan being
+    # O(m^2 n^2); both kinds of answer must occur
+    rng = random.Random(8)
+    seen = set()
+    for _ in range(3000):
+        M = _random_regular(rng, rng.randint(1, 12), rng.randint(1, 12))
+        balanced = is_totally_balanced_by_lines(M)
+        _check_profile(M, balanced)
+        seen.add(balanced)
+    assert seen == {False, True}
