@@ -12,9 +12,10 @@ are stored in file convention: 0 for a zero, k >= 1 for the group element
 with internal index k - 1 (always 1 in the combinatorial case).
 
 All values here are immutable and every operation is a pure function, so
-the module is safe for unrestricted concurrent use.  The one cache,
-combinatorial's bounded store of semigroups, hands out frozen values and
-changes no result.
+the module is safe for unrestricted concurrent use.  A StructureMatrix
+keeps its hash and a ReesSemigroup its index bounds, each computed once in
+__init__.  The one cache across calls, combinatorial's bounded store of
+semigroups, hands out frozen values and changes no result.
 """
 
 from __future__ import annotations
@@ -99,11 +100,16 @@ def element_str(e: Element) -> str:
 # Structure matrices
 
 class StructureMatrix(Frozen):
-    """An m x n grid over {0} + 1-based group element indices."""
-    __slots__ = ("entries",)
+    """An m x n grid over {0} + 1-based group element indices.
+
+    Every question looks its matrix up in LRU caches, so the hash of the
+    nested entries is computed once, here, and kept in _hash.
+    """
+    __slots__ = ("entries", "_hash")
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]):
         _set_entries(self, entries)
+        _set_hash(self, hash((entries,)))
 
     def __eq__(self, other):
         if type(other) is not StructureMatrix:
@@ -111,7 +117,7 @@ class StructureMatrix(Frozen):
         return self.entries == other.entries
 
     def __hash__(self):
-        return hash((self.entries,))
+        return self._hash
 
     @property
     def m(self) -> int:
@@ -146,7 +152,7 @@ class StructureMatrix(Frozen):
         return "\n".join(" ".join(str(v) for v in row) for row in self.entries)
 
 
-_set_entries, = slot_setters(StructureMatrix)
+_set_entries, _set_hash = slot_setters(StructureMatrix)
 
 
 def matrix(rows) -> StructureMatrix:
@@ -170,13 +176,16 @@ def is_regular(M: StructureMatrix) -> bool:
 # The semigroup
 
 class ReesSemigroup(Frozen):
-    __slots__ = ("matrix", "group", "has_identity")
+    # _bounds: (n, m, group order), what check_element compares with
+    __slots__ = ("matrix", "group", "has_identity", "_bounds")
 
     def __init__(self, matrix: StructureMatrix, group: FiniteGroup,
                  has_identity: bool = False):
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "group", group)
         object.__setattr__(self, "has_identity", has_identity)
+        object.__setattr__(self, "_bounds",
+                           (matrix.n, matrix.m, group.order))
         if not is_regular(self.matrix):
             raise IrregularMatrixError("structure matrix must be regular")
         bad = max(v for row in self.matrix.entries for v in row)
@@ -221,8 +230,8 @@ class ReesSemigroup(Frozen):
             if not self.has_identity:
                 raise InvalidElementError("identity used without adjoining it")
             return
-        if not (0 <= e.i < self.n and 0 <= e.lam < self.m
-                and 0 <= e.g < self.group.order):
+        n, m, order = self._bounds
+        if not (0 <= e.i < n and 0 <= e.lam < m and 0 <= e.g < order):
             raise InvalidElementError(f"{e!r} out of range for {self.m}x{self.n} "
                                       f"matrix over group of order {self.group.order}")
 

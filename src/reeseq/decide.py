@@ -198,13 +198,19 @@ class MatrixProfile(Frozen):
 
 @lru_cache(maxsize=256)
 def classify_matrix(M: StructureMatrix) -> MatrixProfile:
-    if not M.is_zero_one:
-        raise UnsupportedMatrixError("fast procedures expect a 0-1 matrix")
-    if not is_regular(M):
-        raise IrregularMatrixError("structure matrix must be regular")
     # a plan exists exactly when M is totally balanced, and the residual
-    # keeps one line of each kind
-    plan, residual = retract(M)
+    # keeps one line of each kind; retract validates M, and only when it
+    # refuses is its refusal told apart here
+    try:
+        plan, residual = retract(M)
+    except ReesError:
+        if not M.is_zero_one:
+            raise UnsupportedMatrixError(
+                "fast procedures expect a 0-1 matrix") from None
+        if not is_regular(M):
+            raise IrregularMatrixError(
+                "structure matrix must be regular") from None
+        raise
     support = (tuple(sum(1 << lam for lam in range(M.m) if M.entry(lam, i))
                      for i in range(M.n)),
                tuple(sum(1 << i for i in range(M.n) if M.entry(lam, i))
@@ -570,11 +576,12 @@ def pol_zero(M: StructureMatrix, p: Polynomial, *,
         return _emit_nonzero(S, p, w, method, detail)
 
     if prof.bordered:
-        # a dead border evaluation pins the zero on an adjacent constant
-        # pair, which no assignment (identity included) can separate
+        # the border evaluation is zero exactly on an adjacent constant
+        # pair that meets a zero entry, which no assignment (identity
+        # included) can separate
         e0 = _border_completion(M, p)
-        dead = evaluate(combinatorial(M), p, e0) == ZERO
-        return _emit_nonzero(S, p, None if dead else e0, "border-evaluation",
+        return _emit_nonzero(S, p, None if _dead_pair(M, p) else e0,
+                             "border-evaluation",
                              (("border evaluation", Evaluation.of(e0)),))
 
     nodes = _Budget(budget)
@@ -1025,8 +1032,9 @@ def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,
     S.check_element(b)
 
     if b == ZERO:
+        # a word of constants alone is zero exactly on a dead pair
         w = dict.fromkeys(p.variables, ZERO)
-        if not w and evaluate(S, p, w) != ZERO:
+        if not w and not _dead_pair(M, p):
             w = None
         return _emit_sat(S, p, b, w, "zero-target")
     if b == ONE:

@@ -28,10 +28,9 @@ families settle every slice at once.
 
 from __future__ import annotations
 
-from functools import cached_property
 from itertools import compress
 
-from .frozen import Frozen
+from .frozen import Frozen, cached_value
 from .words import Polynomial
 
 
@@ -223,7 +222,7 @@ class CompiledWord:
 
     # families reads this, not records(), so that the tests can replace
     # either certificate on its own
-    @cached_property
+    @cached_value
     def _records(self) -> frozenset:
         out = set()
         add = out.add

@@ -10,16 +10,15 @@ from __future__ import annotations
 import math
 import re
 import warnings
-from functools import cached_property
 
 from .errors import GroupTableError
-from .frozen import Frozen
+from .frozen import Frozen, cached_value
 
 ASSOCIATIVITY_CHECK_LIMIT = 64
 
 
 class FiniteGroup(Frozen):
-    # __dict__ holds the cached_property values
+    # __dict__ holds the cached_value values
     __slots__ = ("name", "table", "identity", "inverse", "labels", "__dict__")
 
     def __init__(self, name: str, table: tuple[tuple[int, ...], ...],
@@ -45,7 +44,7 @@ class FiniteGroup(Frozen):
     def is_trivial(self) -> bool:
         return len(self.table) == 1
 
-    @cached_property
+    @cached_value
     def orders(self) -> tuple[int, ...]:
         """The order of each element."""
         out = []
@@ -56,12 +55,12 @@ class FiniteGroup(Frozen):
             out.append(k)
         return tuple(out)
 
-    @cached_property
+    @cached_value
     def exponent(self) -> int:
         """The least e > 0 with g^e the identity for every g."""
         return math.lcm(*self.orders)
 
-    @cached_property
+    @cached_value
     def is_abelian(self) -> bool:
         t = self.table
         return all(t[a][b] == t[b][a] for a in range(len(t)) for b in range(a))

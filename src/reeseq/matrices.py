@@ -141,16 +141,23 @@ def retract(M: StructureMatrix):
 
 
 def hat_transform(p: Polynomial, plan: RetractionPlan) -> Polynomial:
-    """Relabel p's constants through the plan; variables pass through."""
+    """Relabel p's constants through the plan; variables pass through.
+
+    When no constant moves, as in a term or over an identity plan, the
+    result is p itself, which keeps the values it has computed already.
+    """
+    col_class, row_class = plan.col_class, plan.row_class
     out: list[Symbol] = []
+    moved = False
     for s in p.word:
-        if s.is_var:
-            out.append(s)
-        else:
+        if not s.is_var:
             e = s.elem
-            out.append(const(triple(plan.col_class[e.i], e.g,
-                                    plan.row_class[e.lam])))
-    return Polynomial(tuple(out))
+            i, lam = col_class[e.i], row_class[e.lam]
+            if i != e.i or lam != e.lam:
+                s = const(triple(i, e.g, lam))
+                moved = True
+        out.append(s)
+    return Polynomial(tuple(out)) if moved else p
 
 
 def lift_element_map(plan: RetractionPlan):

@@ -16,12 +16,12 @@ fixed plane or a fixed orthogonal triple.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property, partial
+from functools import partial
 
 from .core import Element, ReesSemigroup, ZERO, combinatorial, pair
 from .errors import ParseError, ReesError
 from .fields import PrimeField, Rank1Semigroup, rank1_semigroup
-from .frozen import Frozen
+from .frozen import Frozen, cached_value
 from .matrices import hollow
 from .words import (Polynomial, Symbol, const, evaluate, poly, substitute,
                     var)
@@ -32,7 +32,7 @@ from .words import (Polynomial, Symbol, const, evaluate, poly, substitute,
 
 class SimpleGraph(Frozen):
     # edges: unordered 0-based pairs stored sorted; __dict__ holds the
-    # cached_property values
+    # cached_value values
     __slots__ = ("n", "edges", "__dict__")
 
     def __init__(self, n: int, edges: frozenset):
@@ -44,7 +44,7 @@ class SimpleGraph(Frozen):
         if not self.is_connected:
             raise ReesError("graph must be connected")
 
-    @cached_property
+    @cached_value
     def adjacency(self) -> tuple:
         """The sorted neighbour tuple of each vertex, built once."""
         nbrs = [[] for _ in range(self.n)]

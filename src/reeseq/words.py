@@ -15,18 +15,26 @@ constant form [i,g,lam] carries a 1-based group element index in the middle,
 as elements print, and is only accepted over non-combinatorial semigroups.
 The zero and the adjoined identity are not expressible in source text; they
 arise only through evaluation.
+
+Two things are cached.  A Polynomial computes its variables and constants
+on first read and keeps them (reeseq.frozen.cached_value).  Parsing looks
+each token's text up in a table of TOKEN_TABLE_SIZE entries, shared by
+every parse in the process, that holds what the text alone says: the
+symbol, whether it names a group component, and the repetition count.
+What depends on the semigroup, the range and group checks of a constant,
+runs on every parse, and a token that fails to parse is never kept.
 """
 
 from __future__ import annotations
 
 import re
-from functools import cached_property
+from functools import lru_cache
 
 from .core import (Element, ReesSemigroup, element_str,
                    transpose_element, triple)
 from .errors import (EmptyWordError, InvalidElementError,
                      MissingAssignmentError, ParseError)
-from .frozen import Frozen, slot_setters
+from .frozen import Frozen, cached_value, slot_setters
 
 
 class Symbol(Frozen):
@@ -66,7 +74,7 @@ def const(elem: Element) -> Symbol:
 
 
 class Polynomial(Frozen):
-    # __dict__ holds the cached_property values
+    # __dict__ holds the cached_value values
     __slots__ = ("word", "__dict__")
 
     def __init__(self, word: tuple[Symbol, ...]):
@@ -92,13 +100,13 @@ class Polynomial(Frozen):
 
     # variables and constants build their tuple from a list, as
     # eliminate_variables does
-    @cached_property
+    @cached_value
     def variables(self) -> tuple[str, ...]:
         """Variable names in first-occurrence order."""
         return tuple(list(dict.fromkeys([s.name for s in self.word
                                          if s.is_var])))
 
-    @cached_property
+    @cached_value
     def constants(self) -> tuple[Element, ...]:
         return tuple(list(dict.fromkeys([s.elem for s in self.word
                                          if not s.is_var])))
@@ -135,27 +143,34 @@ _TOKEN = re.compile(r"(?:\[(\d+),(?:(\d+),)?(\d+)\]"
                     r"|([A-Za-z_][A-Za-z0-9_#.']*))(?:\^(\d+))?")
 
 
+# the token table's bound: far above the distinct tokens of a vocabulary of
+# variable names and a few constants
+TOKEN_TABLE_SIZE = 1024
+
+
 def parse_polynomial(text: str, S: ReesSemigroup) -> Polynomial:
     """Parse a word, validating constants against S's matrix and group.
 
-    Each distinct token is matched, validated and built once per word; a
-    repeat reuses the symbol run of its first occurrence.
+    A token's symbol and repetition count come from the token table
+    (_token); each constant is checked against S here, on every parse.
     """
     tokens = text.split()
     if not tokens:
         raise ParseError("empty polynomial")
-    runs: dict[str, list[Symbol]] = {}
     out: list[Symbol] = []
     for tok in tokens:
-        run = runs.get(tok)
-        if run is None:
-            run = runs[tok] = _token_run(tok, S)
-        out.extend(run)
+        sym, grouped, reps = _token(tok)
+        if not sym.is_var:
+            _check_constant(tok, sym.elem, grouped, S)
+        out += [sym] * reps
     return Polynomial(tuple(out))
 
 
-def _token_run(tok: str, S: ReesSemigroup) -> list[Symbol]:
-    """The symbols one token stands for: its symbol, repeated."""
+@lru_cache(maxsize=TOKEN_TABLE_SIZE)
+def _token(tok: str) -> tuple[Symbol, bool, int]:
+    """What a token's text says without a semigroup: its symbol, whether
+    it names a group component, and its repetition count.  A constant's
+    coordinates are read as they are written, out of range or not."""
     m = _TOKEN.fullmatch(tok)
     if not m:
         raise ParseError(f"bad token {tok!r}")
@@ -164,16 +179,22 @@ def _token_run(tok: str, S: ReesSemigroup) -> list[Symbol]:
     if reps < 1:
         raise ParseError(f"repetition must be positive in {tok!r}")
     if name is not None:
-        return [var(name)] * reps
-    i, lam = int(i), int(lam)
-    if g and S.is_combinatorial:
+        return var(name), False, reps
+    e = triple(int(i) - 1, int(g) - 1 if g else 0, int(lam) - 1)
+    return const(e), g is not None, reps
+
+
+def _check_constant(tok: str, e: Element, grouped: bool,
+                    S: ReesSemigroup) -> None:
+    """The checks of the constant e, written as tok, against S."""
+    if grouped and S.is_combinatorial:
         raise ParseError(f"group component in {tok!r} over a "
                          "combinatorial semigroup")
-    g = int(g) if g else 1
-    if not (1 <= i <= S.n and 1 <= lam <= S.m and 1 <= g <= S.group.order):
+    try:
+        S.check_element(e)
+    except InvalidElementError:
         raise ParseError(f"constant {tok!r} out of range for "
-                         f"{S.m}x{S.n} matrix")
-    return [const(triple(i - 1, g - 1, lam - 1))] * reps
+                         f"{S.m}x{S.n} matrix") from None
 
 
 def polynomial_str(p: Polynomial) -> str:

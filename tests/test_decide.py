@@ -1355,12 +1355,10 @@ def _sites(namespace, targets):
 def test_questions_emit_and_emitters_evaluate():
     # procedures find, questions emit: only the public questions and the
     # oracles turn a finding into a verdict, and only the emitters evaluate
-    # a witness, besides pol-zero's border evaluation and pol-sat's zero
-    # target
+    # a witness
     assert _sites(vars(decide), EMITTERS) == QUESTIONS | {
         "brute_eq", "brute_zero", "brute_sat", "brute_zset_eq"}
-    assert _sites(vars(decide), {"evaluate"}) == \
-        EMITTERS | {"pol_zero", "pol_sat"}
+    assert _sites(vars(decide), {"evaluate"}) == EMITTERS
 
 
 def test_extra_emission_site_is_caught():
@@ -1439,3 +1437,35 @@ def test_each_witness_is_evaluated_once(monkeypatch, run, p, q):
     v = run(p, q)
     assert checked_kind(v) == "not-equal"
     assert calls == [True, True]
+
+
+BORDER_I2 = r.border(I2)
+
+
+def _word(M, text):
+    return r.parse_polynomial(text, r.combinatorial(M))
+
+
+@pytest.mark.parametrize("run,calls", [
+    (lambda: r.pol_zero(BORDER_I2, _word(BORDER_I2, "x [1,1] y")), [False]),
+    (lambda: r.pol_zero(BORDER_I2, _word(BORDER_I2, "x [1,1] y"),
+                        adjoin_identity=True), [True]),
+    (lambda: r.pol_zero(BORDER_I2, _word(BORDER_I2, "[1,1] [2,2]")), []),
+    (lambda: r.pol_sat(I2, _word(I2, "[1,1] [2,2]"), r.ZERO), [False]),
+    (lambda: r.pol_sat(I2, _word(I2, "[1,1] [1,1]"), r.ZERO), []),
+], ids=["border-not-zero", "border-not-zero-S1", "border-zero",
+        "zero-target-sat", "zero-target-unsat"])
+def test_border_and_zero_target_are_evaluated_by_the_emitter(
+        monkeypatch, run, calls):
+    # _dead_pair decides the bordered pol-zero and pol-sat's zero target,
+    # so only a witness is evaluated, once, by the emitter
+    seen = []
+
+    def counted(S, word, w):
+        seen.append(S.has_identity)
+        return r.evaluate(S, word, w)
+
+    monkeypatch.setattr(decide, "evaluate", counted)
+    v = run()
+    assert seen == calls
+    assert (v.witness is None) == (not calls)

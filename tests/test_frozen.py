@@ -6,7 +6,7 @@ import pytest
 
 import reeseq as r
 from reeseq import decide, fields, graphs, reductions as red
-from reeseq.frozen import Frozen
+from reeseq.frozen import Frozen, cached_value
 
 
 def _values():
@@ -146,6 +146,47 @@ def test_cached_properties_are_kept_per_value():
     # the other classes keep no dictionary at all
     assert not hasattr(r.triple(0, 0, 0), "__dict__")
     assert not hasattr(r.var("x"), "__dict__")
+
+
+def test_cached_value_computes_once_and_keeps_it():
+    calls = []
+
+    class K:
+        @cached_value
+        def v(self):
+            """The value."""
+            calls.append(self)
+            return [len(calls)]
+
+    k = K()
+    assert k.v is k.v and k.v == [1] and calls == [k]
+    assert k.__dict__ == {"v": [1]}
+    assert K.v is K.__dict__["v"] and K.v.__doc__ == "The value."
+    assert K().v == [2]
+
+    class Slotted:
+        __slots__ = ()
+
+        @cached_value
+        def v(self):
+            return 0
+
+    with pytest.raises(TypeError, match="Slotted has no '__dict__' slot"):
+        Slotted().v
+
+
+def test_derived_slots_are_not_fields():
+    # a matrix keeps its hash and a semigroup its bounds, out of equality,
+    # hashing and repr
+    M = r.matrix(((1, 0), (1, 1)))
+    assert hash(M) == hash((M.entries,)) and M._field_names() == ["entries"]
+    assert repr(M) == "StructureMatrix(entries=((1, 0), (1, 1)))"
+    S = r.ReesSemigroup(M, r.cyclic_group(2))
+    assert hash(S) == hash((M, S.group, False))
+    assert repr(S) == (f"ReesSemigroup(matrix={M!r}, group={S.group!r}, "
+                       "has_identity=False)")
+    with pytest.raises(AttributeError):
+        M._hash = 0
 
 
 def test_checks_run_on_construction():

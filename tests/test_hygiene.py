@@ -236,6 +236,32 @@ def test_imported_modules_are_found():
     assert _imported_modules(tree) == {"os.path", "sys", "dataclasses"}
 
 
+def _cached_property_uses(tree):
+    """The lines that import cached_property or read it as an attribute,
+    as in functools.cached_property."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and any(a.name == "cached_property" for a in node.names)
+                  or isinstance(node, ast.Attribute)
+                  and node.attr == "cached_property")
+
+
+@pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
+def test_no_cached_property(path):
+    # functools.cached_property takes a lock on every first read under
+    # CPython 3.11, which costs a fresh word more than computing its
+    # variables; values cache through reeseq.frozen.cached_value
+    assert _cached_property_uses(_parse(path)) == []
+
+
+def test_cached_property_is_caught():
+    tree = ast.parse("from functools import partial, cached_property as c\n"
+                     "import functools\n\n"
+                     "class K:\n    @functools.cached_property\n"
+                     "    def v(self):\n        return partial\n")
+    assert _cached_property_uses(tree) == [1, 5]
+
+
 def _dynamic_imports(tree):
     """For each call of import_module or __import__, the name of the
     top-level definition around it, or "<module>"."""

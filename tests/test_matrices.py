@@ -6,7 +6,8 @@ import pytest
 
 import reeseq as r
 from conftest import matrix_classes, regular_grids
-from reeseq.errors import ReesError
+from reeseq.errors import (IrregularMatrixError, ReesError,
+                           UnsupportedMatrixError)
 from reeseq.matrices import (is_all_ones, is_totally_balanced_by_lines,
                              lift_element_map)
 
@@ -95,6 +96,34 @@ def test_hat_transform():
     assert ph.length == p.length
 
 
+def _relabelled(p, plan):
+    """The hat transform by its definition: a new word, every constant
+    sent through the plan."""
+    return r.Polynomial(tuple(
+        s if s.is_var else r.const(r.triple(plan.col_class[s.elem.i],
+                                            s.elem.g,
+                                            plan.row_class[s.elem.lam]))
+        for s in p.word))
+
+
+@pytest.mark.parametrize("M,text,same", [
+    (r.identity(3), "[1,1] x [3,3] y [2,2]", True),
+    (r.matrix(((1, 1, 0), (1, 1, 0), (0, 0, 1))), "[1,1] x [3,3] y [2,2]",
+     False),
+    (r.matrix(((1, 1, 0), (1, 1, 0), (0, 0, 1))), "x [1,1] y", True),
+    (r.matrix(((1, 1, 0), (1, 1, 0), (0, 0, 1))), "x y x", True),
+], ids=["I3", "T33", "T33-fixed-constant", "T33-term"])
+def test_hat_transform_keeps_a_word_no_constant_moves_in(M, text, same):
+    plan, _ = r.retract(M)
+    p = r.parse_polynomial(text, r.combinatorial(M))
+    assert p.variables == ("x", "y")  # computed now, kept by p
+    ph = r.hat_transform(p, plan)
+    assert ph == _relabelled(p, plan)
+    assert (ph is p) == same
+    if same:
+        assert "variables" in ph.__dict__
+
+
 def test_hat_preserves_zero_set_comparisons():
     # brute force over a 3x2 totally balanced matrix with duplicate rows
     M = r.matrix(((1, 0), (1, 0), (0, 1)))
@@ -156,6 +185,26 @@ def test_permute_matches_element_relabeling():
     for lam in range(M.m):
         for i in range(M.n):
             assert N.entry(rp[lam], cp[i]) == M.entry(lam, i)
+
+
+@pytest.mark.parametrize("rows,error,message", [
+    (((2, 1), (1, 1)), UnsupportedMatrixError,
+     "fast procedures expect a 0-1 matrix"),
+    (((2, 0), (0, 0)), UnsupportedMatrixError,
+     "fast procedures expect a 0-1 matrix"),
+    (((1, 1), (0, 0)), IrregularMatrixError,
+     "structure matrix must be regular"),
+], ids=["two", "two-irregular", "irregular"])
+def test_refusals_of_classify_and_retract(rows, error, message):
+    # retract validates for classify_matrix, and each keeps its own
+    # refusal
+    M = r.matrix(rows)
+    with pytest.raises(error, match=f"^{message}$"):
+        r.classify_matrix.__wrapped__(M)
+    with pytest.raises(ReesError) as info:
+        r.retract(M)
+    assert type(info.value) is ReesError
+    assert str(info.value) == "retraction expects a regular 0-1 matrix"
 
 
 def _check_profile(M, balanced):

@@ -57,6 +57,35 @@ def test_parse_errors():
             r.parse_polynomial(text, S2)
 
 
+def test_token_table_is_bounded():
+    size = r.words._token.cache_info().maxsize
+    assert size == r.words.TOKEN_TABLE_SIZE and isinstance(size, int)
+
+
+def test_constants_are_checked_against_each_semigroup():
+    # the token table keeps what the text says; the range check runs per
+    # parse, against the semigroup of that parse
+    S3 = r.combinatorial(r.identity(3))
+    assert r.parse_polynomial("x [3,3]", S3).word[1].elem == r.pair(2, 2)
+    with pytest.raises(ParseError, match=re.escape(
+            "constant '[3,3]' out of range for 2x2 matrix")):
+        r.parse_polynomial("x [3,3]", S2)
+    assert r.parse_polynomial("[3,3]", S3).length == 1
+
+
+@pytest.mark.parametrize("text,message", [
+    ("x!", "bad token 'x!'"),
+    ("x^0", "repetition must be positive in 'x^0'"),
+    ("[1,2,1]", "group component in '[1,2,1]' over a combinatorial "
+                "semigroup"),
+    ("[0,1]", "constant '[0,1]' out of range for 2x2 matrix"),
+])
+def test_parse_errors_are_raised_on_every_parse(text, message):
+    for _ in range(2):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+            r.parse_polynomial(text, S2)
+
+
 def _random_tokens(rng, group_order):
     """(text, symbols) pairs drawn from a small pool, so tokens repeat:
     variables, constants and, over a nontrivial group, three-part
