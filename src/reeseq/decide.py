@@ -9,18 +9,23 @@ into a constraint network (variable index, arcs, and domains narrowed by
 the constants and closed under arc consistency); each run applies its masks
 on a trail, propagates from the masked vertices alone and undoes them
 before it returns, so all of the verdict's runs share the network.  The
-search branches on the smallest domain, ties to the most neighbours and
-then to discovery order, kept in a heap that changes only when a domain
-does, so a search that needs about one node per vertex is near-linear.
-All runs of one verdict spend one budget of search nodes.  The plain
-questions reduce to the search:
+search covers each connected component of the undecided vertices, and
+branches on the smallest domain, ties to the most neighbours and then to
+discovery order.  On a component of three or more vertices that order is
+kept in a heap of integer keys that changes only when a domain does, so a
+search that needs about one node per vertex is near-linear; a component of
+one or two vertices is settled directly, with the values and the nodes
+the heap search would take.  All runs of one verdict spend one budget of
+search nodes.  The plain questions reduce to the search:
 
 * pol-zero on a matrix neither totally balanced nor bordered is one
   search with no masks;
 * pol-sat masks the leftmost column and the rightmost row to the target's;
 * zset-eq, on bordered and general matrices, searches for a nonzero
   evaluation of one word that puts an adjacent pair of the other on a
-  zero entry of M, one search per row with a zero;
+  zero entry of M, one search per row with a zero; words with the same
+  variables and the same set of adjacent symbol pairs have the same
+  network, so p's zero check alone settles them, and q's is not built;
 * pol-eq checks the zero sets, then runs one search per index x, with p's
   leftmost symbol on column x and q's on any other column (likewise rows
   at the right ends);
@@ -650,7 +655,7 @@ def pol_zset_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
     if adjoin_identity:
         return _emit_eq_zset(S, p, q, *_walk((p, q), nodes,
                                              partial(_zset_slice, M, nodes)))
-    w, detail, _ = _zset_zero_pairs(_Network(M, p), _Network(M, q), nodes)
+    w, detail, _ = _zset_zero_pairs(M, _Network(M, p), q, nodes)
     return _emit_eq_zset(S, p, q, w, "homomorphism-search", detail)
 
 
@@ -665,7 +670,7 @@ def _zset_slice(M, nodes, pw, qw):
             return None, ()
         return (dict.fromkeys(live.variables, ZERO),
                 (("empty slice word", pw is None, qw is None),))
-    return _zset_zero_pairs(_Network(M, pw), _Network(M, qw), nodes)[:2]
+    return _zset_zero_pairs(M, _Network(M, pw), qw, nodes)[:2]
 
 
 def _system(names, labels) -> tuple:
@@ -781,33 +786,44 @@ def _separator(live, dead):
     return None
 
 
-def _zset_zero_pairs(netp, netq, nodes):
-    """Zero sets compared through homomorphism search under pins, on the
-    compiled networks of p and q and within one budget: a witness or None,
-    detail rows, and whether p is nonzero somewhere, which the first search
-    shows.
+def _zset_zero_pairs(M, netp, q, nodes):
+    """Zero sets of p and q compared through homomorphism search under
+    pins, on p's compiled network and within one budget: a witness or
+    None, detail rows, and whether p is nonzero somewhere, which the first
+    search shows.
 
-    A word that is identically zero decides at once, and so does a variable
-    that only one word has: set to zero, it kills that word alone.
-    Otherwise, wherever a word is nonzero all its variables are, so Z(dst)
-    leaves Z(src) exactly when src stays nonzero while some adjacent pair
-    of dst meets a zero entry of M.
+    Over the plain semigroup a word's network is fixed by its variables and
+    its set of adjacent symbol pairs, so words that share both share their
+    zero set: p's search alone then tells which rows apply, and q's network
+    is never built.  Otherwise a word that is identically zero decides at
+    once, and so does a variable that only one word has: set to zero, it
+    kills that word alone.  Else, wherever a word is nonzero all its
+    variables are, so Z(dst) leaves Z(src) exactly when src stays nonzero
+    while some adjacent pair of dst meets a zero entry of M.
     """
-    p, q = netp.word, netq.word
-    wp, wq = (_homomorphism(net, (), nodes) for net in (netp, netq))
+    p = netp.word
+    wp = _homomorphism(netp, (), nodes)
+    same = set(p.variables) == set(q.variables)
+    if same:
+        pp, pq = _pair_keys(p), _pair_keys(q)
+        if pp.keys() == pq.keys():
+            if wp is None:
+                return None, (("both identically zero", True),), False
+            return None, (("zero pairs", "none separates the words"),), True
+    netq = _Network(M, q)
+    wq = _homomorphism(netq, (), nodes)
     if wp is None and wq is None:
         return None, (("both identically zero", True),), False
     if wp is None or wq is None:
         detail = (("identically zero", wp is None, wq is None, False),)
         w = wq if wp is None else wp
-    elif set(p.variables) != set(q.variables):
+    elif not same:
         detail = (("variables", tuple(sorted(p.variables)),
                    tuple(sorted(q.variables)), False),)
         v = sorted(set(p.variables) ^ set(q.variables))[0]
         w = wq if v in p.variables else wp
         w[v] = ZERO
     else:
-        pp, pq = _pair_keys(p), _pair_keys(q)
         hit = (_zero_pair(netp, pq, pp, nodes)
                or _zero_pair(netq, pp, pq, nodes))
         if hit is None:
@@ -922,7 +938,7 @@ def _eq_plain(M, prof, p, q, nodes):
         w, _, detail, alive = _zset_balanced(prof, p, q, False)
     else:
         net = _Network(M, p)
-        w, detail, alive = _zset_zero_pairs(net, _Network(M, q), nodes)
+        w, detail, alive = _zset_zero_pairs(M, net, q, nodes)
     if w is not None:
         return w, (("zero-sets equal", False),) + detail
     # past this test p is nonzero somewhere, so (zero sets agreeing) both
@@ -1093,25 +1109,37 @@ class _Network:
 
     def __init__(self, M: StructureMatrix, p: Polynomial):
         self.word = p
-        self.index = index = {u: j for j, u in enumerate(p.variables)}
+        self.index = index = {}  # names in first-occurrence order
         self.support = support = classify_matrix(M).support
-        doms = [(1 << (M.m if v & 1 else M.n)) - 1
-                for v in range(2 * len(index))]
-        arcs = [set() for _ in doms]
+        cols, rows = support
+        full = ((1 << M.n) - 1, (1 << M.m) - 1)
+        doms: list = []
+        arcs: list = []
         dead = False
-        word = p.word
-        # each symbol's column vertex, or -1 for a constant
-        col = [2 * index[s.name] if s.is_var else -1 for s in word]
-        for k, (x, y) in enumerate(zip(col, col[1:])):
-            if x >= 0 and y >= 0:
-                arcs[x + 1].add(y)
-                arcs[y].add(x + 1)
-            elif x >= 0:
-                doms[x + 1] &= support[0][word[k + 1].elem.i]
-            elif y >= 0:
-                doms[y] &= support[1][word[k].elem.lam]
-            elif not M.entry(word[k].elem.lam, word[k + 1].elem.i):
-                dead = True
+        # one pass: x is the previous symbol's column vertex, -1 after a
+        # constant (whose row is lam) and -2 before the first symbol
+        x = -2
+        for s in p.word:
+            if s.is_var:
+                j = index.get(s.name)
+                if j is None:
+                    j = index[s.name] = len(index)
+                    doms += full
+                    arcs += (set(), set())
+                y = 2 * j
+                if x >= 0:
+                    arcs[x + 1].add(y)
+                    arcs[y].add(x + 1)
+                elif x == -1:
+                    doms[y] &= rows[lam]
+                x = y
+            else:
+                i = s.elem.i
+                if x >= 0:
+                    doms[x + 1] &= cols[i]
+                elif x == -1 and not rows[lam] >> i & 1:
+                    dead = True
+                x, lam = -1, s.elem.lam
         # each set's own order, kept: a run discovers its components in it,
         # and the witness depends on that order
         self.nbrs = nbrs = [tuple(a) for a in arcs]
@@ -1139,8 +1167,10 @@ class _Budget:
     def spend(self) -> None:
         self.spent += 1
         if self.spent > self.limit:
-            raise BudgetExceededError(f"search exceeds budget {self.limit} "
-                                      "nodes")
+            raise self.exceeded()
+
+    def exceeded(self) -> BudgetExceededError:
+        return BudgetExceededError(f"search exceeds budget {self.limit} nodes")
 
 
 def _narrow(doms, nbrs, support, queue, trail) -> bool:
@@ -1166,15 +1196,6 @@ def _narrow(doms, nbrs, support, queue, trail) -> bool:
     return True
 
 
-def _branching_order(doms, degree, comp) -> list:
-    """The undecided vertices of comp as a heap of (domain size, -degree,
-    position in comp, vertex) entries."""
-    heap = [(doms[u].bit_count(), -degree[u], k, u)
-            for k, u in enumerate(comp) if doms[u] & (doms[u] - 1)]
-    heapify(heap)
-    return heap
-
-
 def _homomorphism(net: _Network, wants, nodes: _Budget) -> dict | None:
     """A nonzero evaluation of net's word over the plain combinatorial
     semigroup of M, as a name -> element dict, or None when the word is
@@ -1188,18 +1209,22 @@ def _homomorphism(net: _Network, wants, nodes: _Budget) -> dict | None:
     the undecided vertices: it branches on the smallest domain, ties to
     the vertex with most neighbours and then to the first in the order in
     which the component was discovered, restores arc consistency after
-    every choice and undoes its choices from the trail.  The branching
-    order lives in a heap of (domain size, -degree, discovery position,
-    vertex) entries, pushed whenever a choice narrows a domain or the
-    trail restores one and dropped once stale, so a search that needs about
-    one node per vertex takes near-linear time.  Every value tried spends
-    a node of the verdict's budget.  The trail is undone before the run
+    every choice and undoes its choices from the trail.  On a component of
+    three or more vertices the branching order lives in a heap of integer
+    keys (domain size, then degree, then discovery position), pushed
+    whenever a choice narrows a domain or the trail restores one and
+    dropped once stale, so a search that needs about one node per vertex
+    takes near-linear time; one or two vertices are settled directly, with
+    the values and the nodes the heap search would take.  Every value
+    tried spends a node of the verdict's budget.  The trail is undone before the run
     returns, so the network is ready for the verdict's next run.
     """
     if net.dead:
         return None
     doms, nbrs, support, degree = net.doms, net.nbrs, net.support, net.degree
     trail: list = []  # (vertex, domain before a change)
+    # the budget's count is kept here and written back on every exit
+    spent, limit = nodes.spent, nodes.limit
     try:
         queue = []
         for s, side, mask in wants:
@@ -1236,31 +1261,69 @@ def _homomorphism(net: _Network, wants, nodes: _Budget) -> dict | None:
                         stack.append(u)
             # only the component's own vertices change while it is
             # searched: a decided vertex is never narrowed, only emptied
-            rank = {v: k for k, v in enumerate(comp)}
-            heap = _branching_order(doms, degree, comp)
+            n = len(comp)
+            if n <= 2:
+                # arc consistency lets the first vertex in branching order
+                # take its lowest value, and the other keep a value that
+                # this one supports: its lowest, a second node only when
+                # more than one is left
+                v = root
+                if n == 2:
+                    u = comp[1]
+                    dv, du = doms[v].bit_count(), doms[u].bit_count()
+                    if du < dv or du == dv and degree[u] > degree[v]:
+                        v, u = u, v
+                spent += 1
+                if spent > limit:
+                    raise nodes.exceeded()
+                d = doms[v]
+                trail.append((v, d))
+                doms[v] = low = d & -d
+                if n == 2:
+                    d = doms[u] & support[v & 1][low.bit_length() - 1]
+                    if d & (d - 1):
+                        spent += 1
+                        if spent > limit:
+                            raise nodes.exceeded()
+                    trail.append((u, doms[u]))
+                    doms[u] = d & -d
+                continue
+            # a heap key orders by domain size, then most neighbours, then
+            # discovery position: count * span + tie[u], the position
+            # being tie[u] % n
+            top = max([degree[u] for u in comp])
+            span = (top + 1) * n
+            tie = {u: (top - degree[u]) * n + k for k, u in enumerate(comp)}
+            heap = [doms[u].bit_count() * span + tie[u] for u in comp
+                    if doms[u] & (doms[u] - 1)]
+            heapify(heap)
             frames: list = []  # [vertex, values left to try, trail mark]
             while True:
-                while heap and doms[heap[0][3]].bit_count() != heap[0][0]:
+                while heap and (doms[comp[heap[0] % n]].bit_count()
+                                != heap[0] // span):
                     heappop(heap)
                 if not heap:
                     break
-                v = heappop(heap)[3]
+                v = comp[heappop(heap) % n]
                 frames.append([v, doms[v], len(trail)])
                 while frames:
                     frame = frames[-1]
                     v, rest, mark = frame
-                    if len(heap) > 2 * len(comp):  # mostly stale entries
-                        heap = _branching_order(doms, degree, comp)
+                    if len(heap) > 2 * n:  # mostly stale entries
+                        heap = [doms[u].bit_count() * span + tie[u]
+                                for u in comp if doms[u] & (doms[u] - 1)]
+                        heapify(heap)
                     while len(trail) > mark:
                         u, d = trail.pop()
                         doms[u] = d
                         if d & (d - 1):
-                            heappush(heap, (d.bit_count(), -degree[u],
-                                            rank[u], u))
+                            heappush(heap, d.bit_count() * span + tie[u])
                     if not rest:
                         frames.pop()
                         continue
-                    nodes.spend()
+                    spent += 1
+                    if spent > limit:
+                        raise nodes.exceeded()
                     low = rest & -rest
                     frame[1] = rest ^ low
                     trail.append((v, doms[v]))
@@ -1269,8 +1332,7 @@ def _homomorphism(net: _Network, wants, nodes: _Budget) -> dict | None:
                         for u, _ in trail[mark + 1:]:
                             d = doms[u]
                             if d & (d - 1):
-                                heappush(heap, (d.bit_count(), -degree[u],
-                                                rank[u], u))
+                                heappush(heap, d.bit_count() * span + tie[u])
                         break
                 else:
                     return None
@@ -1278,6 +1340,7 @@ def _homomorphism(net: _Network, wants, nodes: _Budget) -> dict | None:
                         doms[2 * j + 1].bit_length() - 1)
                 for u, j in net.index.items()}
     finally:
+        nodes.spent = spent
         for v, d in reversed(trail):
             doms[v] = d
 

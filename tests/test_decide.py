@@ -560,17 +560,28 @@ def test_homomorphism_budget_counts_search_nodes():
 
 
 def test_homomorphism_budget_is_per_verdict():
-    # pol_eq's runs over H3 for x y x y vs y x y x take 4, 4 and 3
+    # pol_eq's runs over H3 for x y x y vs x y y x take 4, 4 and 2
     # nodes: the two words' zero checks (p's also tells pol_eq that p is
-    # nonzero somewhere), one end run.  Each fits in 4 nodes, as pol_zero
-    # shows, but the verdict needs all 11
-    p, q = r.word_of("x y x y"), r.word_of("y x y x")
+    # nonzero somewhere), one zero-pair run.  Each fits in 4 nodes, as
+    # pol_zero shows, but the verdict needs all 10
+    p, q = r.word_of("x y x y"), r.word_of("x y y x")
     for word in (p, q):
         assert r.pol_zero(H3, word, budget=4).kind == "not-zero"
-    for budget in (4, 10):
+    for budget in (4, 9):
         with pytest.raises(BudgetExceededError):
             r.pol_eq(H3, p, q, budget=budget)
-    v = r.pol_eq(H3, p, q, budget=11)
+    v = r.pol_eq(H3, p, q, budget=10)
+    assert v.kind == "not-equal" and _check_witness(S_H3, p, q, v, False)
+
+
+def test_equal_pair_sets_skip_the_second_zero_check():
+    # x y x y and y x y x share their adjacent pairs, so p's zero check (4
+    # nodes) settles both zero sets and one end run (3 nodes) separates
+    # the words: 7 in all
+    p, q = r.word_of("x y x y"), r.word_of("y x y x")
+    with pytest.raises(BudgetExceededError):
+        r.pol_eq(H3, p, q, budget=6)
+    v = r.pol_eq(H3, p, q, budget=7)
     assert v.kind == "not-equal" and _check_witness(S_H3, p, q, v, False)
 
 
@@ -1401,8 +1412,8 @@ def test_a_bad_finding_still_raises(monkeypatch, question):
     # that does not separate must still raise
     monkeypatch.setattr(decide, "_eq_plain", lambda M, prof, p, q, nodes:
                         (_all_zero(p, q), ()))
-    monkeypatch.setattr(decide, "_zset_zero_pairs", lambda netp, netq, nodes:
-                        (_all_zero(netp.word, netq.word), (), True))
+    monkeypatch.setattr(decide, "_zset_zero_pairs", lambda M, netp, q, nodes:
+                        (_all_zero(netp.word, q), (), True))
     monkeypatch.setattr(decide, "_search_slice", lambda M, nodes, b, pw:
                         (_all_zero(pw), ()))
     with pytest.raises(WitnessSearchError):

@@ -1,0 +1,32 @@
+"""Smoke tests of the measurement scripts under tools/."""
+
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _run(script, *args):
+    return subprocess.run([sys.executable, os.path.join(ROOT, "tools", script),
+                           *args], capture_output=True, text=True, cwd=ROOT,
+                          timeout=120)
+
+
+def test_ab_inprocess_runs_one_tree_against_itself():
+    out = _run("ab_inprocess.py", ROOT, ROOT, "--workload", "fanout",
+               "--seed", "3", "--seconds", "0.2")
+    assert out.returncode == 0, out.stderr
+    assert "136 instances, 0 with differing" in out.stdout
+    assert "order A,B:" in out.stdout and "order B,A:" in out.stdout
+    assert "ratio A/B, mean of the two orders:" in out.stdout
+
+
+def test_engine_curves_cover_both_axes():
+    out = _run("engine_curves.py", ROOT, ROOT, "--reps", "1", "--count", "1")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert sum(line.lstrip().startswith(tuple(f"{k} / " for k in range(3, 13)))
+               for line in lines) == 10
+    sigma = lines.index(next(x for x in lines if x.startswith("sigma size")))
+    assert len(lines) - sigma - 1 == 6  # 3..8 vertices

@@ -1,0 +1,152 @@
+"""Time two source trees of reeseq on one bench workload, in one interpreter.
+
+    python3 tools/ab_inprocess.py BEFORE AFTER --workload oracle --seed 7 \
+        --seconds 20
+
+BEFORE and AFTER are source trees (each holding src/reeseq, or reeseq
+itself).  Each tree's package is copied under its own name (reeseq_a,
+reeseq_b) into a temporary directory, so both load side by side.  The
+workload's pool, as the bench generates it, runs on both trees: each
+instance on one tree, then at once on the other, so a drift of the
+machine's speed reaches both alike.  Whichever tree runs second gains from
+the first one's warm caches, so the run is made twice, each order for half
+the time, and each order's result is printed: per op, the sum over the
+pool's slots of each slot's median time, then the total and the ratio
+BEFORE / AFTER (above 1 when AFTER is faster).  Every verdict is checked
+against the instance's expected answer, as the bench does, and the two
+trees' (kind, method, witness) are compared on every instance.
+
+Nothing under bench/ is changed; its modules are imported as they are.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib
+import os
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from types import SimpleNamespace
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "bench"))
+
+from harness import check, run_op  # noqa: E402
+from workloads import MATRICES, POOL_CYCLES, WORKLOADS, generate  # noqa: E402
+
+MODULES = ("core", "words", "decide", "groups", "reductions", "errors")
+
+
+def package_dir(tree: str) -> str:
+    for path in (os.path.join(tree, "src", "reeseq"),
+                 os.path.join(tree, "reeseq")):
+        if os.path.isfile(os.path.join(path, "__init__.py")):
+            return path
+    raise SystemExit(f"error: no reeseq package under {tree}")
+
+
+def load(tree: str, name: str, into: str) -> SimpleNamespace:
+    """The tree's reeseq, copied to into/name and imported as name, in the
+    shape bench/harness.load_program gives."""
+    shutil.copytree(package_dir(tree), os.path.join(into, name),
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    prog = SimpleNamespace(**{m: importlib.import_module(f"{name}.{m}")
+                              for m in MODULES})
+    prog.mats = {k: prog.core.matrix(rows) for k, rows in MATRICES.items()}
+    return prog
+
+
+def outcome(verdict) -> tuple:
+    return verdict.kind, verdict.method, str(verdict.witness)
+
+
+def warm(progs, pool, brute: bool) -> int:
+    """Run every instance once on each tree, checking each verdict; the
+    number of instances on which the trees' outcomes differ."""
+    differ = 0
+    for inst in pool:
+        seen = set()
+        for prog in progs:
+            verdict, poly = run_op(prog, inst, brute)
+            check(inst, verdict, poly)
+            seen.add(outcome(verdict))
+        differ += len(seen) > 1
+    return differ
+
+
+def timed(progs, pool, brute: bool, seconds: float) -> list:
+    """Per tree, per slot, the seconds of each run, alternating the trees
+    per instance in the given order until seconds have passed."""
+    samples = [[[] for _ in pool] for _ in progs]
+    clock = time.perf_counter
+    end = clock() + seconds
+    while True:
+        for idx, inst in enumerate(pool):
+            for k, prog in enumerate(progs):
+                t = clock()
+                run_op(prog, inst, brute)
+                samples[k][idx].append(clock() - t)
+        if clock() >= end:
+            return samples
+
+
+def report(label: str, pool, samples) -> float:
+    """Print the sums of per-slot medians of trees A and B (samples in that
+    order) by op and in all; returns the ratio of A's total to B's."""
+    medians = [[statistics.median(s) for s in tree] for tree in samples]
+    ops = sorted({inst.op for inst in pool})
+    print(f"{label}: {len(samples[0][0])} passes over {len(pool)} instances "
+          "(sum of per-slot medians, us)")
+    for op in ops:
+        sums = [sum(m for m, inst in zip(tree, pool) if inst.op == op)
+                for tree in medians]
+        print(f"  {op:16s}" + "".join(f" {n} {s * 1e6:10.1f}"
+                                      for n, s in zip("AB", sums))
+              + f"  ratio {sums[0] / sums[1]:.3f}")
+    totals = [sum(tree) for tree in medians]
+    print(f"  {'total':16s}" + "".join(f" {n} {s * 1e6:10.1f}"
+                                      for n, s in zip("AB", totals))
+          + f"  ratio {totals[0] / totals[1]:.3f}")
+    return totals[0] / totals[1]
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("before")
+    ap.add_argument("after")
+    ap.add_argument("--workload", required=True,
+                    choices=("fastpath", "fanout", "oracle"))
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True,
+                    help="timed seconds, split between the two orders")
+    ns = ap.parse_args(argv)
+    wl = WORKLOADS[ns.workload]
+    pool = generate(wl.slots, ns.seed, POOL_CYCLES[ns.workload])
+    tmp = tempfile.mkdtemp(prefix="ab_inprocess_")
+    sys.path.insert(0, tmp)
+    try:
+        a = load(ns.before, "reeseq_a", tmp)
+        b = load(ns.after, "reeseq_b", tmp)
+        differ = warm((a, b), pool, wl.brute)
+        print(f"{ns.workload} seed {ns.seed}: {len(pool)} instances, "
+              f"{differ} with differing (kind, method, witness)")
+        ratios = []
+        for label, order in (("order A,B", 1), ("order B,A", -1)):
+            gc.collect()
+            samples = timed((a, b)[::order], pool, wl.brute, ns.seconds / 2)
+            ratios.append(report(label, pool, samples[::order]))
+        print(f"ratio A/B, mean of the two orders: "
+              f"{statistics.mean(ratios):.3f} (A = {ns.before}, "
+              f"B = {ns.after})")
+        return 1 if differ else 0
+    finally:
+        sys.path.remove(tmp)
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
