@@ -27,14 +27,13 @@ from .errors import (BudgetExceededError, EmptyWordError, GroupTableError,
                      InvalidElementError, IrregularMatrixError,
                      MissingAssignmentError, ParseError, ReesError,
                      UnsupportedMatrixError, WitnessSearchError)
-from .graphs import (antichain, antichain_table, build_adjacency,
-                     build_bipartite, build_identified, components,
-                     factor_variable_sets, is_consistent, to_dot)
+from .graphs import (antichain_table, build_adjacency, build_bipartite,
+                     build_identified, components, is_consistent, to_dot)
 from .groups import (FiniteGroup, cyclic_group, finite_group, group_from_name,
                      trivial_group, units_group)
 from .matrices import (RetractionPlan, all_ones, border, direct_sum,
                        hat_transform, hollow, identity, is_all_ones,
-                       is_bordered, is_totally_balanced, permute, retract)
+                       is_bordered, permute, retract)
 from .words import (Evaluation, Polynomial, Symbol, const,
                     eliminate_variables, evaluate, left_sequencing,
                     parse_polynomial, permute_polynomial, poly,

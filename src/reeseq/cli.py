@@ -7,11 +7,12 @@ negative, 2 for errors, unsupported matrix classes and exceeded budgets.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-# reeseq.fields and reeseq.reductions load on first access, which only
-# gen rank1 and reduce make
+# json is imported by the three functions that write JSON, since a verdict
+# in plain format, the common call, never uses it; reeseq.fields and
+# reeseq.reductions load on first access, which only gen rank1 and reduce
+# make
 import reeseq
 
 from . import decide, matrices
@@ -140,6 +141,7 @@ def _stable(part) -> str:
 
 def _print_verdict(ns, op, verdict):
     if ns.format == "json":
+        import json
         record = {"op": op, "verdict": verdict.kind, "method": verdict.method,
                   "witness": _witness_json(verdict.witness)}
         if ns.explain:
@@ -243,6 +245,7 @@ def _run_analyze(ns):
         "residual": [list(r) for r in residual.entries] if residual else None,
     }
     if ns.format == "json":
+        import json
         print(json.dumps(record, sort_keys=True))
     else:
         for key in ("rows", "cols", "group", "regular", "totally_balanced",
@@ -268,6 +271,7 @@ def _run_graph(ns):
 
 
 def _run_reduce(ns):
+    import json
     with open(ns.graph, encoding="utf-8") as fh:
         G = reeseq.reductions.parse_graph_file(fh.read())
     inst = reeseq.reductions.sigma(G)

@@ -30,7 +30,9 @@ search nodes.  The plain questions reduce to the search:
   leftmost symbol on column x and q's on any other column (likewise rows
   at the right ends);
 * term-eq decides from term profiles and takes the plain pol-eq
-  procedure's witness.
+  procedure's witness; on the totally balanced class it is read off the
+  labels the profiles compared (a zero-set witness when they differ, else
+  the end searches), with no second comparison.
 
 The exceptions are the paper's polynomial certificates: pol-zero on totally
 balanced matrices (the hat transform relabels words onto an identity
@@ -45,16 +47,17 @@ over the plain semigroup or both empty; the zero sets agree when they
 agree on every slice; p is zero when every slice is; p = b is solvable
 when some slice solves it.  pol-zero keeps its certificates, over every
 slice on the balanced class.  There zset-eq, term-eq and pol-eq compare
-one key per slice, slice 0 first, then the words' records
-(graphs.CompiledWord.records, what one scan meets), then, only if the
-records differ, their families (the records' minimal masks), each
-settling every slice when equal; only words whose families differ too
-walk the keys, up to the first slice that differs.  Elsewhere term-eq
-decides from term profiles, and every other question walks the slices
-with the plain procedure (_walk) up to the first that decides, after
-pol-sat and pol-zero have tried to refute every slice at once from the
-constants.  A witness is the plain witness of the deciding slice with its
-eliminated variables set to ONE.
+one key per slice: first the words' records (graphs.CompiledWord.records,
+what one scan meets), which settle every slice when equal, then slice 0,
+then, only if the records differ and slice 0 agrees, their families (the
+records' minimal masks), which settle every slice alike; only words whose
+families differ too walk the keys, up to the first slice that differs.
+Elsewhere term-eq decides from term profiles, and every other question
+walks the slices with the plain procedure (_walk) up to the first that
+decides, after pol-sat and pol-zero have tried to refute every slice at
+once from the constants.  A witness is the plain witness of the deciding
+slice with its eliminated variables set to ONE; balanced term-eq reads it
+off the labels of that slice, which the comparison holds already.
 
 allow_brute (--brute in the CLI) admits what has no polynomial bound:
 homomorphism search on general matrices (neither totally balanced nor
@@ -396,18 +399,20 @@ def _slice_mismatch(key, cwp, cwq, full: bool, certify: bool = True):
     names differ, as (mask, key of p, key of q), or None when every slice
     agrees; key(cw, mask) reads one slice, and full is _slice_masks'.
 
-    Slice 0 goes first.  When it agrees, words over the same variables
-    agree on every slice if their records (CompiledWord.records) are equal,
-    or else their families, the records' minimal masks, unless certify is
-    false; only otherwise are the other slices walked, in _slice_masks
-    order, up to the first that differs.
+    Words over the same variables agree on every slice, slice 0 included,
+    when their records (CompiledWord.records) are equal, unless certify is
+    false; so the records go first, then slice 0, then the families, the
+    records' minimal masks, which settle every slice alike; only otherwise
+    are the other slices walked, in _slice_masks order, up to the first
+    that differs.
     """
+    certify = certify and cwp.varmask == cwq.varmask
+    if certify and cwp.records() == cwq.records():
+        return None
     a, b = key(cwp, 0), key(cwq, 0)
     if a != b:
         return 0, a, b
-    if certify and cwp.varmask == cwq.varmask and (
-            cwp.records() == cwq.records()
-            or cwp.families() == cwq.families()):
+    if certify and cwp.families() == cwq.families():
         return None
     masks = _slice_masks(len(cwp.names), full)
     for mask in itertools.islice(masks, 1, None):  # past slice 0
@@ -455,28 +460,31 @@ def _dead_pair(M, p) -> bool:
                for s, t in zip(p.word, p.word[1:]))
 
 
-def _balanced_s1_detail(prof, p, q):
-    """TB1 detail rows for two terms, and the variables of their first
-    mismatching slice (None when they agree on every slice): the number of
-    slices compared, else that slice with its two plain-slice profiles."""
+def _balanced_s1(M, prof, p, q):
+    """term-eq with the identity adjoined on the balanced class, for two
+    terms: a witness or None, and TB1 detail rows, the number of slices
+    compared, else the first mismatching slice with its two plain-slice
+    profiles.  The witness is read off that slice's labels."""
     rows = [("matrix class", "TB1", "TB1", True)]
     names, other = (tuple(sorted(word.variables)) for word in (p, q))
     if names != other:
         rows.append(("variables", names, other, False))
-        return tuple(rows), ()
+        # terms are never zero, and terms over different variables are
+        # told apart without their labels
+        return _profile_witness(M, p, q, (), ((), ())), tuple(rows)
     cwp, cwq = (CompiledWord(word, names) for word in (p, q))
     hit = _slice_mismatch(partial(_term_slice, prof), cwp, cwq, False)
     if hit is None:
         rows.append(("identity-elimination slices compared",
                      2 ** len(names) - 1))
-        return tuple(rows), None
+        return None, tuple(rows)
     mask, a, b = hit
     W = _mask_names(names, mask)
     rows.append(("first mismatching slice, eliminated", W))
     fields = _PROFILE_FIELDS["TB"][1:]
     rows += [(name, x, y, x == y) for name, x, y in
              zip(fields, _readable_slice(names, a), _readable_slice(names, b))]
-    return tuple(rows), W
+    return _profile_witness(M, p, q, W, (a[0], b[0])), tuple(rows)
 
 
 def term_eq(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
@@ -485,23 +493,45 @@ def term_eq(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
     The verdict comes from the term profiles; a witness from the plain
     pol-eq procedure, which decides every 0-1 matrix by pinned homomorphism
     searches at the default budget, so no decided verdict is lost to an
-    evaluation budget.
+    evaluation budget.  On the balanced class that witness is read off the
+    labels the profiles hold.
     """
     kp = term_profile(M, p)
     kq = term_profile(M, q)
     method = {"J": "all-ones-endpoints", "TB": "balanced-components",
               "G": "adjacency-endpoints"}[kp[0]]
-    w = None if kp == kq else _profile_witness(M, p, q)
+    w = None if kp == kq else _term_witness(M, p, q, kp, kq)
     return _emit_eq(combinatorial(M), p, q, w, method,
                     _profile_detail(kp, kq))
 
 
+def _term_witness(M, p, q, kp, kq) -> dict:
+    """_profile_witness for two terms whose plain profiles kp and kq
+    differ, with the labels they hold on the balanced class (TB)."""
+    return _profile_witness(M, p, q, (), (kp[2], kq[2]) if kp[0] == "TB"
+                            else None)
+
+
 def _profile_witness(M: StructureMatrix, p: Polynomial, q: Polynomial,
-                     W=()) -> dict:
+                     W=(), labels=None) -> dict:
     """The plain pol-eq procedure's witness for two terms whose profiles
-    differ on the slice that eliminates W, with W's variables set to ONE."""
+    differ on the slice that eliminates W, with W's variables set to ONE.
+
+    On the balanced class labels holds that slice's labels for p and q,
+    over the vertices of their sorted names, and the slice words are not
+    compared again: they differ in their zero sets when their labels or
+    variables do, and _zset_witness separates them; else only at their
+    ends, which pol-eq's end scan tells apart.
+    """
     pw, qw = (eliminate_variables(u, W) for u in (p, q)) if W else (p, q)
-    w, _ = _eq_plain(M, classify_matrix(M), pw, qw, _Budget(None))
+    prof = classify_matrix(M)
+    if labels is None:
+        w, _ = _eq_plain(M, prof, pw, qw, _Budget(None))
+    elif labels[0] != labels[1] or set(pw.variables) != set(qw.variables):
+        names = tuple(sorted(set(p.variables + q.variables)))
+        return _zset_witness(prof, names, W, pw, qw, *labels)
+    else:
+        w, _ = _end_scan(M, _Network(M, pw), pw, qw, _Budget(None))
     if w is None:
         raise WitnessSearchError(f"{p} and {q} agree with {W} eliminated; "
                                  "the term profiles are wrong")
@@ -516,16 +546,17 @@ def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
     differ: the plain pol-eq procedure's witness for that slice, with its
     eliminated variables set to the identity.  On the balanced class (TB1)
     the verdict is that of the TB1 profiles, reached without building them:
-    slice 0, then the words' records, then their families, and only when
-    those differ too a walk up to the first mismatching slice.  Elsewhere
-    the slice is read off the two profiles by _witness_slice.
+    the words' records, then slice 0, then their families, and only when
+    those differ too a walk up to the first mismatching slice, whose labels
+    give the witness.  Elsewhere the slice is read off the two profiles by
+    _witness_slice.
     """
     _require_term(p)  # first, as term_profile checks it
     prof = classify_matrix(M)
     if prof.totally_balanced and not prof.all_ones:
         _require_term(q)
         method = "balanced-elimination-slices"
-        detail, W = _balanced_s1_detail(prof, p, q)
+        w, detail = _balanced_s1(M, prof, p, q)
     else:
         kp = term_profile(M, p, with_identity=True)
         kq = term_profile(M, q, with_identity=True)
@@ -533,7 +564,7 @@ def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
                   "G1": "sequencing-antichains"}[kp[0]]
         detail = _profile_detail(kp, kq)
         W = None if kp == kq else _witness_slice(kp, kq)
-    w = None if W is None else _profile_witness(M, p, q, W)
+        w = None if W is None else _profile_witness(M, p, q, W)
     return _emit_eq(combinatorial(M, with_identity=True), p, q, w, method,
                     detail)
 
@@ -732,11 +763,25 @@ def _zset_balanced(prof, p, q, with_identity):
     detail = (("identity slice", W),
               ("constraints", _system(names, lp), _system(names, lq), False))
 
-    # A plain evaluation separating the slice words pw and qw, with W set to
-    # the identity, separates p and q.  Neither slice word is empty: a word
-    # made only of W's variables would make an earlier slice, the empty
-    # one, mismatch first.
-    pw, qw = eliminate_variables(ph, W), eliminate_variables(qh, W)
+    # neither slice word is empty: a word made only of W's variables would
+    # make an earlier slice, the empty one, mismatch first
+    w = _zset_witness(prof, names, W, eliminate_variables(ph, W),
+                      eliminate_variables(qh, W), lp, lq)
+    return w, method, detail, alive
+
+
+def _zset_witness(prof, names, W, pw, qw, lp, lq) -> dict:
+    """A plain evaluation separating the zero sets of pw and qw, the
+    hat-transformed words of the slice that eliminates W, with W set to
+    the identity, so that it separates the two words.
+
+    lp and lq are that slice's labels over the vertices of names, None for
+    a zero slice word, and are read only when both slice words are nonzero
+    over the same variables.  A zero slice word leaves the other one's
+    nonzero witness; a variable that one word lacks is set to zero; else a
+    pin (_separator) that one constraint system allows and the other
+    forbids.
+    """
     pin = kill = None
     if lp is None or lq is None:
         live = qw if lp is None else pw
@@ -755,7 +800,7 @@ def _zset_balanced(prof, p, q, with_identity):
     w.update(dict.fromkeys(W, ONE))
     if kill is not None:
         w[kill] = ZERO
-    return w, method, detail, alive
+    return w
 
 
 def _separator(live, dead):
@@ -947,6 +992,14 @@ def _eq_plain(M, prof, p, q, nodes):
         return None, (("zero-sets equal", True), ("identically zero", True))
     if net is None:
         net = _Network(M, p)
+    return _end_scan(M, net, p, q, nodes)
+
+
+def _end_scan(M, net, p, q, nodes):
+    """pol-eq's end test over the plain semigroup of M, for words whose
+    zero sets agree, p nonzero somewhere, on p's network net: a witness on
+    which the two leftmost symbols take distinct columns, or the two
+    rightmost distinct rows, or None, and detail rows."""
     for side, a, b, size in ((1, p.leftmost, q.leftmost, M.n),
                              (2, p.rightmost, q.rightmost, M.m)):
         if a == b:
@@ -1412,7 +1465,8 @@ def term_eq_group(M: StructureMatrix, G: FiniteGroup, p: Polynomial,
         raise UnsupportedMatrixError("the group lift expects a 0-1 matrix")
     _require_term(p)
     _require_term(q)
-    shadow_equal = term_profile(M, p) == term_profile(M, q)
+    kp, kq = term_profile(M, p), term_profile(M, q)
+    shadow_equal = kp == kq
     gw = None if p == q else _group_counterexample(G, p, q)
     method = "shadow-plus-group"
     detail = (("shadow equal", shadow_equal), ("group equal", gw is None))
@@ -1428,7 +1482,7 @@ def term_eq_group(M: StructureMatrix, G: FiniteGroup, p: Polynomial,
              for v in dict.fromkeys(p.variables + q.variables)}
     else:
         w = {v: e if e == ZERO else triple(e.i, G.identity, e.lam)
-             for v, e in _profile_witness(M, p, q).items()}
+             for v, e in _term_witness(M, p, q, kp, kq).items()}
     return _emit_eq(S, p, q, w, method, detail)
 
 

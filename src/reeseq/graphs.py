@@ -22,8 +22,8 @@ Procedures that test many slices of one word (its variables partly
 eliminated) use CompiledWord instead: the identified graph on integer
 vertices, one union-find pass per slice, and the word's records, what one
 scan meets, with the families minimised from them.  Two words' slices are
-compared in the order slice 0, records, families, walk: equal records or
-families settle every slice at once.
+compared in the order records, slice 0, families, walk: equal records
+settle every slice at once, slice 0 included, and so do equal families.
 """
 
 from __future__ import annotations
@@ -142,8 +142,8 @@ class CompiledWord:
     removes only variables and never relabels a constant, so one compilation
     of the hat-transformed word serves every slice of it.  labels and ends
     read one slice; records and families read all 2^V of them from one
-    scan, as far as comparing two words goes: records first, families
-    only when the records differ, and a walk only when both do.
+    scan, as far as comparing two words goes: records first, then slice 0,
+    families only when the records differ, and a walk only when both do.
     """
 
     def __init__(self, p: Polynomial, names):
@@ -262,46 +262,7 @@ class CompiledWord:
 
 
 # ---------------------------------------------------------------------------
-# Separating-set families for ordered variable pairs
-
-def factor_variable_sets(p: Polynomial, x: str, y: str) -> frozenset:
-    """Sets of variables lying strictly between an x...y factor of p.
-
-    A factor counts when neither x nor y occurs inside it (x = y allowed);
-    the empty set appears exactly when xy divides p directly.  Constants
-    inside a factor are permitted and ignored; the families are meaningful
-    for terms.
-
-    Kept as the definition that the tests check antichain_table's one-scan
-    families against; no decision procedure calls it.
-    """
-    word = p.word
-    out = set()
-    for a in range(len(word)):
-        if not (word[a].is_var and word[a].name == x):
-            continue
-        inner: set[str] = set()
-        for b in range(a + 1, len(word)):
-            s = word[b]
-            if s.is_var and s.name == y:
-                out.add(frozenset(inner))
-                break  # extending further would put y inside the factor
-            if s.is_var and s.name == x:
-                break
-            if s.is_var:
-                inner.add(s.name)
-    return frozenset(out)
-
-
-def antichain(p: Polynomial, x: str, y: str) -> frozenset:
-    """Inclusion-minimal members of the factor family for the pair (x, y).
-
-    The reference for antichain_table, used by the tests alone.
-    """
-    fam = factor_variable_sets(p, x, y)
-    return frozenset(s for s in fam
-                     if not any(t < s for t in fam))
-
+# Antichain families for ordered variable pairs
 
 def antichain_table(p: Polynomial) -> tuple:
     """Canonical table of antichain families over all ordered variable pairs.

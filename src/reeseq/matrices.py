@@ -22,40 +22,6 @@ from .words import Polynomial, Symbol, const
 # ---------------------------------------------------------------------------
 # Recognition
 
-def is_totally_balanced(M: StructureMatrix) -> bool:
-    """No 2x2 submatrix with exactly one zero (definitional scan).
-
-    O(m^2 n^2), kept as the tests' reference for retract on small grids;
-    no decision procedure calls it.
-    """
-    rows, cols = range(M.m), range(M.n)
-    return not any(M.entry(a, c) and M.entry(a, d) and M.entry(b, c)
-                   and not M.entry(b, d)
-                   for a in rows for b in rows if a != b
-                   for c in cols for d in cols if c != d)
-
-
-def is_totally_balanced_by_lines(M: StructureMatrix) -> bool:
-    """Equivalent characterization: lines sharing a 1 are equal lines.
-
-    Kept as a second, independent definition, O(m^2 n + m n^2), that the
-    tests check is_totally_balanced against and use as the reference for
-    retract on matrices too large for the scan; no decision procedure
-    calls it.
-    """
-    for a in range(M.m):
-        for b in range(a + 1, M.m):
-            if any(M.entry(a, i) and M.entry(b, i) for i in range(M.n)):
-                if M.row(a) != M.row(b):
-                    return False
-    for c in range(M.n):
-        for d in range(c + 1, M.n):
-            if any(M.entry(lam, c) and M.entry(lam, d) for lam in range(M.m)):
-                if M.col(c) != M.col(d):
-                    return False
-    return True
-
-
 def is_all_ones(M: StructureMatrix) -> bool:
     return all(v == 1 for row in M.entries for v in row)
 

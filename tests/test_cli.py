@@ -306,8 +306,8 @@ def test_verdict_call_imports_nothing_it_does_not_use(i2_file):
     call = _loaded_modules(["-m", "reeseq.cli", "term-eq", "--matrix",
                             i2_file, "x x y y", "y y x x"], env)
     assert "reeseq.decide" in call - bare
-    assert (call - bare) & {"dataclasses", "inspect", "reeseq.fields",
-                            "reeseq.reductions"} == set()
+    assert (call - bare) & {"dataclasses", "inspect", "json",
+                            "reeseq.fields", "reeseq.reductions"} == set()
 
 
 def test_gen_and_shadow(tmp_path, capsys):

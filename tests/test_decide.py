@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import reeseq as r
 from conftest import all_terms, checked_kind, matrix_classes
+from references import is_totally_balanced
 from reeseq import cli, decide
 from reeseq.core import ReesSemigroup, StructureMatrix
 from reeseq.errors import (BudgetExceededError, ReesError,
@@ -233,6 +234,34 @@ def test_families_settle_what_records_miss(monkeypatch):
                          allow_brute=False).kind == "equal"
 
 
+BALANCED = [M for M in matrix_classes(3, 3)
+            if r.classify_matrix(M).totally_balanced]
+
+
+@pytest.mark.parametrize("M", BALANCED, ids=lambda M: str(M.entries))
+def test_balanced_term_witness_is_plain_pol_eqs(M):
+    # a negative term-eq verdict, plain or with the identity, carries the
+    # witness that plain pol-eq gives on the words of its deciding slice,
+    # the slice's eliminated variables (those set to ONE) on ONE
+    rng = random.Random(16)
+    terms = list({" ".join(rng.choice("xyz") for _ in range(rng.randint(1, 6)))
+                  for _ in range(120)})
+    negatives = 0
+    for _ in range(300):
+        p, q = (r.word_of(rng.choice(terms)) for _ in range(2))
+        for v in (r.term_eq(M, p, q), r.term_eq_s1(M, p, q)):
+            if v.kind == "equal":
+                continue
+            w = v.witness.as_dict()
+            W = [u for u, e in w.items() if e == r.ONE]
+            pw, qw = (r.eliminate_variables(u, W) for u in (p, q))
+            plain = r.pol_eq(M, pw, qw).witness.as_dict()
+            assert w == {**plain, **dict.fromkeys(W, r.ONE)}, \
+                (str(p), str(q), W)
+            negatives += 1
+    assert negatives > 300
+
+
 def test_term_oracle_agreement_2x2():
     # fast verdicts match the exhaustive oracle on every pair, both plain
     # and with the identity adjoined (smoke-scale; the acceptance suite
@@ -379,6 +408,47 @@ def test_equal_records_are_equal_over_s1(M, data):
         assert brute(r.combinatorial(M, True), p, q).kind == "equal", texts
 
 
+@pytest.mark.parametrize("M", IDENTITY_SLICE_MATRICES[:3],
+                         ids=["I2", "I3", "T33"])
+def test_equal_records_read_no_slice(monkeypatch, M):
+    # equal records settle every slice, slice 0 included, so term-eq,
+    # zset-eq and pol-eq with the identity decide such a pair equal without
+    # reading the labels of any slice
+    labels, calls = decide.CompiledWord.labels, []
+
+    def counted(cw, drop=0):
+        calls.append(drop)
+        return labels(cw, drop)
+
+    monkeypatch.setattr(decide.CompiledWord, "labels", counted)
+    rng = random.Random(15)
+    S = r.combinatorial(M)
+    checked = dict.fromkeys(("term-eq", "zset-eq", "pol-eq"), 0)
+    for consts in (False, True):
+        for texts in _certificate_pairs(M, rng, 200, consts):
+            p, q = (r.parse_polynomial(t, S) for t in texts)
+            if not _tier_agrees(M, p, q, "records"):
+                continue
+            runs = {"zset-eq": partial(r.pol_zset_eq, M, p, q,
+                                       adjoin_identity=True)}
+            # pol-eq trusts the records once the end constants agree
+            if decide._end_constants(p) == decide._end_constants(q):
+                runs["pol-eq"] = partial(r.pol_eq, M, p, q,
+                                         adjoin_identity=True)
+            if not consts:
+                runs["term-eq"] = partial(r.term_eq_s1, M, p, q)
+            for op, run in runs.items():
+                calls.clear()
+                assert run().kind == "equal", (op, texts)
+                assert calls == [], (op, texts)
+                checked[op] += 1
+    assert min(checked.values()) > 20, checked
+    # the counter does see the slices of words whose records differ: slice
+    # 0 settles x y against y x, and its labels give the witness
+    v = r.term_eq_s1(M, r.word_of("x y"), r.word_of("y x"))
+    assert v.kind == "not-equal" and calls == [0, 0]
+
+
 @pytest.mark.parametrize("M", [r.matrix(((1, 1, 0, 0), (0, 0, 1, 0),
                                          (0, 0, 0, 1))), r.border(I2)],
                          ids=["balanced-3x4", "border-identity2"])
@@ -522,7 +592,7 @@ def test_general_class_pol_zero_and_pol_sat(M):
     # and pol_zset_eq, on each word against the next and against a shuffle
     # of itself (the same variables, so the zero-pair and end runs), with
     # every witness evaluated again
-    assert not (r.is_totally_balanced(M) or r.is_bordered(M))
+    assert not (is_totally_balanced(M) or r.is_bordered(M))
     rng = random.Random(str(M))
     S = r.combinatorial(M)
     targets = S.nonzero_triples()
@@ -768,7 +838,7 @@ def test_zset_with_identity_off_balanced_walks_slices(M):
 def test_bordered_suite_matches_oracles(N):
     # all four procedures against the oracles over bordered matrices
     # (border of the 2x2 identity is bordered but not totally balanced)
-    assert r.is_bordered(N) and not r.is_totally_balanced(N)
+    assert r.is_bordered(N) and not is_totally_balanced(N)
     S = r.combinatorial(N)
     consts = [f"[{i + 1},{lam + 1}]" for i in range(N.n) for lam in range(N.m)]
     texts = ["u", "v", "u v", "u u", "u v u"]
@@ -1014,7 +1084,7 @@ def test_not_balanced_terms_zero_sets_reduce_to_adjacency():
     from reeseq.graphs import build_adjacency
     terms = all_terms(("x", "y"), 4)
     for M in matrix_classes(2, 2):
-        if r.is_totally_balanced(M):
+        if is_totally_balanced(M):
             continue
         S = r.combinatorial(M)
         for p in terms:
@@ -1216,7 +1286,7 @@ def test_fast_paths_never_search(monkeypatch):
     terms = all_terms(("x", "y", "z"), 4)
     cases = []
     for M in matrix_classes(3, 3):
-        balanced = r.is_totally_balanced(M)
+        balanced = is_totally_balanced(M)
         if not (balanced or r.is_bordered(M)):
             continue
         S, S1 = r.combinatorial(M), r.combinatorial(M, True)
@@ -1269,7 +1339,7 @@ def _fast_path_name(name):
     return name in ("term_profile", "classify_matrix", "CompiledWord",
                     "hat_transform", "_homomorphism", "_Network", "_narrow",
                     "_zero_pair", "_slice_mismatch",
-                    "_balanced_s1_detail") or \
+                    "_balanced_s1") or \
         name.startswith(("pol_", "_zset_"))
 
 
@@ -1416,6 +1486,12 @@ def test_a_bad_finding_still_raises(monkeypatch, question):
                         (_all_zero(netp.word, q), (), True))
     monkeypatch.setattr(decide, "_search_slice", lambda M, nodes, b, pw:
                         (_all_zero(pw), ()))
+    # balanced term-eq reads its witness off the deciding slice's labels
+    monkeypatch.setattr(decide, "_zset_witness",
+                        lambda prof, names, W, pw, qw, lp, lq:
+                        _all_zero(pw, qw))
+    monkeypatch.setattr(decide, "_end_scan", lambda M, net, p, q, nodes:
+                        (_all_zero(p, q), ()))
     with pytest.raises(WitnessSearchError):
         question(r.word_of("x y"), r.word_of("y x"))
 

@@ -8,6 +8,7 @@ import pytest
 
 import reeseq as r
 from conftest import checked_kind, matrix_classes
+from references import is_totally_balanced
 from reeseq import decide
 
 # every regular class up to 3x3, plus the 4x4 identity and hollow matrices
@@ -59,7 +60,7 @@ def test_walks_match_the_oracles(M):
     # plain walk picks, so the witnesses agree too
     rng = random.Random(repr(M.entries))
     S1 = r.combinatorial(M, True)
-    balanced = r.is_totally_balanced(M)
+    balanced = is_totally_balanced(M)
     pool = _pool(M, rng)
     pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(20)]
     pairs += [(p, _rewrite(rng, p)) for p in pool]

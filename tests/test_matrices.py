@@ -6,10 +6,10 @@ import pytest
 
 import reeseq as r
 from conftest import matrix_classes, regular_grids
+from references import is_totally_balanced, is_totally_balanced_by_lines
 from reeseq.errors import (IrregularMatrixError, ReesError,
                            UnsupportedMatrixError)
-from reeseq.matrices import (is_all_ones, is_totally_balanced_by_lines,
-                             lift_element_map)
+from reeseq.matrices import is_all_ones, lift_element_map
 
 
 def test_regularity():
@@ -20,22 +20,22 @@ def test_regularity():
 
 
 def test_totally_balanced_basics():
-    assert r.is_totally_balanced(r.identity(4))
-    assert r.is_totally_balanced(r.all_ones(2, 3))
-    assert not r.is_totally_balanced(r.hollow(3))
+    assert is_totally_balanced(r.identity(4))
+    assert is_totally_balanced(r.all_ones(2, 3))
+    assert not is_totally_balanced(r.hollow(3))
     # the two characterizations agree on every regular grid up to 3x3
     for m in (1, 2, 3):
         for n in (1, 2, 3):
             for grid in regular_grids(m, n):
                 M = r.matrix(grid)
-                assert r.is_totally_balanced(M) == \
+                assert is_totally_balanced(M) == \
                     is_totally_balanced_by_lines(M)
 
 
 def test_retraction_certifies_balance():
     for M in matrix_classes(3, 3):
         plan, residual = r.retract(M)
-        assert (plan is not None) == r.is_totally_balanced(M)
+        assert (plan is not None) == is_totally_balanced(M)
         if plan is not None:
             # the plan reproduces the zero pattern through class labels
             for lam in range(M.m):
@@ -165,8 +165,8 @@ def test_constructors():
 def test_border_of_matrix_with_zero_is_not_balanced():
     for M in matrix_classes(2, 2):
         if any(v == 0 for row in M.entries for v in row):
-            assert not r.is_totally_balanced(r.border(M))
-    assert r.is_totally_balanced(r.border(r.all_ones(2, 2)))
+            assert not is_totally_balanced(r.border(M))
+    assert is_totally_balanced(r.border(r.all_ones(2, 2)))
 
 
 def test_bordered_recognition():
@@ -242,7 +242,7 @@ def test_profile_fields_on_every_grid_up_to_4x4():
         for n in range(1, 5):
             for grid in regular_grids(m, n):
                 M = r.matrix(grid)
-                _check_profile(M, r.is_totally_balanced(M))
+                _check_profile(M, is_totally_balanced(M))
                 count += 1
     assert count == 46312
 

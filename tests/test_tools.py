@@ -1,6 +1,7 @@
 """Smoke tests of the measurement scripts under tools/."""
 
 import os
+import shutil
 import subprocess
 import sys
 
@@ -17,9 +18,29 @@ def test_ab_inprocess_runs_one_tree_against_itself():
     out = _run("ab_inprocess.py", ROOT, ROOT, "--workload", "fanout",
                "--seed", "3", "--seconds", "0.2")
     assert out.returncode == 0, out.stderr
-    assert "136 instances, 0 with differing" in out.stdout
+    assert ("136 instances, 0 with differing (kind, method, witness, "
+            "detail)") in out.stdout
     assert "order A,B:" in out.stdout and "order B,A:" in out.stdout
     assert "ratio A/B, mean of the two orders:" in out.stdout
+
+
+def test_ab_inprocess_reports_differing_detail_rows(tmp_path):
+    # a tree whose detail rows alone differ (one row's text, read by the
+    # balanced zset-eq and pol-eq verdicts of the fanout pool) is reported,
+    # and the tool exits 1
+    src = os.path.join(ROOT, "src", "reeseq")
+    dst = tmp_path / "reeseq"
+    shutil.copytree(src, dst, ignore=shutil.ignore_patterns("__pycache__"))
+    decide = dst / "decide.py"
+    text = decide.read_text(encoding="utf-8")
+    assert text.count('"agree on every slice"') == 2
+    decide.write_text(text.replace('"agree on every slice"',
+                                   '"agree on all slices"'), encoding="utf-8")
+    out = _run("ab_inprocess.py", ROOT, str(tmp_path), "--workload",
+               "fanout", "--seed", "3", "--seconds", "0.2")
+    assert out.returncode == 1, out.stderr
+    assert "136 instances, 0 with" not in out.stdout
+    assert "with differing (kind, method, witness, detail)" in out.stdout
 
 
 def test_engine_curves_cover_both_axes():

@@ -14,7 +14,9 @@ the time, and each order's result is printed: per op, the sum over the
 pool's slots of each slot's median time, then the total and the ratio
 BEFORE / AFTER (above 1 when AFTER is faster).  Every verdict is checked
 against the instance's expected answer, as the bench does, and the two
-trees' (kind, method, witness) are compared on every instance.
+trees' (kind, method, witness, detail) are compared on every instance, the
+witness and the detail rows as text, rendered as reeseq.cli renders them
+(each tree has its own classes, so their values never compare equal).
 
 Nothing under bench/ is changed; its modules are imported as they are.
 """
@@ -60,8 +62,20 @@ def load(tree: str, name: str, into: str) -> SimpleNamespace:
     return prog
 
 
+def stable(part) -> str:
+    """A detail row's part as text, as reeseq.cli._stable renders it: a
+    frozenset sorted, whatever the hash seed."""
+    if isinstance(part, frozenset):
+        return "{" + ", ".join(sorted(stable(x) for x in part)) + "}"
+    if isinstance(part, tuple):
+        return "(" + ", ".join(stable(x) for x in part) + ")"
+    return str(part)
+
+
 def outcome(verdict) -> tuple:
-    return verdict.kind, verdict.method, str(verdict.witness)
+    return (verdict.kind, verdict.method, str(verdict.witness),
+            tuple(tuple(stable(part) for part in row)
+                  for row in verdict.detail))
 
 
 def warm(progs, pool, brute: bool) -> int:
@@ -133,7 +147,7 @@ def main(argv=None) -> int:
         b = load(ns.after, "reeseq_b", tmp)
         differ = warm((a, b), pool, wl.brute)
         print(f"{ns.workload} seed {ns.seed}: {len(pool)} instances, "
-              f"{differ} with differing (kind, method, witness)")
+              f"{differ} with differing (kind, method, witness, detail)")
         ratios = []
         for label, order in (("order A,B", 1), ("order B,A", -1)):
             gc.collect()
