@@ -40,8 +40,7 @@ def _add_common(sub):
                      help="evaluation budget for exhaustive search, search "
                           "nodes for all the homomorphism searches and "
                           "elimination slices of one verdict; term-eq "
-                          "decides without one (default REESEQ_BUDGET or "
-                          "10^7)")
+                          "decides without one (default 10^7)")
     sub.add_argument("--brute", action="store_true",
                      help="admit what has no polynomial bound: homomorphism "
                           "search on general matrices (neither totally "

@@ -47,11 +47,14 @@ over the plain semigroup or both empty; the zero sets agree when they
 agree on every slice; p is zero when every slice is; p = b is solvable
 when some slice solves it.  pol-zero keeps its certificates, over every
 slice on the balanced class.  There zset-eq, term-eq and pol-eq compare
-one key per slice: first the words' records (graphs.CompiledWord.records,
-what one scan meets), which settle every slice when equal, then slice 0,
-then, only if the records differ and slice 0 agrees, their families (the
-records' minimal masks), which settle every slice alike; only words whose
-families differ too walk the keys, up to the first slice that differs.
+one key per slice: zset-eq the labels, the constraint system; term-eq and
+pol-eq one key, plain pol-eq's (_eq_key), through one comparison
+(_eq_mismatch) of the hat-transformed words.  Each compares first the
+words' records (graphs.CompiledWord.records, what one scan meets), which
+settle every slice when equal, then slice 0, then, only if the records
+differ and slice 0 agrees, their families (the records' minimal masks),
+which settle every slice alike; only words whose families differ too walk
+the keys, up to the first slice that differs.
 Elsewhere term-eq decides from term profiles, and every other question
 walks the slices with the plain procedure (_walk) up to the first that
 decides, after pol-sat and pol-zero have tried to refute every slice at
@@ -82,7 +85,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import os
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 
@@ -98,14 +100,6 @@ from .matrices import (hat_transform, is_all_ones, is_bordered,
                        lift_element_map, retract)
 from .words import (Evaluation, Polynomial, eliminate_variables, evaluate,
                     left_sequencing, right_sequencing, validate_polynomial)
-
-
-def default_budget() -> int:
-    text = os.environ.get("REESEQ_BUDGET", "10000000")
-    try:
-        return int(text)
-    except ValueError:
-        raise ReesError(f"REESEQ_BUDGET is not an integer: {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +282,14 @@ def term_profile(M: StructureMatrix, p: Polynomial,
     if prof.totally_balanced:
         names = tuple(sorted(p.variables))
         cw = CompiledWord(p, names)  # a term has no constants to relabel
+        key = partial(_eq_key, prof, {cw: p}, cw)
         if not with_identity:
-            return ("TB", names) + _term_slice(prof, cw, 0)
+            return ("TB", names) + key(0)
         # An identity-valued variable drops out of the word, so equality
         # over the extended semigroup is equality of every elimination
         # slice over the plain one.  (Component sequencings alone miss
         # this: x x y x and x x y y contract to y and y y.)
-        return ("TB1", names, tuple(_term_slice(prof, cw, W)
-                                    for W in _slice_masks(len(names), False)))
+        return ("TB1", names, tuple(map(key, _slice_masks(len(names)))))
     if not with_identity:
         # the arcs and the two end symbols fix the variables too
         arcs = frozenset((s.name, t.name) for s, t in zip(p.word, p.word[1:]))
@@ -308,15 +302,10 @@ def _require_term(p: Polynomial) -> None:
         raise ReesError("term procedures expect constant-free words")
 
 
-def _slice_masks(n: int, full: bool = True):
+def _slice_masks(n: int):
     """Masks of eliminated variables in size-then-lexicographic order, made
-    one at a time as they are read.
-
-    Bit j stands for the j-th name; with full false, the mask eliminating
-    all n variables is left out.
-    """
-    top = n + 1 if full else n
-    for k in range(top):
+    one at a time as they are read; bit j stands for the j-th name."""
+    for k in range(n + 1):
         for combo in itertools.combinations(range(n), k):
             yield sum(1 << j for j in combo)
 
@@ -324,17 +313,6 @@ def _slice_masks(n: int, full: bool = True):
 def _mask_names(names, mask: int) -> tuple[str, ...]:
     # a list first, as in words.eliminate_variables
     return tuple([u for j, u in enumerate(names) if mask >> j & 1])
-
-
-def _term_slice(prof, cw: CompiledWord, W: int) -> tuple:
-    """The plain balanced-case conditions for one slice of a term, as a key:
-    component labels, the labels of the end components and the gated end
-    symbols."""
-    lab = cw.labels(W)
-    x, y = cw.ends(W)
-    return (tuple(lab), lab[x], lab[y],
-            cw.names[y >> 1] if prof.equal_rows else None,
-            cw.names[x >> 1] if prof.equal_cols else None)
 
 
 def _vertex(names, v: int) -> tuple:
@@ -352,9 +330,11 @@ def _label_groups(names, labels) -> dict:
 
 
 def _readable_slice(names, key) -> tuple:
-    """A term-slice key with its labels rendered as vertex sets."""
+    """A term's _eq_key with its labels rendered as vertex sets and its end
+    symbols in _PROFILE_FIELDS["TB"] order: rows, then columns."""
     comps = _label_groups(names, key[0])
-    return (frozenset(comps.values()), comps[key[1]], comps[key[2]]) + key[3:]
+    return (frozenset(comps.values()), comps[key[1]], comps[key[2]], key[4],
+            key[3])
 
 
 def _profile_detail(kp, kq):
@@ -394,10 +374,11 @@ def _witness_slice(kp, kq) -> tuple[str, ...]:
     return tuple(sorted(min(fp ^ fq, key=lambda A: (len(A), sorted(A)))))
 
 
-def _slice_mismatch(key, cwp, cwq, full: bool, certify: bool = True):
+def _slice_mismatch(key, cwp, cwq, certify: bool = True):
     """The first elimination slice on which two compiled words over the same
     names differ, as (mask, key of p, key of q), or None when every slice
-    agrees; key(cw, mask) reads one slice, and full is _slice_masks'.
+    agrees; key(cw, mask) reads one slice: the labels for zset-eq, _eq_key
+    for term-eq and pol-eq (_eq_mismatch).
 
     Words over the same variables agree on every slice, slice 0 included,
     when their records (CompiledWord.records) are equal, unless certify is
@@ -414,7 +395,7 @@ def _slice_mismatch(key, cwp, cwq, full: bool, certify: bool = True):
         return 0, a, b
     if certify and cwp.families() == cwq.families():
         return None
-    masks = _slice_masks(len(cwp.names), full)
+    masks = _slice_masks(len(cwp.names))
     for mask in itertools.islice(masks, 1, None):  # past slice 0
         a, b = key(cwp, mask), key(cwq, mask)
         if a != b:
@@ -472,8 +453,7 @@ def _balanced_s1(M, prof, p, q):
         # terms are never zero, and terms over different variables are
         # told apart without their labels
         return _profile_witness(M, p, q, (), ((), ())), tuple(rows)
-    cwp, cwq = (CompiledWord(word, names) for word in (p, q))
-    hit = _slice_mismatch(partial(_term_slice, prof), cwp, cwq, False)
+    hit = _eq_mismatch(prof, names, p, q)
     if hit is None:
         rows.append(("identity-elimination slices compared",
                      2 ** len(names) - 1))
@@ -545,11 +525,11 @@ def term_eq_s1(M: StructureMatrix, p: Polynomial, q: Polynomial) -> Verdict:
     A witness comes from an elimination slice on which the plain words
     differ: the plain pol-eq procedure's witness for that slice, with its
     eliminated variables set to the identity.  On the balanced class (TB1)
-    the verdict is that of the TB1 profiles, reached without building them:
-    the words' records, then slice 0, then their families, and only when
-    those differ too a walk up to the first mismatching slice, whose labels
-    give the witness.  Elsewhere the slice is read off the two profiles by
-    _witness_slice.
+    the verdict is that of the TB1 profiles, reached without building them
+    through pol-eq's comparison (_eq_mismatch): the words' records, then
+    slice 0, then their families, and only when those differ too a walk up
+    to the first mismatching slice, whose labels give the witness.
+    Elsewhere the slice is read off the two profiles by _witness_slice.
     """
     _require_term(p)  # first, as term_profile checks it
     prof = classify_matrix(M)
@@ -750,7 +730,7 @@ def _zset_balanced(prof, p, q, with_identity):
     # entries give the kept variables, the rest the components and pins
     if with_identity:
         alive = None
-        hit = _slice_mismatch(CompiledWord.labels, cwp, cwq, True)
+        hit = _slice_mismatch(CompiledWord.labels, cwp, cwq)
     else:
         lp, lq = cwp.labels(), cwq.labels()
         alive = lp is not None
@@ -933,10 +913,10 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
 
     With the identity adjoined, p = q exactly when on every elimination
     slice the slice words are equal or both empty.  The balanced class
-    compares one key per slice (_eq_key) through _slice_mismatch, and
-    searches only the slice that differs; every other class walks the
-    slices with the plain procedure.  allow_brute admits homomorphism
-    search on general matrices; without it those calls raise
+    compares one key per slice (_eq_key) through _eq_mismatch, which
+    term-eq shares, and searches only the slice that differs; every other
+    class walks the slices with the plain procedure.  allow_brute admits
+    homomorphism search on general matrices; without it those calls raise
     UnsupportedMatrixError.
     """
     prof = classify_matrix(M)
@@ -954,13 +934,7 @@ def pol_eq(M: StructureMatrix, p: Polynomial, q: Polynomial, *,
         return _emit_eq(S, p, q, *_walk((p, q), nodes, settle))
     method = "balanced-elimination-slices"
     names = tuple(sorted(set(p.variables + q.variables)))
-    words = {CompiledWord(hat_transform(w, prof.plan), names): w
-             for w in (p, q)}
-    cwp, cwq = words
-    # equal records or families fix each slice's end vertices, so they
-    # settle the ends too once the constants that can be ends agree
-    hit = _slice_mismatch(partial(_eq_key, prof, words), cwp, cwq, True,
-                          _end_constants(p) == _end_constants(q))
+    hit = _eq_mismatch(prof, names, p, q)
     if hit is None:
         return _emit_eq(S, p, q, None, method,
                         (("slice keys", "agree on every slice"),))
@@ -1034,7 +1008,10 @@ def _eq_slice(M, prof, nodes, pw, qw):
 def _eq_key(prof, words, cw, W):
     """Plain pol-eq's key for slice W of a compiled word on the balanced
     class: two slice words are equal over the plain semigroup exactly when
-    their keys are.  words maps each compiled word to its word.
+    their keys are.  words maps each compiled word to its word.  It is the
+    one slice key of term-eq (the TB and TB1 profiles, _eq_mismatch) and of
+    pol-eq with the identity; a term's key reads (labels, end labels,
+    left symbol, right symbol).
 
     An empty slice reads "empty" and a zero one None.  Otherwise equal
     words have equal zero sets: the kept variables on an all-ones matrix,
@@ -1070,6 +1047,21 @@ def _eq_key(prof, words, cw, W):
     if not prof.equal_rows or ly < 0 and plan.row_class.count(-1 - ly) < 2:
         sy = None
     return tuple(lab), lx, ly, sx, sy
+
+
+def _eq_mismatch(prof, names, p, q):
+    """The first elimination slice on which two validated words on the
+    balanced class differ over the plain semigroup, as _slice_mismatch
+    gives it under _eq_key, or None when p = q with the identity adjoined;
+    each word is hat-transformed and compiled over names, the sorted union
+    of their variables.  Equal records or families fix each slice's end
+    vertices, so they settle the ends too once the constants that can be
+    ends agree."""
+    words = {CompiledWord(hat_transform(w, prof.plan), names): w
+             for w in (p, q)}
+    cwp, cwq = words
+    return _slice_mismatch(partial(_eq_key, prof, words), cwp, cwq,
+                           _end_constants(p) == _end_constants(q))
 
 
 def _end_constants(p):
@@ -1203,15 +1195,20 @@ class _Network:
         self.undecided = [v for v, d in enumerate(doms) if d & (d - 1)]
 
 
+# the budget of a verdict or an oracle call that is given none
+DEFAULT_BUDGET = 10 ** 7
+
+
 class _Budget:
     """One verdict's search nodes, shared by all of its runs: every value
     tried is a node, and so is every elimination slice a walk visits; more
-    than limit of them raise BudgetExceededError."""
+    than limit of them raise BudgetExceededError.  The one check of a
+    budget, which the oracles' _space reads too."""
 
     __slots__ = ("limit", "spent")
 
     def __init__(self, budget: int | None):
-        self.limit = default_budget() if budget is None else budget
+        self.limit = DEFAULT_BUDGET if budget is None else budget
         if self.limit <= 0:
             raise BudgetExceededError(
                 f"budget must be positive, got {self.limit}")
@@ -1531,13 +1528,11 @@ def _fold(word, assign, mul):
 def _space(base, nvars, budget):
     """Refuse a nonpositive budget, or a space of base^nvars evaluations
     larger than it."""
-    budget = budget if budget is not None else default_budget()
-    if budget <= 0:
-        raise BudgetExceededError(f"budget must be positive, got {budget}")
+    limit = _Budget(budget).limit
     size = base ** nvars
-    if size > budget:
+    if size > limit:
         raise BudgetExceededError(f"{base}^{nvars} = {size} evaluations "
-                                  f"exceed budget {budget}")
+                                  f"exceed budget {limit}")
 
 
 def _zero_differs(a, b):

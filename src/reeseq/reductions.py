@@ -41,7 +41,9 @@ class SimpleGraph(Frozen):
         for a, b in self.edges:
             if not (0 <= a < b < self.n):
                 raise ReesError(f"bad edge ({a}, {b})")
-        if not self.is_connected:
+        # a connected graph has at least n - 1 edges; refusing fewer first
+        # keeps a large n from building one adjacency list per vertex
+        if self.n > len(self.edges) + 1 or not self.is_connected:
             raise ReesError("graph must be connected")
 
     @cached_value

@@ -147,12 +147,19 @@ _TOKEN = re.compile(r"(?:\[(\d+),(?:(\d+),)?(\d+)\]"
 # variable names and a few constants
 TOKEN_TABLE_SIZE = 1024
 
+# the longest word a parse builds: far above the words of the tests, the
+# bench and reduce 3col on small graphs (hundreds to a few thousand
+# symbols), and far below what exhausts memory
+MAX_WORD_LENGTH = 10 ** 6
+
 
 def parse_polynomial(text: str, S: ReesSemigroup) -> Polynomial:
     """Parse a word, validating constants against S's matrix and group.
 
     A token's symbol and repetition count come from the token table
-    (_token); each constant is checked against S here, on every parse.
+    (_token); each constant is checked against S here, on every parse.  A
+    repetition that would make the word longer than MAX_WORD_LENGTH is
+    refused before it is expanded.
     """
     tokens = text.split()
     if not tokens:
@@ -162,6 +169,9 @@ def parse_polynomial(text: str, S: ReesSemigroup) -> Polynomial:
         sym, grouped, reps = _token(tok)
         if not sym.is_var:
             _check_constant(tok, sym.elem, grouped, S)
+        if len(out) + reps > MAX_WORD_LENGTH:
+            raise ParseError(f"{tok!r} makes the word longer than "
+                             f"{MAX_WORD_LENGTH} symbols")
         out += [sym] * reps
     return Polynomial(tuple(out))
 
@@ -175,7 +185,11 @@ def _token(tok: str) -> tuple[Symbol, bool, int]:
     if not m:
         raise ParseError(f"bad token {tok!r}")
     i, g, lam, name, reps = m.groups()
-    reps = int(reps) if reps else 1
+    # a count with more digits than MAX_WORD_LENGTH is past it, and is not
+    # converted: int() refuses the longest digit strings
+    digits = (reps or "1").lstrip("0") or "0"
+    reps = (MAX_WORD_LENGTH + 1 if len(digits) > len(str(MAX_WORD_LENGTH))
+            else int(digits))
     if reps < 1:
         raise ParseError(f"repetition must be positive in {tok!r}")
     if name is not None:

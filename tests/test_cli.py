@@ -425,6 +425,20 @@ def test_reduce_refuses_repeated_and_loop_edges(tmp_path, capsys, edges,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_oversized_inputs_exit_2(i2_file, tmp_path, capsys):
+    # a repetition past the word bound and a graph header with more than
+    # m + 1 vertices are input errors, refused before they are built
+    bound = r.words.MAX_WORD_LENGTH
+    assert main(["term-eq", "--matrix", i2_file, "x", f"x^{bound + 1}"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: 'x^{bound + 1}' makes the word longer than {bound} "
+        "symbols\n")
+    gfile = tmp_path / "G.graph"
+    gfile.write_text("1000000 0\n", encoding="utf-8")
+    assert main(["reduce", "3col", str(gfile)]) == 2
+    assert capsys.readouterr().err == "error: graph must be connected\n"
+
+
 @pytest.fixture()
 def foo_bar_graph(tmp_path):
     path = tmp_path / "bad.graph"

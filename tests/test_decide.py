@@ -262,6 +262,27 @@ def test_balanced_term_witness_is_plain_pol_eqs(M):
     assert negatives > 300
 
 
+@pytest.mark.parametrize("M", [M for M in BALANCED
+                               if not r.classify_matrix(M).all_ones],
+                         ids=lambda M: str(M.entries))
+def test_balanced_term_eq_s1_is_pol_eq_with_identity(M):
+    # with the identity adjoined, term-eq and pol-eq share one slice key
+    # and one comparison (_eq_mismatch) on the balanced class, and term-eq
+    # reads its witness off the deciding slice's labels: on terms both
+    # reach the same verdict and the same witness
+    rng = random.Random(25)
+    terms = list({" ".join(rng.choice("xyz") for _ in range(rng.randint(1, 6)))
+                  for _ in range(120)})
+    negatives = 0
+    for _ in range(200):
+        p, q = (r.word_of(rng.choice(terms)) for _ in range(2))
+        v = r.term_eq_s1(M, p, q)
+        u = r.pol_eq(M, p, q, adjoin_identity=True)
+        assert (v.kind, v.witness) == (u.kind, u.witness), (str(p), str(q))
+        negatives += v.kind == "not-equal"
+    assert negatives > 100
+
+
 def test_term_oracle_agreement_2x2():
     # fast verdicts match the exhaustive oracle on every pair, both plain
     # and with the identity adjoined (smoke-scale; the acceptance suite
@@ -1110,6 +1131,12 @@ def test_budget_refusal():
     for budget in (7, 0):
         with pytest.raises(BudgetExceededError):
             r.brute_group_eq(Z2, p, q, budget=budget)
+    # no budget means the one default, 10^7: 10^8 evaluations are refused
+    eight = r.word_of("a b c d e f g h")
+    assert decide.DEFAULT_BUDGET == 10 ** 7
+    with pytest.raises(BudgetExceededError,
+                       match=f"exceed budget {decide.DEFAULT_BUDGET}$"):
+        r.brute_eq(S_H3, eight, eight)
 
 
 def test_engine_refuses_a_nonpositive_budget():
@@ -1126,28 +1153,6 @@ def test_engine_refuses_a_nonpositive_budget():
                                match=f"budget must be positive, got {budget}"):
                 call(budget=budget)
         assert call(budget=None).kind == kind
-
-
-def test_budget_environment_default(monkeypatch, tmp_path, capsys):
-    from reeseq.cli import main
-    monkeypatch.setenv("REESEQ_BUDGET", "10")
-    with pytest.raises(BudgetExceededError):
-        r.brute_eq(S_H3, r.word_of("a b"), r.word_of("b a"))
-    # a malformed value is an input error naming the variable and value
-    monkeypatch.setenv("REESEQ_BUDGET", "abc")
-    for call in (partial(r.brute_eq, S_H3, r.word_of("a b"), r.word_of("b a")),
-                 partial(r.pol_zero, H3, r.word_of("a b"))):
-        with pytest.raises(ReesError, match="REESEQ_BUDGET.*'abc'"):
-            call()
-    path = tmp_path / "H3.mat"
-    path.write_text(r.format_matrix_file(H3), encoding="utf-8")
-    assert main(["pol-zero", "--brute", "--matrix", str(path),
-                 "[1,2] [1,2]"]) == 2
-    err = capsys.readouterr().err
-    assert "REESEQ_BUDGET" in err and "internal" not in err
-    monkeypatch.delenv("REESEQ_BUDGET")
-    assert r.brute_eq(S_H3, r.word_of("a b"), r.word_of("b a")).kind == \
-        "not-equal"
 
 
 def test_brute_trivials():
@@ -1338,7 +1343,7 @@ def test_zset_separator_cases(monkeypatch, live, dead):
 def _fast_path_name(name):
     return name in ("term_profile", "classify_matrix", "CompiledWord",
                     "hat_transform", "_homomorphism", "_Network", "_narrow",
-                    "_zero_pair", "_slice_mismatch",
+                    "_zero_pair", "_slice_mismatch", "_eq_mismatch",
                     "_balanced_s1") or \
         name.startswith(("pol_", "_zset_"))
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -94,6 +95,19 @@ def test_disconnected_rejected():
             red.simple_graph(n, edges)
     with pytest.raises(ReesError):
         red.simple_graph(2, [(0, 0)])
+
+
+def test_sparse_graph_refused_before_its_adjacency():
+    # fewer than n - 1 edges cannot connect n vertices, so such a header is
+    # refused before one adjacency list per vertex is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ReesError, match="^graph must be connected$"):
+            red.parse_graph_file("1000000 0\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_graph_file_parsing():

@@ -51,3 +51,34 @@ def test_engine_curves_cover_both_axes():
                for line in lines) == 10
     sigma = lines.index(next(x for x in lines if x.startswith("sigma size")))
     assert len(lines) - sigma - 1 == 6  # 3..8 vertices
+
+
+def test_loc_counts_code_lines_only(tmp_path):
+    # blank lines, comments and module, class and function docstrings are
+    # not code; a line of code with a trailing comment is, and so is each
+    # line of a statement that spans several
+    pkg = tmp_path / "reeseq"
+    pkg.mkdir()
+    (pkg / "__init__.py").write_text('"""Package."""\n', encoding="utf-8")
+    (pkg / "mod.py").write_text('''"""A module docstring
+over two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+class A:
+    """A class docstring."""
+
+    x = ("a string, not a docstring",
+         os.sep)
+
+    def f(self):
+        """A function
+        docstring."""
+        return 1
+''', encoding="utf-8")
+    out = _run("loc.py", str(tmp_path))
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split("\n") == [
+        "     0 __init__.py", "     6 mod.py", "     6 total", ""]

@@ -3,6 +3,7 @@
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 
@@ -60,6 +61,27 @@ def test_parse_errors():
 def test_token_table_is_bounded():
     size = r.words._token.cache_info().maxsize
     assert size == r.words.TOKEN_TABLE_SIZE and isinstance(size, int)
+
+
+def test_repetition_past_the_word_bound_is_refused():
+    # each expansion is checked against MAX_WORD_LENGTH before it is built,
+    # so a count past it allocates nothing in proportion to the count,
+    # whether the token alone or the word so far passes the bound
+    bound = r.words.MAX_WORD_LENGTH
+    assert r.parse_polynomial(f"x^{bound}", S2).length == bound
+    message = f"makes the word longer than {bound} symbols"
+    for text, tok in ((f"x^{bound + 1}", f"x^{bound + 1}"),
+                      (f"x y^{bound}", f"y^{bound}"),
+                      ("x^" + "9" * 5000, "x^" + "9" * 5000)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=re.escape(
+                    f"{tok!r} {message}")):
+                r.parse_polynomial(text, S2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (text[:20], peak)
 
 
 def test_constants_are_checked_against_each_semigroup():
