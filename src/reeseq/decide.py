@@ -1056,8 +1056,10 @@ def _eq_mismatch(prof, names, p, q):
     each word is hat-transformed and compiled over names, the sorted union
     of their variables.  Equal records or families fix each slice's end
     vertices, so they settle the ends too once the constants that can be
-    ends agree."""
-    words = {CompiledWord(hat_transform(w, prof.plan), names): w
+    ends agree.  A word without constants, as a term, is neither
+    transformed nor scanned for them."""
+    words = {CompiledWord(hat_transform(w, prof.plan) if w.constants else w,
+                          names): w
              for w in (p, q)}
     cwp, cwq = words
     return _slice_mismatch(partial(_eq_key, prof, words), cwp, cwq,
@@ -1067,8 +1069,10 @@ def _eq_mismatch(prof, names, p, q):
 def _end_constants(p):
     """The column of p's first constant and the row of its last, the only
     constants that can end a slice of p; None for a term."""
+    if not p.constants:
+        return None
     consts = [s.elem for s in p.word if not s.is_var]
-    return (consts[0].i, consts[-1].lam) if consts else None
+    return consts[0].i, consts[-1].lam
 
 
 def pol_sat(M: StructureMatrix, p: Polynomial, b: Element, *,

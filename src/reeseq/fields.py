@@ -132,6 +132,7 @@ def rank1_semigroup(p: int, n: int) -> Rank1Semigroup:
     if n < 1:
         raise ReesError("dimension must be positive")
     F = PrimeField(p)
+    group = units_group(p)  # refuses a p past its bound before any line
     reps = subspace_representatives(F, n)
     r = len(reps)
     if r != line_count(p, n):
@@ -139,7 +140,6 @@ def rank1_semigroup(p: int, n: int) -> Rank1Semigroup:
     entries = tuple(tuple(F.dot(reps[lam], reps[i]) for i in range(r))
                     for lam in range(r))
     M = StructureMatrix(entries)
-    group = units_group(p)
     return Rank1Semigroup(F, n, reps, ReesSemigroup(M, group))
 
 

@@ -10,11 +10,20 @@ from __future__ import annotations
 import math
 import re
 import warnings
+from functools import lru_cache
 
 from .errors import GroupTableError
 from .frozen import Frozen, cached_value
 
 ASSOCIATIVITY_CHECK_LIMIT = 64
+
+# the largest cyclicK or unitsP built: far above the groups the bench and
+# the examples use (order 7 at most), and no more than the associativity
+# check's limit, so every named group is checked in full
+MAX_GROUP_ORDER = 64
+
+# the named groups kept per constructor: one per order a process uses
+GROUP_CACHE_SIZE = 32
 
 
 class FiniteGroup(Frozen):
@@ -118,9 +127,21 @@ def trivial_group() -> FiniteGroup:
     return _TRIVIAL
 
 
+def _check_order(n: int) -> None:
+    """Refuse a named group larger than MAX_GROUP_ORDER before its table
+    is built."""
+    if n > MAX_GROUP_ORDER:
+        raise GroupTableError(f"group order {n} exceeds the limit "
+                              f"{MAX_GROUP_ORDER}")
+
+
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
 def cyclic_group(k: int) -> FiniteGroup:
+    """The cyclic group of order k, shared: groups are frozen, and equal
+    orders find one value in a bounded LRU cache."""
     if k < 1:
         raise GroupTableError("cyclic group order must be positive")
+    _check_order(k)
     table = tuple(tuple((i + j) % k for j in range(k)) for i in range(k))
     return finite_group(table, name=f"cyclic{k}")
 
@@ -129,11 +150,14 @@ def is_prime(p: int) -> bool:
     return p >= 2 and all(p % d for d in range(2, int(p ** 0.5) + 1))
 
 
+@lru_cache(maxsize=GROUP_CACHE_SIZE)
 def units_group(p: int) -> FiniteGroup:
-    """Multiplicative group of nonzero residues mod a prime p.
+    """Multiplicative group of nonzero residues mod a prime p, shared as
+    cyclic_group's groups are.
 
     Element index i stands for the residue i + 1, so labels carry field values.
     """
+    _check_order(p - 1)
     if not is_prime(p):
         raise GroupTableError(f"{p} is not prime")
     table = tuple(tuple(((i + 1) * (j + 1)) % p - 1 for j in range(p - 1))
@@ -146,11 +170,14 @@ def group_from_name(name: str) -> FiniteGroup:
     """Resolve the group tag used in matrix files."""
     if name == "trivial":
         return trivial_group()
-    m = re.fullmatch(r"cyclic(\d+)", name)
+    m = re.fullmatch(r"(cyclic|units)(\d+)", name)
     if m:
-        return cyclic_group(int(m.group(1)))
-    m = re.fullmatch(r"units(\d+)", name)
-    if m:
-        return units_group(int(m.group(1)))
+        kind, digits = m.groups()
+        # an order of many digits is past the bound, and is not converted:
+        # int() refuses the longest digit strings
+        if len(digits.lstrip("0")) > 18:
+            raise GroupTableError(f"{kind} group order of {len(digits)} "
+                                  f"digits exceeds the limit {MAX_GROUP_ORDER}")
+        return (cyclic_group if kind == "cyclic" else units_group)(int(digits))
     raise GroupTableError(f"unknown group name {name!r} "
                           "(expected trivial, cyclicK or unitsP)")

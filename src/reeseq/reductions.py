@@ -16,7 +16,7 @@ fixed plane or a fixed orthogonal triple.
 from __future__ import annotations
 
 import itertools
-from functools import partial
+from functools import lru_cache, partial
 
 from .core import Element, ReesSemigroup, ZERO, combinatorial, pair
 from .errors import ParseError, ReesError
@@ -203,8 +203,16 @@ def _rehost(p: Polynomial, wrap, host) -> Polynomial:
     return Polynomial(tuple(out))
 
 
+# the vertex wrappers kept: one per vertex index of the graphs a process
+# reduces, far above the bench's and the tests' graphs (a few KB each)
+SIGMA_WRAPPER_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=SIGMA_WRAPPER_CACHE_SIZE)
 def sigma_of_variable(v: int) -> Polynomial:
-    """The 50-symbol wrapper around one vertex variable."""
+    """The 50-symbol wrapper around one vertex variable, shared: words are
+    frozen, and it depends on v alone, so each v's wrapper is built once
+    and kept in a bounded LRU cache."""
     return _wrapped(vertex_var(v),
                     ((_aux("y", v, s, t), gadget_block(v, s, t),
                       _aux("z", v, s, t)) for s, t in color_pairs()))

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -437,6 +438,48 @@ def test_oversized_inputs_exit_2(i2_file, tmp_path, capsys):
     gfile.write_text("1000000 0\n", encoding="utf-8")
     assert main(["reduce", "3col", str(gfile)]) == 2
     assert capsys.readouterr().err == "error: graph must be connected\n"
+
+
+def test_group_header_past_the_bound_exits_2(tmp_path, capsys):
+    # the header's group is refused before its table is built
+    bound = r.groups.MAX_GROUP_ORDER
+    for name, order in ((f"cyclic{bound + 1}", bound + 1),
+                        ("units67", 66), ("cyclic1000000", 10 ** 6)):
+        path = tmp_path / f"{name}.mat"
+        path.write_text(f"1 1 {name}\n1\n", encoding="utf-8")
+        start = time.perf_counter()
+        assert main(["term-eq", "--matrix", str(path), "x", "x"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: group order {order} exceeds the limit {bound}\n")
+    # an order too long for int() is refused by its length
+    path = tmp_path / "long.mat"
+    path.write_text(f"1 1 units{'9' * 5000}\n1\n", encoding="utf-8")
+    assert main(["term-eq", "--matrix", str(path), "x", "x"]) == 2
+    assert capsys.readouterr().err == (
+        f"error: units group order of 5000 digits exceeds the limit "
+        f"{bound}\n")
+    # gen rank1 checks its units group before it enumerates any line
+    start = time.perf_counter()
+    assert main(["gen", "rank1", "101", "3"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        f"error: group order 100 exceeds the limit {bound}\n")
+
+
+def test_brute_defaults_differ_between_library_and_cli(tmp_path, capsys):
+    # the library admits homomorphism search on a general matrix by
+    # default; the CLI refuses it without --brute
+    H3 = r.hollow(3)
+    p = r.parse_polynomial("x [1,1]", r.combinatorial(H3))
+    assert r.pol_zero(H3, p).kind == "not-zero"
+    path = tmp_path / "H3.mat"
+    path.write_text(r.format_matrix_file(H3), encoding="utf-8")
+    assert main(["pol-zero", "--matrix", str(path), "x [1,1]"]) == 2
+    assert capsys.readouterr().err == (
+        "error: pol-zero: no polynomial procedure for general matrices "
+        "(neither totally balanced nor bordered); allow_brute (--brute) "
+        "runs homomorphism search\n")
 
 
 @pytest.fixture()

@@ -1,6 +1,7 @@
 """Semigroup arithmetic, derived semigroups, and the matrix file format."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -62,6 +63,32 @@ def test_group_table_validation():
     assert g.mul(1, 2) == g.inv(g.inv(g.mul(1, 2)))
     with pytest.raises(GroupTableError):
         units_group(6)
+
+
+def test_named_groups_are_shared_through_bounded_caches():
+    assert cyclic_group(3) is cyclic_group(3)
+    assert units_group(5) is units_group(5)
+    assert cyclic_group(3) == finite_group(cyclic_group(3).table,
+                                           name="cyclic3")
+    for build in (cyclic_group, units_group):
+        assert build.cache_info().maxsize == r.groups.GROUP_CACHE_SIZE
+
+
+def test_named_groups_past_the_bound_are_refused_unbuilt():
+    bound = r.groups.MAX_GROUP_ORDER
+    assert cyclic_group(bound).order == bound
+    # 67 is prime, its units group of order 66 past the bound
+    tracemalloc.start()
+    try:
+        for build, arg in ((cyclic_group, bound + 1), (units_group, 67),
+                           (cyclic_group, 10 ** 9), (units_group, 10 ** 18)):
+            with pytest.raises(GroupTableError, match=f"exceeds the limit "
+                               f"{bound}$"):
+                build(arg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_trivial_group_is_shared():

@@ -24,7 +24,10 @@ def _values():
         "ReesSemigroup": three(
             lambda: r.ReesSemigroup(r.identity(2), r.cyclic_group(2)),
             lambda: r.ReesSemigroup(r.identity(2), r.cyclic_group(2), True)),
-        "FiniteGroup": three(lambda: r.cyclic_group(3),
+        # cyclic_group shares one value per order, so the equal value is
+        # built anew from its table
+        "FiniteGroup": three(lambda: r.finite_group(
+                                 r.cyclic_group(3).table, name="cyclic3"),
                              lambda: r.units_group(5)),
         "Symbol": three(lambda: r.var("x"),
                         lambda: r.const(r.pair(0, 0))),

@@ -138,6 +138,20 @@ def test_wrapper_is_fifty_symbols():
         assert red.sigma_of_variable(v).length == 50
 
 
+def test_wrappers_are_shared_through_a_bounded_cache():
+    # a wrapper depends on its vertex alone, so each is built once
+    assert red.sigma_of_variable(2) is red.sigma_of_variable(2)
+    info = red.sigma_of_variable.cache_info()
+    assert info.maxsize == red.SIGMA_WRAPPER_CACHE_SIZE
+    # sigma still builds a new instance and a new word from the shared
+    # wrappers, the same word from a cold cache as from a warm one
+    G = red.complete_graph(4)
+    warm = red.sigma(G)
+    assert red.sigma(G).polynomial is not warm.polynomial
+    red.sigma_of_variable.cache_clear()
+    assert str(red.sigma(G).polynomial) == str(warm.polynomial)
+
+
 def test_instance_size_is_linear_in_the_walk():
     for G in (red.complete_graph(3), red.complete_graph(4)):
         inst = red.sigma(G)

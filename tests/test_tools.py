@@ -22,6 +22,12 @@ def test_ab_inprocess_runs_one_tree_against_itself():
             "detail)") in out.stdout
     assert "order A,B:" in out.stdout and "order B,A:" in out.stdout
     assert "ratio A/B, mean of the two orders:" in out.stdout
+    # each op's ratio too, as the mean of both orders
+    lines = out.stdout.splitlines()
+    means = lines[lines.index("mean of both orders:") + 1:-1]
+    assert [ln.split()[0] for ln in means] == [
+        "pol-eq", "pol-sat", "pol-zero", "term-eq", "zset-eq"]
+    assert all(ln.split()[1] == "ratio" for ln in means)
 
 
 def test_ab_inprocess_reports_differing_detail_rows(tmp_path):

@@ -12,7 +12,8 @@ machine's speed reaches both alike.  Whichever tree runs second gains from
 the first one's warm caches, so the run is made twice, each order for half
 the time, and each order's result is printed: per op, the sum over the
 pool's slots of each slot's median time, then the total and the ratio
-BEFORE / AFTER (above 1 when AFTER is faster).  Every verdict is checked
+BEFORE / AFTER (above 1 when AFTER is faster).  Last come each op's ratio
+and the total's, each the mean of the two orders'.  Every verdict is checked
 against the instance's expected answer, as the bench does, and the two
 trees' (kind, method, witness, detail) are compared on every instance, the
 witness and the detail rows as text, rendered as reeseq.cli renders them
@@ -108,24 +109,23 @@ def timed(progs, pool, brute: bool, seconds: float) -> list:
             return samples
 
 
-def report(label: str, pool, samples) -> float:
+def report(label: str, pool, samples) -> dict:
     """Print the sums of per-slot medians of trees A and B (samples in that
-    order) by op and in all; returns the ratio of A's total to B's."""
+    order) by op and in all; returns the ratio of A's sum to B's by op,
+    and in all under "total"."""
     medians = [[statistics.median(s) for s in tree] for tree in samples]
-    ops = sorted({inst.op for inst in pool})
     print(f"{label}: {len(samples[0][0])} passes over {len(pool)} instances "
           "(sum of per-slot medians, us)")
-    for op in ops:
-        sums = [sum(m for m, inst in zip(tree, pool) if inst.op == op)
+    ratios = {}
+    for op in sorted({inst.op for inst in pool}) + ["total"]:
+        sums = [sum(m for m, inst in zip(tree, pool)
+                    if op in ("total", inst.op))
                 for tree in medians]
+        ratios[op] = sums[0] / sums[1]
         print(f"  {op:16s}" + "".join(f" {n} {s * 1e6:10.1f}"
                                       for n, s in zip("AB", sums))
-              + f"  ratio {sums[0] / sums[1]:.3f}")
-    totals = [sum(tree) for tree in medians]
-    print(f"  {'total':16s}" + "".join(f" {n} {s * 1e6:10.1f}"
-                                      for n, s in zip("AB", totals))
-          + f"  ratio {totals[0] / totals[1]:.3f}")
-    return totals[0] / totals[1]
+              + f"  ratio {ratios[op]:.3f}")
+    return ratios
 
 
 def main(argv=None) -> int:
@@ -153,9 +153,14 @@ def main(argv=None) -> int:
             gc.collect()
             samples = timed((a, b)[::order], pool, wl.brute, ns.seconds / 2)
             ratios.append(report(label, pool, samples[::order]))
+        print("mean of both orders:")
+        for op in ratios[0]:
+            if op != "total":
+                print(f"  {op:16s}  ratio "
+                      f"{statistics.mean(r[op] for r in ratios):.3f}")
         print(f"ratio A/B, mean of the two orders: "
-              f"{statistics.mean(ratios):.3f} (A = {ns.before}, "
-              f"B = {ns.after})")
+              f"{statistics.mean(r['total'] for r in ratios):.3f} "
+              f"(A = {ns.before}, B = {ns.after})")
         return 1 if differ else 0
     finally:
         sys.path.remove(tmp)
