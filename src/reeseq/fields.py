@@ -17,6 +17,7 @@ from .core import Element, ReesSemigroup, StructureMatrix, ZERO, triple
 from .errors import ReesError
 from .frozen import Frozen
 from .groups import is_prime, units_group
+from .matrices import check_gen_lines
 
 
 class PrimeField(Frozen):
@@ -131,8 +132,10 @@ def rank1_semigroup(p: int, n: int) -> Rank1Semigroup:
     """Rees matrix presentation of the rank-at-most-1 matrices over GF(p)."""
     if n < 1:
         raise ReesError("dimension must be positive")
-    F = PrimeField(p)
     group = units_group(p)  # refuses a p past its bound before any line
+    F = PrimeField(p)
+    for k in range(2, n + 1):  # p >= 2: past the bound by k = 10
+        check_gen_lines(f"rank1_semigroup({p}, {n})", line_count(p, k))
     reps = subspace_representatives(F, n)
     r = len(reps)
     if r != line_count(p, n):

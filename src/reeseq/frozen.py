@@ -10,8 +10,9 @@ through the slot's own setter from slot_setters, which is faster.
 Two kinds of slot hold values derived from the fields rather than fields,
 and take no part in equality, hashing or the repr: a slot whose name
 starts with an underscore, set in __init__ (StructureMatrix keeps its hash
-there, ReesSemigroup its index bounds), and "__dict__", where cached_value
-stores what it computes on first read.
+there, ReesSemigroup its index bounds, Polynomial its variables and
+constants), and "__dict__", where cached_value stores what it computes on
+first read.
 """
 
 from __future__ import annotations

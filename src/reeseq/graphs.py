@@ -80,17 +80,14 @@ def build_bipartite(p: Polynomial) -> Bigraph:
     return Bigraph(frozenset(verts), frozenset(edges))
 
 
-def _identify(vertex):
-    if vertex[0] == "c":
-        return ("m", vertex[1])
-    return vertex
-
-
 def build_identified(p: Polynomial) -> Bigraph:
-    b = build_bipartite(p)
-    verts = frozenset(_identify(v) for v in b.vertices)
-    edges = frozenset((_identify(x), _identify(y)) for x, y in b.edges)
-    return Bigraph(verts, edges)
+    """The bipartite graph with constant vertices merged by index, built
+    in one pass over the word."""
+    xs, ys = [], []  # each position's X and Y vertex
+    for s in p.word:
+        xs.append(("v", s.name, 1) if s.is_var else ("m", s.elem.i))
+        ys.append(("v", s.name, 2) if s.is_var else ("m", s.elem.lam))
+    return Bigraph(frozenset(xs + ys), frozenset(zip(xs[1:], ys)))
 
 
 # ---------------------------------------------------------------------------

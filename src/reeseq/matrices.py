@@ -110,7 +110,7 @@ def hat_transform(p: Polynomial, plan: RetractionPlan) -> Polynomial:
     """Relabel p's constants through the plan; variables pass through.
 
     When no constant moves, as in a term or over an identity plan, the
-    result is p itself, which keeps the values it has computed already.
+    result is p itself, and no new word is built.
     """
     col_class, row_class = plan.col_class, plan.row_class
     out: list[Symbol] = []
@@ -138,12 +138,28 @@ def lift_element_map(plan: RetractionPlan):
 # ---------------------------------------------------------------------------
 # Constructors
 
+# the most rows, and the most columns, of a matrix that identity, all_ones,
+# hollow and fields.rank1_semigroup build: far above the 57 lines of the
+# rank-1 matrix over GF(7)^3, and the largest such matrix builds in well
+# under a second
+MAX_GEN_LINES = 512
+
+
+def check_gen_lines(what: str, lines: int) -> None:
+    """Refuse a matrix with more than MAX_GEN_LINES rows or columns, what
+    naming it, before anything is built."""
+    if lines > MAX_GEN_LINES:
+        raise ReesError(f"{what} exceeds the limit of {MAX_GEN_LINES} lines")
+
+
 def identity(k: int) -> StructureMatrix:
+    check_gen_lines(f"identity({k})", k)
     return matrix(tuple(tuple(1 if i == j else 0 for j in range(k))
                         for i in range(k)))
 
 
 def all_ones(m: int, n: int) -> StructureMatrix:
+    check_gen_lines(f"all_ones({m}, {n})", max(m, n))
     return matrix(tuple(tuple(1 for _ in range(n)) for _ in range(m)))
 
 
@@ -151,6 +167,7 @@ def hollow(k: int) -> StructureMatrix:
     """All-ones matrix with a zero diagonal; regular only for k >= 2."""
     if k < 2:
         raise ReesError("hollow matrix needs k >= 2 to stay regular")
+    check_gen_lines(f"hollow({k})", k)
     return matrix(tuple(tuple(0 if i == j else 1 for j in range(k))
                         for i in range(k)))
 

@@ -16,11 +16,12 @@ as elements print, and is only accepted over non-combinatorial semigroups.
 The zero and the adjoined identity are not expressible in source text; they
 arise only through evaluation.
 
-Two things are cached.  A Polynomial computes its variables and constants
-on first read and keeps them (reeseq.frozen.cached_value).  Parsing looks
-each token's text up in a table of TOKEN_TABLE_SIZE entries, shared by
-every parse in the process, that holds what the text alone says: the
-symbol, whether it names a group component, and the repetition count.
+A Polynomial reads its variables and constants off the word in its
+constructor, in one loop, and keeps them in derived slots, so every word
+pays for them once and no read computes anything.  One thing is cached:
+parsing looks each token's text up in a table of TOKEN_TABLE_SIZE entries,
+shared by every parse in the process, that holds what the text alone says:
+the symbol, whether it names a group component, and the repetition count.
 What depends on the semigroup, the range and group checks of a constant,
 runs on every parse, and a token that fails to parse is never kept.
 """
@@ -34,7 +35,7 @@ from .core import (Element, ReesSemigroup, element_str,
                    transpose_element, triple)
 from .errors import (EmptyWordError, InvalidElementError,
                      MissingAssignmentError, ParseError)
-from .frozen import Frozen, cached_value, slot_setters
+from .frozen import Frozen, slot_setters
 
 
 class Symbol(Frozen):
@@ -74,13 +75,21 @@ def const(elem: Element) -> Symbol:
 
 
 class Polynomial(Frozen):
-    # __dict__ holds the cached_value values
-    __slots__ = ("word", "__dict__")
+    # _variables and _constants are derived slots, read off the word once
+    __slots__ = ("word", "_variables", "_constants")
 
     def __init__(self, word: tuple[Symbol, ...]):
         if not word:
             raise EmptyWordError("polynomials are nonempty words")
         _set_word(self, word)
+        names, elems = {}, {}  # ordered sets, by first occurrence
+        for s in word:
+            if s.is_var:
+                names[s.name] = None
+            else:
+                elems[s.elem] = None
+        _set_variables(self, tuple(names))
+        _set_constants(self, tuple(elems))
 
     def __eq__(self, other):
         if type(other) is not Polynomial:
@@ -96,20 +105,17 @@ class Polynomial(Frozen):
 
     @property
     def is_term(self) -> bool:
-        return all(s.is_var for s in self.word)
+        return not self._constants
 
-    # variables and constants build their tuple from a list, as
-    # eliminate_variables does
-    @cached_value
+    @property
     def variables(self) -> tuple[str, ...]:
         """Variable names in first-occurrence order."""
-        return tuple(list(dict.fromkeys([s.name for s in self.word
-                                         if s.is_var])))
+        return self._variables
 
-    @cached_value
+    @property
     def constants(self) -> tuple[Element, ...]:
-        return tuple(list(dict.fromkeys([s.elem for s in self.word
-                                         if not s.is_var])))
+        """Distinct constants in first-occurrence order."""
+        return self._constants
 
     @property
     def leftmost(self) -> Symbol:
@@ -123,7 +129,7 @@ class Polynomial(Frozen):
         return polynomial_str(self)
 
 
-_set_word, = slot_setters(Polynomial)
+_set_word, _set_variables, _set_constants = slot_setters(Polynomial)
 
 def poly(*symbols) -> Polynomial:
     return Polynomial(tuple(symbols))
@@ -172,7 +178,9 @@ def parse_polynomial(text: str, S: ReesSemigroup) -> Polynomial:
         if len(out) + reps > MAX_WORD_LENGTH:
             raise ParseError(f"{tok!r} makes the word longer than "
                              f"{MAX_WORD_LENGTH} symbols")
-        out += [sym] * reps
+        if reps > 1:
+            out += [sym] * (reps - 1)
+        out.append(sym)
     return Polynomial(tuple(out))
 
 
@@ -263,8 +271,8 @@ def evaluate(S: ReesSemigroup, p: Polynomial, assignment) -> Element:
             raise MissingAssignmentError(f"variable {name!r} unassigned")
         S.check_element(assignment[name])
     validate_polynomial(S, p)
-    return S.product(assignment[s.name] if s.is_var else s.elem
-                     for s in p.word)
+    return S.product([assignment[s.name] if s.is_var else s.elem
+                      for s in p.word])
 
 
 def validate_polynomial(S: ReesSemigroup, p: Polynomial) -> None:

@@ -2,8 +2,9 @@
 
 None of these serves a decision procedure, so they live with the tests:
 the two definitions of a totally balanced matrix that retract and
-classify_matrix are checked against, and the factor families of a word
-that antichain_table reads off one scan.
+classify_matrix are checked against, the factor families of a word that
+antichain_table reads off one scan, the facts a word reads off itself in
+its constructor, and the identified graph as an image of the bipartite one.
 """
 
 
@@ -69,3 +70,28 @@ def antichain(p, x: str, y: str) -> frozenset:
     fam = factor_variable_sets(p, x, y)
     return frozenset(s for s in fam
                      if not any(t < s for t in fam))
+
+
+def word_facts(p) -> tuple:
+    """A word's variable names and its distinct constants, each in order
+    of first occurrence, and whether it is a term, recomputed from p.word
+    by symbol kind: the reference for Polynomial's variables, constants
+    and is_term."""
+    names, elems = [], []
+    for s in p.word:
+        if s.kind == "var":
+            if s.name not in names:
+                names.append(s.name)
+        elif s.elem not in elems:
+            elems.append(s.elem)
+    return tuple(names), tuple(elems), not elems
+
+
+def identified_image(b) -> tuple:
+    """The vertices and edges of the bipartite graph b with each constant
+    vertex ("c", index, side) merged into ("m", index): the reference for
+    build_identified."""
+    def merged(v):
+        return ("m", v[1]) if v[0] == "c" else v
+    return (frozenset(map(merged, b.vertices)),
+            frozenset((merged(x), merged(y)) for x, y in b.edges))

@@ -4,9 +4,11 @@ import itertools
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -459,12 +461,73 @@ def test_group_header_past_the_bound_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: units group order of 5000 digits exceeds the limit "
         f"{bound}\n")
-    # gen rank1 checks its units group before it enumerates any line
-    start = time.perf_counter()
-    assert main(["gen", "rank1", "101", "3"]) == 2
-    assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == (
-        f"error: group order 100 exceeds the limit {bound}\n")
+    # gen rank1 checks its units group before it enumerates any line, and
+    # before a trial division up to the square root of a large prime
+    for p in (101, 10 ** 16 + 61):
+        start = time.perf_counter()
+        assert main(["gen", "rank1", str(p), "3"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            f"error: group order {p - 1} exceeds the limit {bound}\n")
+
+
+def _gen_refusal(what: str) -> str:
+    return (f"error: {what} exceeds the limit of "
+            f"{r.matrices.MAX_GEN_LINES} lines\n")
+
+
+@pytest.mark.parametrize("args,what", [
+    (["identity", "513"], "identity(513)"),
+    (["hollow", "513"], "hollow(513)"),
+    (["all-ones", "1", "513"], "all_ones(1, 513)"),
+    (["rank1", "2", "10"], "rank1_semigroup(2, 10)"),
+    (["rank1", "23", "3"], "rank1_semigroup(23, 3)"),
+])
+def test_gen_past_the_line_bound_exits_2(capsys, args, what):
+    # one line past the bound is refused before anything is allocated:
+    # 1,023 and 553 lines for the rank-1 matrices
+    assert r.matrices.MAX_GEN_LINES == 512
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["gen", *args])
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and capsys.readouterr().err == _gen_refusal(what)
+    assert elapsed < 1.0 and peak < 1 << 20, (elapsed, peak)
+
+
+def test_gen_at_the_line_bound_builds(capsys):
+    assert main(["gen", "hollow", "512"]) == 0
+    assert capsys.readouterr().out.startswith("512 512\n0 1 1 ")
+    assert main(["gen", "rank1", "2", "9"]) == 0
+    assert capsys.readouterr().out.startswith("511 511\n")
+
+
+def _capped_child():
+    # 256 MB of address space and 5 s of CPU in the child alone: a missed
+    # bound ends in a MemoryError or a kill, not a strained machine
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+    resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
+
+
+@pytest.mark.parametrize("args,what", [
+    (["hollow", "20000"], "hollow(20000)"),
+    (["identity", "20000"], "identity(20000)"),
+    (["all-ones", "20000", "20000"], "all_ones(20000, 20000)"),
+    (["rank1", "3", "12"], "rank1_semigroup(3, 12)"),
+    (["rank1", "2", "100000000"], "rank1_semigroup(2, 100000000)"),
+])
+def test_gen_far_past_the_line_bound_exits_2_in_a_capped_child(args, what):
+    src = os.path.dirname(os.path.dirname(r.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-m", "reeseq.cli", "gen", *args],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          preexec_fn=_capped_child, capture_output=True,
+                          text=True, timeout=30)
+    assert (done.returncode, done.stderr) == (2, _gen_refusal(what))
 
 
 def test_brute_defaults_differ_between_library_and_cli(tmp_path, capsys):

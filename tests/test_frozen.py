@@ -142,11 +142,12 @@ def test_text_forms_are_unchanged():
 
 
 def test_cached_properties_are_kept_per_value():
-    p = r.word_of("x y x")
-    assert p.variables == ("x", "y") and "variables" in p.__dict__
     G = red.simple_graph(2, [(0, 1)])
     assert G.adjacency is G.adjacency and "adjacency" in G.__dict__
-    # the other classes keep no dictionary at all
+    # the other classes keep no dictionary at all; a word keeps its
+    # variables and constants in derived slots, filled by its constructor
+    p = r.word_of("x y x")
+    assert p.variables == ("x", "y") and not hasattr(p, "__dict__")
     assert not hasattr(r.triple(0, 0, 0), "__dict__")
     assert not hasattr(r.var("x"), "__dict__")
 
@@ -179,8 +180,11 @@ def test_cached_value_computes_once_and_keeps_it():
 
 
 def test_derived_slots_are_not_fields():
-    # a matrix keeps its hash and a semigroup its bounds, out of equality,
-    # hashing and repr
+    # a matrix keeps its hash, a semigroup its bounds and a word its
+    # variables and constants, out of equality, hashing and repr
+    p = r.parse_polynomial("x [1,1] y x", r.combinatorial(r.identity(2)))
+    assert p._field_names() == ["word"] and hash(p) == hash((p.word,))
+    assert repr(p) == f"Polynomial(word={p.word!r})"
     M = r.matrix(((1, 0), (1, 1)))
     assert hash(M) == hash((M.entries,)) and M._field_names() == ["entries"]
     assert repr(M) == "StructureMatrix(entries=((1, 0), (1, 1)))"

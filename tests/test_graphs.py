@@ -6,7 +6,7 @@ import random
 
 import reeseq as r
 from conftest import all_terms, matrix_classes, partitions_match
-from references import antichain, factor_variable_sets
+from references import antichain, factor_variable_sets, identified_image
 from reeseq.graphs import build_adjacency, build_bipartite, build_identified
 
 
@@ -57,6 +57,23 @@ def test_terms_have_no_identification():
     p = r.word_of("x y x")
     assert build_identified(p).vertices == build_bipartite(p).vertices
     assert build_identified(p).edges == build_bipartite(p).edges
+
+
+def test_identified_graph_is_the_image_of_the_bipartite_graph():
+    # one pass over the word gives what merging the bipartite graph's
+    # constant vertices by index gives
+    rng = random.Random(11)
+    for M in (r.identity(2), r.identity(3),
+              r.matrix(((1, 1, 0), (1, 1, 0), (0, 0, 1)))):
+        S = r.combinatorial(M)
+        syms = ["x", "y", "z"] + [f"[{i},{lam}]" for i in range(1, M.n + 1)
+                                  for lam in range(1, M.m + 1)]
+        for _ in range(200):
+            p = r.parse_polynomial(" ".join(
+                rng.choice(syms) for _ in range(rng.randint(1, 8))), S)
+            g = build_identified(p)
+            assert (g.vertices, g.edges) == \
+                identified_image(build_bipartite(p)), str(p)
 
 
 def test_worked_components_example():

@@ -256,8 +256,10 @@ def _cached_property_uses(tree):
 @pytest.mark.parametrize("path", ALL_MODULES, ids=lambda p: p.name)
 def test_no_cached_property(path):
     # functools.cached_property takes a lock on every first read under
-    # CPython 3.11, which costs a fresh word more than computing its
-    # variables; values cache through reeseq.frozen.cached_value
+    # CPython 3.11, which was measured to cost more than computing a short
+    # word's variables; the values that are cached (a group's orders, a
+    # graph's adjacency, a compiled word's records) go through
+    # reeseq.frozen.cached_value
     assert _cached_property_uses(_parse(path)) == []
 
 

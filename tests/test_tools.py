@@ -1,6 +1,7 @@
 """Smoke tests of the measurement scripts under tools/."""
 
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -16,18 +17,25 @@ def _run(script, *args):
 
 def test_ab_inprocess_runs_one_tree_against_itself():
     out = _run("ab_inprocess.py", ROOT, ROOT, "--workload", "fanout",
-               "--seed", "3", "--seconds", "0.2")
+               "--seed", "3", "5", "--seconds", "0.2")
     assert out.returncode == 0, out.stderr
-    assert ("136 instances, 0 with differing (kind, method, witness, "
-            "detail)") in out.stdout
-    assert "order A,B:" in out.stdout and "order B,A:" in out.stdout
-    assert "ratio A/B, mean of the two orders:" in out.stdout
-    # each op's ratio too, as the mean of both orders
     lines = out.stdout.splitlines()
-    means = lines[lines.index("mean of both orders:") + 1:-1]
-    assert [ln.split()[0] for ln in means] == [
-        "pol-eq", "pol-sat", "pol-zero", "term-eq", "zset-eq"]
-    assert all(ln.split()[1] == "ratio" for ln in means)
+    # each seed's pool in turn, with its own tables and mean ratios
+    starts = [k for k, ln in enumerate(lines) if ln.startswith("fanout seed")]
+    assert [lines[k] for k in starts] == [
+        f"fanout seed {seed}: 136 instances, 0 with differing (kind, "
+        "method, witness, detail)" for seed in (3, 5)]
+    for part in (lines[starts[0]:starts[1]], lines[starts[1]:-1]):
+        assert "order A,B:" in part[1] and "order B,A:" in " ".join(part)
+        assert part[-1].startswith("ratio A/B, mean of the two orders:")
+        # each op's ratio too, as the mean of both orders
+        means = part[part.index("mean of both orders:") + 1:-1]
+        assert [ln.split()[0] for ln in means] == [
+            "pol-eq", "pol-sat", "pol-zero", "term-eq", "zset-eq"]
+        assert all(ln.split()[1] == "ratio" for ln in means)
+    # then one line of every seed's total ratio
+    assert re.fullmatch(r"ratio A/B by seed: 3 \d+\.\d{3}, 5 \d+\.\d{3}",
+                        lines[-1])
 
 
 def test_ab_inprocess_reports_differing_detail_rows(tmp_path):

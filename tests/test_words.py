@@ -6,8 +6,10 @@ import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reeseq as r
+from references import word_facts
 from reeseq.errors import (InvalidElementError, MissingAssignmentError,
                            ParseError)
 
@@ -286,3 +288,58 @@ EQ x y | y x
     assert recs == [("pol", "x y"), ("eq", "x y", "y x"), ("pol", "[1,1] u")]
     with pytest.raises(ParseError):
         parse_instance_lines("EQ x y")
+
+
+T33 = r.matrix(((1, 1, 0), (1, 1, 0), (0, 0, 1)))
+# connected graphs whose sigma words reach a few hundred symbols
+SIGMA_GRAPHS = (((0, 1),), ((0, 1), (1, 2)), ((0, 1), (1, 2), (0, 2)),
+                ((0, 1), (0, 2), (0, 3)))
+
+
+@st.composite
+def _built_words(draw):
+    """A word from one of the package's word constructors, most of them
+    applied to a word parsed over I2, I3 or T33 with repetitions."""
+    M = draw(st.sampled_from((I2, r.identity(3), T33)))
+    S = r.combinatorial(M)
+    names = st.sampled_from(["w", "x", "y", "z"])
+    consts = [f"[{i},{lam}]" for i in range(1, M.n + 1)
+              for lam in range(1, M.m + 1)]
+    tokens = draw(st.lists(st.one_of(names, st.sampled_from(consts)),
+                           min_size=1, max_size=8))
+    p = r.parse_polynomial(" ".join(
+        t + draw(st.sampled_from(("", "", "^2", "^3"))) for t in tokens), S)
+    how = draw(st.sampled_from((
+        "parse", "poly", "word_of", "substitute", "eliminate", "hat",
+        "transpose", "permute", "sigma")))
+    if how == "poly":
+        return r.poly(*p.word)
+    if how == "word_of":
+        return r.word_of(" ".join(draw(st.lists(names, min_size=1))))
+    if how == "substitute":
+        return r.substitute(p, {"x": r.parse_polynomial("[1,1] y x", S),
+                                "y": r.word_of("z w z")})
+    if how == "eliminate":
+        return r.eliminate_variables(p, set(draw(st.lists(names)))) or p
+    if how == "hat":
+        return r.hat_transform(p, r.retract(M)[0])
+    if how == "transpose":
+        return r.transpose_polynomial(p)
+    if how == "permute":
+        return r.permute_polynomial(p, draw(st.permutations(range(M.m))),
+                                    draw(st.permutations(range(M.n))))
+    if how == "sigma":
+        edges = draw(st.sampled_from(SIGMA_GRAPHS))
+        G = r.reductions.simple_graph(1 + max(map(max, edges)), edges)
+        return r.reductions.sigma(G).polynomial
+    return p
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(p=_built_words())
+def test_word_facts_are_read_off_the_word(p):
+    # every constructor ends in Polynomial.__init__, which reads the facts
+    # off the word; they are derived slots, not fields
+    assert (p.variables, p.constants, p.is_term) == word_facts(p)
+    assert repr(p) == f"Polynomial(word={p.word!r})"
+    assert hash(p) == hash((p.word,))

@@ -1,7 +1,7 @@
 """Time two source trees of reeseq on one bench workload, in one interpreter.
 
-    python3 tools/ab_inprocess.py BEFORE AFTER --workload oracle --seed 7 \
-        --seconds 20
+    python3 tools/ab_inprocess.py BEFORE AFTER --workload oracle \
+        --seed 7 [13 21 ...] --seconds 20
 
 BEFORE and AFTER are source trees (each holding src/reeseq, or reeseq
 itself).  Each tree's package is copied under its own name (reeseq_a,
@@ -13,11 +13,14 @@ the first one's warm caches, so the run is made twice, each order for half
 the time, and each order's result is printed: per op, the sum over the
 pool's slots of each slot's median time, then the total and the ratio
 BEFORE / AFTER (above 1 when AFTER is faster).  Last come each op's ratio
-and the total's, each the mean of the two orders'.  Every verdict is checked
-against the instance's expected answer, as the bench does, and the two
-trees' (kind, method, witness, detail) are compared on every instance, the
-witness and the detail rows as text, rendered as reeseq.cli renders them
-(each tree has its own classes, so their values never compare equal).
+and the total's, each the mean of the two orders'.  Given several seeds,
+the tool does all of this for each seed's pool in turn, --seconds per
+seed, and ends with one line of every seed's total ratio.  Every verdict
+is checked against the instance's expected answer, as the bench does, and
+the two trees' (kind, method, witness, detail) are compared on every
+instance, the witness and the detail rows as text, rendered as reeseq.cli
+renders them (each tree has its own classes, so their values never compare
+equal).
 
 Nothing under bench/ is changed; its modules are imported as they are.
 """
@@ -128,40 +131,54 @@ def report(label: str, pool, samples) -> dict:
     return ratios
 
 
+def run_seed(progs, ns, seed: int) -> tuple[int, float]:
+    """Check and time one seed's pool on both trees, printing its tables;
+    the number of instances whose outcomes differ, and the mean of both
+    orders' total ratio."""
+    wl = WORKLOADS[ns.workload]
+    pool = generate(wl.slots, seed, POOL_CYCLES[ns.workload])
+    differ = warm(progs, pool, wl.brute)
+    print(f"{ns.workload} seed {seed}: {len(pool)} instances, "
+          f"{differ} with differing (kind, method, witness, detail)")
+    ratios = []
+    for label, order in (("order A,B", 1), ("order B,A", -1)):
+        gc.collect()
+        samples = timed(progs[::order], pool, wl.brute, ns.seconds / 2)
+        ratios.append(report(label, pool, samples[::order]))
+    print("mean of both orders:")
+    for op in ratios[0]:
+        if op != "total":
+            print(f"  {op:16s}  ratio "
+                  f"{statistics.mean(r[op] for r in ratios):.3f}")
+    total = statistics.mean(r["total"] for r in ratios)
+    print(f"ratio A/B, mean of the two orders: {total:.3f} "
+          f"(A = {ns.before}, B = {ns.after})")
+    return differ, total
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("before")
     ap.add_argument("after")
     ap.add_argument("--workload", required=True,
                     choices=("fastpath", "fanout", "oracle"))
-    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seed", type=int, nargs="+", required=True,
+                    help="one or more pool seeds, each run in turn")
     ap.add_argument("--seconds", type=float, required=True,
-                    help="timed seconds, split between the two orders")
+                    help="timed seconds per seed, split between the two "
+                         "orders")
     ns = ap.parse_args(argv)
-    wl = WORKLOADS[ns.workload]
-    pool = generate(wl.slots, ns.seed, POOL_CYCLES[ns.workload])
     tmp = tempfile.mkdtemp(prefix="ab_inprocess_")
     sys.path.insert(0, tmp)
     try:
-        a = load(ns.before, "reeseq_a", tmp)
-        b = load(ns.after, "reeseq_b", tmp)
-        differ = warm((a, b), pool, wl.brute)
-        print(f"{ns.workload} seed {ns.seed}: {len(pool)} instances, "
-              f"{differ} with differing (kind, method, witness, detail)")
-        ratios = []
-        for label, order in (("order A,B", 1), ("order B,A", -1)):
-            gc.collect()
-            samples = timed((a, b)[::order], pool, wl.brute, ns.seconds / 2)
-            ratios.append(report(label, pool, samples[::order]))
-        print("mean of both orders:")
-        for op in ratios[0]:
-            if op != "total":
-                print(f"  {op:16s}  ratio "
-                      f"{statistics.mean(r[op] for r in ratios):.3f}")
-        print(f"ratio A/B, mean of the two orders: "
-              f"{statistics.mean(r['total'] for r in ratios):.3f} "
-              f"(A = {ns.before}, B = {ns.after})")
-        return 1 if differ else 0
+        progs = (load(ns.before, "reeseq_a", tmp),
+                 load(ns.after, "reeseq_b", tmp))
+        results = [run_seed(progs, ns, seed) for seed in ns.seed]
+        if len(results) > 1:
+            print("ratio A/B by seed: " + ", ".join(
+                f"{seed} {total:.3f}"
+                for seed, (_, total) in zip(ns.seed, results)))
+        return 1 if any(differ for differ, _ in results) else 0
     finally:
         sys.path.remove(tmp)
         shutil.rmtree(tmp, ignore_errors=True)
