@@ -10,9 +10,9 @@ import argparse
 import sys
 
 # json is imported by the three functions that write JSON, since a verdict
-# in plain format, the common call, never uses it; reeseq.fields and
-# reeseq.reductions load on first access, which only gen rank1 and reduce
-# make
+# in plain format, the common call, never uses it; reeseq.fields,
+# reeseq.oracles and reeseq.reductions load on first access, which only
+# gen rank1, brute-check and reduce make
 import reeseq
 
 from . import decide, matrices
@@ -41,22 +41,15 @@ def _add_common(sub):
                           "nodes for all the homomorphism searches and "
                           "elimination slices of one verdict; term-eq "
                           "decides without one (default 10^7)")
-    sub.add_argument("--brute", action="store_true",
-                     help="admit what has no polynomial bound: homomorphism "
-                          "search on general matrices (neither totally "
-                          "balanced nor bordered), over each elimination "
-                          "slice with the identity adjoined; term-eq needs "
-                          "no --brute")
-    sub.add_argument("--explain", action="store_true",
-                     help="print the dispatch path and certificate")
-    sub.add_argument("--format", choices=("plain", "json"), default="plain")
 
 
-# op -> (number of polynomials, fast procedure), named in decide and looked
-# up per call, so that rebinding one reaches the CLI
-_OPS = {"term-eq": (2, "term_eq"), "pol-eq": (2, "pol_eq"),
-        "zset-eq": (2, "pol_zset_eq"), "pol-zero": (1, "pol_zero"),
-        "pol-sat": (1, "pol_sat")}
+# op -> (number of polynomials, fast procedure in decide, exhaustive oracle
+# in oracles), looked up per call, so that rebinding one reaches the CLI
+_OPS = {"term-eq": (2, "term_eq", "brute_eq"),
+        "pol-eq": (2, "pol_eq", "brute_eq"),
+        "zset-eq": (2, "pol_zset_eq", "brute_zset_eq"),
+        "pol-zero": (1, "pol_zero", "brute_zero"),
+        "pol-sat": (1, "pol_sat", "brute_sat")}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,6 +62,16 @@ def build_parser() -> argparse.ArgumentParser:
         sub = subs.add_parser(op)
         sub.set_defaults(func=_run_op)
         _add_common(sub)
+        sub.add_argument("--brute", action="store_true",
+                         help="admit what has no polynomial bound: "
+                              "homomorphism search on general matrices "
+                              "(neither totally balanced nor bordered), over "
+                              "each elimination slice with the identity "
+                              "adjoined; term-eq needs no --brute")
+        sub.add_argument("--explain", action="store_true",
+                         help="print the dispatch path and certificate")
+        sub.add_argument("--format", choices=("plain", "json"),
+                         default="plain")
         batch = op in ("pol-eq", "pol-zero")
         sub.add_argument("words", nargs="*" if batch else 2,
                          help=("polynomial text and target element "
@@ -216,7 +219,8 @@ def _run_brute_check(ns):
     M, S = _load_context(ns)
     args = _args(ns.op, ns.words, S)
     fast = _fast(ns.op, M, args, ns, allow_brute=True)
-    oracle = decide.oracle(ns.op, S, args, ns.budget)
+    oracle = getattr(reeseq.oracles, _OPS[ns.op][2])(S, *args,
+                                                      budget=ns.budget)
     print(f"fast:   {fast.kind} [{fast.method}]")
     print(f"oracle: {oracle.kind} [{oracle.method}]")
     if fast.kind != oracle.kind:

@@ -65,26 +65,22 @@ off the labels of that slice, which the comparison holds already.
 allow_brute (--brute in the CLI) admits what has no polynomial bound:
 homomorphism search on general matrices (neither totally balanced nor
 bordered), over each elimination slice with the identity adjoined; _gate
-refuses those calls without it.  term-eq needs no allow_brute.  No
-decision procedure runs an exhaustive oracle; oracle, the one function
-outside the oracle section that names them, serves the CLI's brute-check.
+refuses those calls without it.  term-eq needs no allow_brute.  The
+exhaustive oracles that certify these procedures live in reeseq.oracles,
+which this module never imports.
 
 Procedures find and questions emit: a procedure returns a witness (or
-None) and detail rows, and only the public questions and the oracles turn
-that finding into a Verdict, through the four _emit_* functions.  Every
-verdict carries a method tag, and negative (positive, for satisfiability)
-verdicts carry a witness evaluation, re-checked once, by the question's
-emitter through words.evaluate, over the semigroup the question is about.
-The exhaustive oracles at the bottom, the ground truth the fast paths are
-tested against, share one search kernel that only they and value_vector
-(the one loop that builds full value tables) use; they never call a fast
-path, and no fast path calls the kernel.
+None) and detail rows, and only the public questions turn that finding
+into a Verdict, through the four _emit_* functions, which the oracles
+share.  Every verdict carries a method tag, and negative (positive, for
+satisfiability) verdicts carry a witness evaluation, re-checked once, by
+the question's emitter through words.evaluate, over the semigroup the
+question is about.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import lru_cache, partial
 from heapq import heapify, heappop, heappush
 
@@ -235,17 +231,6 @@ def _gate(question, prof, S, allow_brute) -> None:
         f"{question}: no polynomial procedure for general matrices (neither "
         f"totally balanced nor bordered); allow_brute (--brute) runs "
         f"homomorphism search{runs}")
-
-
-def oracle(question: str, S: ReesSemigroup, args,
-           budget: int | None = None) -> Verdict:
-    """The exhaustive oracle of a CLI question on the tuple args over S, for
-    brute-check: brute_eq for term-eq and pol-eq, brute_zset_eq, brute_zero
-    and brute_sat for the others.  Each is looked up when it runs, so a
-    rebinding in this module reaches it."""
-    return {"term-eq": brute_eq, "pol-eq": brute_eq, "zset-eq": brute_zset_eq,
-            "pol-zero": brute_zero, "pol-sat": brute_sat}[question](
-                S, *args, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -1207,7 +1192,7 @@ class _Budget:
     """One verdict's search nodes, shared by all of its runs: every value
     tried is a node, and so is every elimination slice a walk visits; more
     than limit of them raise BudgetExceededError.  The one check of a
-    budget, which the oracles' _space reads too."""
+    budget, which _space, the exhaustive searches' check, reads too."""
 
     __slots__ = ("limit", "spent")
 
@@ -1225,6 +1210,16 @@ class _Budget:
 
     def exceeded(self) -> BudgetExceededError:
         return BudgetExceededError(f"search exceeds budget {self.limit} nodes")
+
+
+def _space(base, nvars, budget, what="evaluations"):
+    """Refuse a nonpositive budget, or base^nvars of what, the evaluations
+    of an exhaustive search by default, when that is more than budget."""
+    limit = _Budget(budget).limit
+    size = base ** nvars
+    if size > limit:
+        raise BudgetExceededError(f"{base}^{nvars} = {size} {what} "
+                                  f"exceed budget {limit}")
 
 
 def _narrow(doms, nbrs, support, queue, trail) -> bool:
@@ -1485,142 +1480,3 @@ def term_eq_group(M: StructureMatrix, G: FiniteGroup, p: Polynomial,
         w = {v: e if e == ZERO else triple(e.i, G.identity, e.lam)
              for v, e in _term_witness(M, p, q, kp, kq).items()}
     return _emit_eq(S, p, q, w, method, detail)
-
-
-# ---------------------------------------------------------------------------
-# Exhaustive oracles
-#
-# These enumerate evaluations into the semigroup (zero included, the identity
-# too when adjoined) through a precomputed multiplication table, and never
-# consult the fast paths.  Every first-match question goes through _first;
-# full value tables have their own loop in value_vector.
-
-class ZSet(Frozen):
-    __slots__ = ("variables", "zeros")
-
-    def __init__(self, variables: tuple[str, ...], zeros: frozenset):
-        object.__setattr__(self, "variables", variables)
-        object.__setattr__(self, "zeros", zeros)
-
-
-@lru_cache(maxsize=64)
-def _tables(S: ReesSemigroup):
-    els = tuple(S.elements())
-    index = {e: k for k, e in enumerate(els)}
-    mul = tuple(tuple(index[S.multiply(a, b)] for b in els) for a in els)
-    return els, index, mul
-
-
-def _compiled(word, varpos, index):
-    return tuple(-1 - varpos[s.name] if s.is_var else index[s.elem]
-                 for s in word)
-
-
-def _fold(word, assign, mul):
-    acc = -1
-    for t in word:
-        idx = assign[-1 - t] if t < 0 else t
-        if acc < 0:
-            acc = idx
-        else:
-            acc = mul[acc][idx]
-        if acc == 0:
-            return 0
-    return acc
-
-
-def _space(base, nvars, budget):
-    """Refuse a nonpositive budget, or a space of base^nvars evaluations
-    larger than it."""
-    limit = _Budget(budget).limit
-    size = base ** nvars
-    if size > limit:
-        raise BudgetExceededError(f"{base}^{nvars} = {size} evaluations "
-                                  f"exceed budget {limit}")
-
-
-def _zero_differs(a, b):
-    return (a == 0) != (b == 0)
-
-
-def _first(S: ReesSemigroup, words, test, budget) -> dict | None:
-    """The lexicographically first evaluation of the variables of one or two
-    words, as a name -> element dict, at which test(*values of words)
-    holds; None when there is none.
-
-    Values are indices into the element table, where 0 is the zero.  The
-    order is that of itertools.product over the elements, with the variables
-    in first-occurrence order across the words, the first most significant.
-    Every evaluation up to the first match folds every word, so the number
-    of evaluations depends on the space and the first match, not on where
-    zeros fall in the words.  Raises BudgetExceededError up front when the
-    space exceeds budget.
-    """
-    names = tuple(dict.fromkeys(v for p in words for v in p.variables))
-    _space(S.size, len(names), budget)
-    els, index, mul = _tables(S)
-    varpos = {v: k for k, v in enumerate(names)}
-    code = [_compiled(p.word, varpos, index) for p in words]
-    combos = itertools.product(range(len(els)), repeat=len(names))
-    if len(code) == 1:
-        w, = code
-        hits = (c for c in combos if test(_fold(w, c, mul)))
-    else:
-        u, w = code
-        hits = (c for c in combos
-                if test(_fold(u, c, mul), _fold(w, c, mul)))
-    combo = next(hits, None)
-    if combo is None:
-        return None
-    return {v: els[c] for v, c in zip(names, combo)}
-
-
-def brute_eq(S: ReesSemigroup, p: Polynomial, q: Polynomial, *,
-             budget: int | None = None) -> Verdict:
-    return _emit_eq(S, p, q, _first(S, (p, q), operator.ne, budget),
-                    "brute-force")
-
-
-def brute_zero(S: ReesSemigroup, p: Polynomial, *,
-               budget: int | None = None) -> Verdict:
-    return _emit_nonzero(S, p, _first(S, (p,), bool, budget), "brute-force")
-
-
-def brute_sat(S: ReesSemigroup, p: Polynomial, b: Element, *,
-              budget: int | None = None) -> Verdict:
-    S.check_element(b)
-    w = _first(S, (p,), partial(operator.eq, _tables(S)[1][b]), budget)
-    return _emit_sat(S, p, b, w, "brute-force")
-
-
-def brute_zset(S: ReesSemigroup, p: Polynomial, *, var_order=None,
-               budget: int | None = None) -> ZSet:
-    union = tuple(var_order) if var_order is not None else p.variables
-    values = value_vector(S, p, union, budget=budget)
-    combos = itertools.product(_tables(S)[0], repeat=len(union))
-    return ZSet(union, frozenset(c for c, v in zip(combos, values) if v == 0))
-
-
-def brute_zset_eq(S: ReesSemigroup, p: Polynomial, q: Polynomial, *,
-                  budget: int | None = None) -> Verdict:
-    return _emit_eq_zset(S, p, q, _first(S, (p, q), _zero_differs, budget),
-                         "brute-force")
-
-
-def value_vector(S: ReesSemigroup, p: Polynomial, var_order, *,
-                 budget: int | None = None) -> tuple:
-    """The full value table of p over assignments to var_order, as indices.
-
-    Oracle-side helper: two words agree as functions exactly when their
-    vectors over a shared variable order are equal.
-    """
-    if set(p.variables) - set(var_order):
-        raise ReesError("var_order must cover the variables of p")
-    _space(S.size, len(var_order), budget)
-    els, index, mul = _tables(S)
-    varpos = {v: k for k, v in enumerate(var_order)}
-    wp = _compiled(p.word, varpos, index)
-    return tuple(_fold(wp, combo, mul)
-                 for combo in itertools.product(range(len(els)),
-                                                repeat=len(var_order)))
-

@@ -115,15 +115,6 @@ def components(g: Bigraph) -> frozenset:
     return frozenset(frozenset(c) for c in groups.values())
 
 
-def _indices_of(component) -> set[int]:
-    return {v[1] for v in component if v[0] in ("c", "m")}
-
-
-def is_consistent(component) -> bool:
-    """A component is consistent when its constant vertices agree on one index."""
-    return len(_indices_of(component)) <= 1
-
-
 # the ends of a word, as vertices of CompiledWord.records
 START, END = -1, -2
 

@@ -4,7 +4,8 @@ None of these serves a decision procedure, so they live with the tests:
 the two definitions of a totally balanced matrix that retract and
 classify_matrix are checked against, the factor families of a word that
 antichain_table reads off one scan, the facts a word reads off itself in
-its constructor, and the identified graph as an image of the bipartite one.
+its constructor, the identified graph as an image of the bipartite one,
+and the consistency of a graph component.
 """
 
 
@@ -95,3 +96,9 @@ def identified_image(b) -> tuple:
         return ("m", v[1]) if v[0] == "c" else v
     return (frozenset(map(merged, b.vertices)),
             frozenset((merged(x), merged(y)) for x, y in b.edges))
+
+
+def is_consistent(component) -> bool:
+    """A component of a bipartite or identified graph is consistent when
+    its constant vertices ("c" or "m") agree on one index."""
+    return len({v[1] for v in component if v[0] in ("c", "m")}) <= 1

@@ -281,11 +281,11 @@ def test_group_tagged_matrix_is_refused(tmp_path, capsys):
 @pytest.mark.parametrize("budget", ["0", "-5", "abc"])
 def test_budget_must_be_positive(i2_file, capsys, budget):
     # --budget is a positive integer for every op, refused by argparse
-    for op, words in (("pol-zero", ["[1,2] [1,2]"]), ("term-eq", ["x", "y"]),
+    for op, words in (("pol-zero", ["--brute", "[1,2] [1,2]"]),
+                      ("term-eq", ["x", "y"]),
                       ("brute-check", ["--op", "pol-eq", "x", "y"])):
         with pytest.raises(SystemExit) as exc:
-            main([op, "--matrix", i2_file, "--brute", "--budget", budget]
-                 + words)
+            main([op, "--matrix", i2_file, "--budget", budget] + words)
         assert exc.value.code == 2
         assert "--budget" in capsys.readouterr().err
 
@@ -299,6 +299,15 @@ def _loaded_modules(args, env):
             if ln.startswith("import time:")}
 
 
+def _modules_after_main(argv, env):
+    """The modules loaded once cli.main has run argv in a new interpreter."""
+    script = ("import sys\nfrom reeseq.cli import main\n"
+              "main(sys.argv[1:])\nprint(*sys.modules)\n")
+    out = subprocess.run([sys.executable, "-c", script, *argv], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    return set(out.splitlines()[-1].split())
+
+
 def test_verdict_call_imports_nothing_it_does_not_use(i2_file):
     # every CLI call is a new process, so each module it imports is paid
     # for on every call; compare with what a bare interpreter imports
@@ -310,7 +319,26 @@ def test_verdict_call_imports_nothing_it_does_not_use(i2_file):
                             i2_file, "x x y y", "y y x x"], env)
     assert "reeseq.decide" in call - bare
     assert (call - bare) & {"dataclasses", "inspect", "json",
-                            "reeseq.fields", "reeseq.reductions"} == set()
+                            "reeseq.fields", "reeseq.oracles",
+                            "reeseq.reductions"} == set()
+    # -X importtime sees import statements only; what the package's hook
+    # loads on first access shows in sys.modules after the call, and of
+    # that brute-check alone loads the oracles
+    deferred = {"reeseq.fields", "reeseq.oracles", "reeseq.reductions"}
+    words = ["--matrix", i2_file, "x x y y", "y y x x"]
+    assert _modules_after_main(["term-eq", *words], env) & deferred == set()
+    assert _modules_after_main(["brute-check", "--op", "term-eq", *words],
+                               env) & deferred == {"reeseq.oracles"}
+
+
+def test_oracles_are_served_from_their_module():
+    # the package serves the oracles from reeseq.oracles, which no module
+    # imports
+    from reeseq import oracles, value_vector
+    for name in ("brute_eq", "brute_zero", "brute_sat", "brute_zset_eq",
+                 "value_vector"):
+        assert getattr(r, name) is getattr(oracles, name), name
+    assert value_vector is oracles.value_vector
 
 
 def test_gen_and_shadow(tmp_path, capsys):
@@ -513,6 +541,15 @@ def _capped_child():
     resource.setrlimit(resource.RLIMIT_CPU, (5, 5))
 
 
+def _run_capped(*argv):
+    src = os.path.dirname(os.path.dirname(r.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-m", "reeseq.cli", *argv],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          preexec_fn=_capped_child, capture_output=True,
+                          text=True, timeout=30)
+
+
 @pytest.mark.parametrize("args,what", [
     (["hollow", "20000"], "hollow(20000)"),
     (["identity", "20000"], "identity(20000)"),
@@ -521,13 +558,39 @@ def _capped_child():
     (["rank1", "2", "100000000"], "rank1_semigroup(2, 100000000)"),
 ])
 def test_gen_far_past_the_line_bound_exits_2_in_a_capped_child(args, what):
-    src = os.path.dirname(os.path.dirname(r.__file__))
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-m", "reeseq.cli", "gen", *args],
-                          env=dict(os.environ, PYTHONPATH=path),
-                          preexec_fn=_capped_child, capture_output=True,
-                          text=True, timeout=30)
+    done = _run_capped("gen", *args)
     assert (done.returncode, done.stderr) == (2, _gen_refusal(what))
+
+
+def test_brute_check_past_the_table_budget_exits_2_in_a_capped_child(
+        tmp_path):
+    # I127's semigroup has 16,130 elements: one variable fits the default
+    # budget, but the 2.6 x 10^8 products of the oracle's multiplication
+    # table do not, and are refused before any is taken
+    path = tmp_path / "I127.mat"
+    path.write_text(r.format_matrix_file(r.identity(127)), encoding="utf-8")
+    start = time.perf_counter()
+    done = _run_capped("brute-check", "--matrix", str(path), "--op",
+                       "pol-zero", "x")
+    elapsed = time.perf_counter() - start
+    assert (done.returncode, done.stderr) == (
+        2, "error: 16130^2 = 260176900 products for the multiplication "
+           "table exceed budget 10000000\n")
+    assert elapsed < 1.0, elapsed
+
+
+@pytest.mark.parametrize("option", [["--brute"], ["--explain"],
+                                    ["--format", "json"]])
+def test_brute_check_refuses_the_verdict_options(i2_file, capsys, option):
+    # brute-check always admits the search and prints plain text, so it
+    # takes none of the options that would change that
+    with pytest.raises(SystemExit) as exc:
+        main(["brute-check", "--matrix", i2_file, "--op", "pol-zero",
+              *option, "x"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and \
+        f"unrecognized arguments: {option[0]}" in err
 
 
 def test_brute_defaults_differ_between_library_and_cli(tmp_path, capsys):
@@ -655,13 +718,15 @@ def _argv(draw):
         kind = draw(st.sampled_from(["adjacency", "bipartite", "identified"]))
         return [cmd, "--matrix", "MAT", "--kind", kind, draw(_word())]
     argv = [cmd, "--matrix", "MAT"]
+    verdict_flags = ("--brute", "--explain")
     if cmd == "brute-check":
         argv += ["--op", draw(st.sampled_from(["term-eq", "pol-eq", "zset-eq",
                                                "pol-zero", "pol-sat"]))]
-    for flag in ("--adjoin-identity", "--brute", "--explain"):
+        verdict_flags = ()
+    for flag in ("--adjoin-identity", *verdict_flags):
         if draw(st.booleans()):
             argv.append(flag)
-    if draw(st.booleans()):
+    if verdict_flags and draw(st.booleans()):
         argv += ["--format", "json"]
     if draw(st.integers(0, 3)) == 0:
         argv += ["--budget", draw(st.sampled_from(["-1", "0", "1", "50",

@@ -1,7 +1,9 @@
 """Decision procedures against their exhaustive oracles, plus the worked
 facts each procedure is pinned to."""
 
+import ast
 import itertools
+import pathlib
 import random
 import re
 import types
@@ -13,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import reeseq as r
 from conftest import all_terms, checked_kind, matrix_classes
 from references import is_totally_balanced
-from reeseq import cli, decide
+from reeseq import cli, decide, oracles
 from reeseq.core import ReesSemigroup, StructureMatrix
 from reeseq.errors import (BudgetExceededError, ReesError,
                            UnsupportedMatrixError, WitnessSearchError)
@@ -78,7 +80,7 @@ def test_term_eq_s1_witness_from_first_mismatching_slice(monkeypatch):
     # runs: balanced (TB1), general (G1), bordered and all-ones (J1)
     p = r.word_of("a b c d e f g a b c d e f g")
     q = r.word_of("a b c d e f g g f e d c b a")
-    monkeypatch.setattr(decide, "_first", _no_search)
+    monkeypatch.setattr(oracles, "_first", _no_search)
     for M in (r.identity(3), H3, r.border(I2), r.all_ones(2, 2)):
         v = r.term_eq_s1(M, p, q)
         assert v.kind == "not-equal", M
@@ -314,7 +316,7 @@ def test_loop_edge_hint(monkeypatch, p, q):
     # adjacency graphs; the witness comes from pol_eq's engine runs, never
     # from the oracle kernel
     p, q = r.word_of(p), r.word_of(q)
-    monkeypatch.setattr(decide, "_first", _no_search)
+    monkeypatch.setattr(oracles, "_first", _no_search)
     v = r.term_eq(H3, p, q)
     assert v.kind == "not-equal" and _separates(S_H3, p, q, v)
 
@@ -587,7 +589,7 @@ def test_homomorphism_matches_oracles(monkeypatch):
                    for b in S.nonzero_triples()}
             cases.append((M, S, p, r.brute_zero(S, p).kind == "not-zero",
                           sat))
-    monkeypatch.setattr(decide, "_first", _no_search)
+    monkeypatch.setattr(oracles, "_first", _no_search)
     for M, S, p, nonzero, sat in cases:
         net = decide._Network(M, p)
         doms = list(net.doms)
@@ -745,7 +747,7 @@ def test_pinned_search_matches_oracles(monkeypatch):
             q = _same_variables(rng, terms, p) if k % 2 else rng.choice(terms)
             cases.append((S, p, q, partial(r.term_eq, M, p, q), False,
                           r.brute_eq(S, p, q).kind))
-    monkeypatch.setattr(decide, "_first", _no_search)
+    monkeypatch.setattr(oracles, "_first", _no_search)
     located = set()
     for S, p, q, run, zset, expected in cases:
         v = run()
@@ -784,7 +786,7 @@ def test_general_class_pairs_at_scale(monkeypatch):
     names = [f"v{k}" for k in range(20)]
     p = r.word_of(" ".join(names))
     q = r.word_of(" ".join(names[:19] + ["v18"] + names[19:]))
-    monkeypatch.setattr(decide, "_first", _no_search)
+    monkeypatch.setattr(oracles, "_first", _no_search)
     for run, zset in ((r.pol_eq, False), (r.pol_zset_eq, True),
                       (r.term_eq, False)):
         v = run(H3, p, q)
@@ -1085,7 +1087,7 @@ def test_group_lift_witnesses_without_search(monkeypatch):
         p, q = r.word_of(p), r.word_of(q)
         runs.append((M, G, S, p, q, sides, r.brute_eq(S, p, q).kind))
     assert {kind for *_, kind in runs} == {"equal", "not-equal"}
-    monkeypatch.setattr(decide, "_first", _no_search)
+    monkeypatch.setattr(oracles, "_first", _no_search)
     for M, G, S, p, q, sides, kind in runs:
         v = r.term_eq_group(M, G, p, q)
         assert v.kind == kind, (M, G.name, p, q)
@@ -1116,7 +1118,7 @@ def test_not_balanced_terms_zero_sets_reduce_to_adjacency():
 
 def test_caches_are_bounded():
     from reeseq import decide
-    for cached in (decide.classify_matrix, decide._tables):
+    for cached in (decide.classify_matrix, oracles._tables):
         assert cached.cache_info().maxsize is not None
 
 
@@ -1161,9 +1163,9 @@ def test_brute_trivials():
     for b in S_I2.elements():
         if b != r.ZERO:
             assert r.brute_sat(S_I2, r.word_of("x"), b).kind == "sat"
-    z = r.brute_zset(S_I2, r.word_of("x"))
-    assert z.variables == ("x",)
-    assert (r.ZERO,) in z.zeros and len(z.zeros) == 1
+    values = r.value_vector(S_I2, r.word_of("x"), ("x",))
+    assert len(values) == S_I2.size
+    assert [e for e, v in zip(S_I2.elements(), values) if v == 0] == [r.ZERO]
 
 
 def test_verdict_exit_semantics():
@@ -1225,9 +1227,10 @@ def _check_kernel(S, p, q, b, names):
     for verdict, (none, found), witness in cases:
         assert verdict.kind == (none if witness is None else found), (p, q, b)
         assert verdict.witness == witness, (p, q, b)
-    zeros = r.brute_zset(S, p, var_order=names)
-    assert zeros.zeros == {
-        combo for combo in itertools.product(S.elements(), repeat=len(names))
+    combos = list(itertools.product(S.elements(), repeat=len(names)))
+    values = r.value_vector(S, p, names)
+    assert {c for c, v in zip(combos, values) if v == 0} == {
+        combo for combo in combos
         if r.evaluate(S, p, dict(zip(names, combo))) == r.ZERO}
 
 
@@ -1251,11 +1254,31 @@ def test_kernel_budget_is_the_space(name):
                lambda budget: r.brute_zset_eq(S, p, q, budget=budget),
                lambda budget: r.brute_zero(S, p, budget=budget),
                lambda budget: r.brute_sat(S, p, r.ZERO, budget=budget),
-               lambda budget: r.brute_zset(S, p, budget=budget))
+               lambda budget: r.value_vector(S, p, p.variables,
+                                             budget=budget))
     for oracle in oracles:
         oracle(space)
         with pytest.raises(BudgetExceededError):
             oracle(space - 1)
+
+
+def test_kernel_budget_covers_the_multiplication_table():
+    # with fewer than two variables the |S|^2 products that build the
+    # multiplication table outnumber the evaluations, and the budget counts
+    # them: I3's semigroup has 10 elements, so 100 products
+    S, x = r.combinatorial(r.identity(3)), r.word_of("x")
+    assert S.size == 10
+    oracles = (lambda budget: r.brute_eq(S, x, x, budget=budget),
+               lambda budget: r.brute_zset_eq(S, x, x, budget=budget),
+               lambda budget: r.brute_zero(S, x, budget=budget),
+               lambda budget: r.brute_sat(S, x, r.ZERO, budget=budget),
+               lambda budget: r.value_vector(S, x, ("x",), budget=budget))
+    for oracle in oracles:
+        with pytest.raises(BudgetExceededError, match=re.escape(
+                "10^2 = 100 products for the multiplication table exceed "
+                "budget 99")):
+            oracle(99)
+        oracle(100)
 
 
 def test_zset_witness_from_mismatching_slice():
@@ -1311,7 +1334,7 @@ def test_fast_paths_never_search(monkeypatch):
                 cases.append((partial(r.pol_zset_eq, M, p, q,
                                       adjoin_identity=True),
                               r.brute_zset_eq(S1, p, q).kind))
-    monkeypatch.setattr(decide, "_first", _no_search)
+    monkeypatch.setattr(oracles, "_first", _no_search)
     for run, expected in cases:
         v = run()
         assert v.kind == expected, run
@@ -1331,21 +1354,13 @@ def test_zset_separator_cases(monkeypatch, live, dead):
     # one pin that the live word allows and the dead word forbids separates
     # them, whichever side the live word is on
     live, dead = (r.parse_polynomial(t, S_I2) for t in (live, dead))
-    monkeypatch.setattr(decide, "_first", _no_search)
+    monkeypatch.setattr(oracles, "_first", _no_search)
     for p, q in ((live, dead), (dead, live)):
         v = r.pol_zset_eq(I2, p, q)
         assert v.kind == "not-equal"
         w = v.witness.as_dict()
         assert (r.evaluate(S_I2, p, w) == r.ZERO) != \
             (r.evaluate(S_I2, q, w) == r.ZERO)
-
-
-def _fast_path_name(name):
-    return name in ("term_profile", "classify_matrix", "CompiledWord",
-                    "hat_transform", "_homomorphism", "_Network", "_narrow",
-                    "_zero_pair", "_slice_mismatch", "_eq_mismatch",
-                    "_balanced_s1") or \
-        name.startswith(("pol_", "_zset_"))
 
 
 def _global_names(code):
@@ -1366,63 +1381,107 @@ def _codes(namespace, name):
             and fn.__module__ == namespace["__name__"]]
 
 
-_decide_codes = partial(_codes, vars(decide))
+def _reached(namespace, start):
+    """The names of a module's namespace that the code of start reaches,
+    through the functions and classes the module defines."""
+    seen, todo = set(start), list(start)
+    while todo:
+        for code in _codes(namespace, todo.pop()):
+            for ref in _global_names(code):
+                if ref in namespace and ref not in seen:
+                    seen.add(ref)
+                    todo.append(ref)
+    return seen
+
+
+SRC = pathlib.Path(r.__file__).parent
+MODULES = {path.stem for path in SRC.glob("*.py")}
+
+
+def _package_imports(source):
+    """The (module, name) pairs that the import statements of source take
+    from the reeseq package, written relative or absolute: ("decide",
+    "Verdict") for from .decide import Verdict, ("decide", "*") for a whole
+    module, and ("", name) for a name of the package itself, ("", "*")
+    for import reeseq."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {(module, "*") for head, _, module in
+                    (alias.name.partition(".") for alias in node.names)
+                    if head == "reeseq"}
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                head, _, module = module.partition(".")
+                if head != "reeseq":
+                    continue
+            out |= {(alias.name, "*") if not module and alias.name in MODULES
+                    else (module, alias.name) for alias in node.names}
+    return out
+
+
+# the six names oracles takes from decide, and all that their code reaches
+# there: an emitter's evaluation and check, the budget, Verdict's setters
+ORACLE_IMPORTS = {"Verdict", "_emit_eq", "_emit_nonzero", "_emit_sat",
+                  "_emit_eq_zset", "_space"}
+ORACLE_REACH = ORACLE_IMPORTS | {
+    "evaluate", "Evaluation", "ZERO", "element_str", "WitnessSearchError",
+    "_Budget", "BudgetExceededError", "DEFAULT_BUDGET", "_set_kind",
+    "_set_method", "_set_witness", "_set_detail"}
+# the modules of the fast paths, and "" for the package, which reaches all
+FAST_PATHS = ("", "decide", "graphs", "matrices")
+
+
+def _fast_path_imports(source):
+    return {(m, n) for m, n in _package_imports(source) if m in FAST_PATHS}
+
+
+def _imports_oracles(source):
+    return any(m == "oracles" or not m and n in r._ORACLES
+               for m, n in _package_imports(source))
 
 
 def test_oracles_never_reach_fast_paths():
-    # the oracles certify the fast paths, so no fast-path name may be
-    # reachable from them through the functions of decide
-    start = [n for n in vars(decide) if n.startswith("brute_")]
-    via = dict.fromkeys(start + ["value_vector", "_first"])
-    todo = list(via)
-    while todo:
-        name = todo.pop()
-        assert not _fast_path_name(name), (name, "reached from", via[name])
-        for code in _decide_codes(name):
-            for ref in _global_names(code):
-                if ref not in via:
-                    via[ref] = name
-                    todo.append(ref)
-    assert "_emit_eq" in via and "_fold" in via
+    # the oracles certify the fast paths, so they share no code with them,
+    # as a fact of the import graph: oracles takes six names from decide
+    # and nothing else from the fast paths' modules, and those six reach
+    # nothing in decide past an emitter's check and the budget; no module
+    # imports oracles, whose names decide no longer defines, and
+    # brute-check reaches it through the package's hook
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in SRC.glob("*.py")}
+    assert _fast_path_imports(sources["oracles"]) == \
+        {("decide", name) for name in ORACLE_IMPORTS}
+    assert _reached(vars(decide), ORACLE_IMPORTS) == ORACLE_REACH
+    assert {stem for stem, source in sources.items()
+            if _imports_oracles(source)} == set()
+    assert not {"oracle", "brute_eq", "brute_zero", "brute_sat",
+                "brute_zset_eq", "value_vector", "_first", "_tables"} & \
+        set(vars(decide))
+    assert "oracles" in set(_global_names(cli._run_brute_check.__code__))
 
 
-def test_fast_paths_never_reach_the_kernel():
-    # the converse: the fast paths never reach the oracles' search kernel;
-    # the walk stops at brute_group_eq, which enumerates the group readings
-    # of words over a non-abelian group
-    kernel = {"_first", "_fold", "_space", "_tables", "value_vector"}
-    via = dict.fromkeys(("pol_zero", "pol_zset_eq", "pol_eq", "pol_sat",
-                         "term_eq", "term_eq_s1", "term_eq_group",
-                         "term_profile"))
-    todo = list(via)
-    while todo:
-        name = todo.pop()
-        assert name not in kernel, (name, "reached from", via[name])
-        if name.startswith("brute_"):
-            continue
-        for code in _decide_codes(name):
-            for ref in _global_names(code):
-                if ref not in via:
-                    via[ref] = name
-                    todo.append(ref)
-    assert {"_homomorphism", "_Network", "_narrow", "classify_matrix",
-            "_walk", "brute_group_eq"} <= set(via)
-    assert not {"oracle", "brute_eq", "brute_zset_eq", "brute_zero",
-                "brute_sat"} & set(via)
-
-
-def test_one_site_runs_an_oracle():
-    # of decide's functions outside the oracle section, oracle alone names
-    # the exhaustive oracles; no function of decide calls it, and the CLI's
-    # brute-check does
-    oracles = {"brute_eq", "brute_zset_eq", "brute_zero", "brute_sat"}
-    refs = {name: set().union(*(_global_names(code)
-                                for code in _decide_codes(name)))
-            for name in vars(decide) if name not in oracles}
-    assert [name for name, names in refs.items() if names & oracles] \
-        == ["oracle"]
-    assert [name for name, names in refs.items() if "oracle" in names] == []
-    assert "oracle" in set(_global_names(cli._run_brute_check.__code__))
+def test_oracle_reaching_a_fast_path_is_caught():
+    fake = ("import itertools\nimport reeseq\n"
+            "from . import matrices, words\n"
+            "from .core import ZERO\n"
+            "from .decide import Verdict, term_profile\n"
+            "from reeseq.graphs import CompiledWord\n")
+    assert _fast_path_imports(fake) == {
+        ("", "*"), ("matrices", "*"), ("decide", "Verdict"),
+        ("decide", "term_profile"), ("graphs", "CompiledWord")}
+    for source in ("from . import oracles\n", "import reeseq.oracles\n",
+                   "from .oracles import _first\n",
+                   "from reeseq import brute_eq\n"):
+        assert _imports_oracles(source), source
+    assert not _imports_oracles("import reeseq\nfrom .decide import pol_eq\n")
+    namespace = {"__name__": "fake"}
+    exec("def _emit_eq(S, p):\n    return evaluate(S, p)\n\n"
+         "def evaluate(S, p):\n    return term_profile(S, p)\n\n"
+         "def term_profile(S, p):\n    return S.shadow\n", namespace)
+    assert _reached(namespace, {"_emit_eq"}) == {"_emit_eq", "evaluate",
+                                                 "term_profile"}
 
 
 EMITTERS = {"_emit_eq", "_emit_nonzero", "_emit_sat", "_emit_eq_zset"}
@@ -1442,9 +1501,11 @@ def test_questions_emit_and_emitters_evaluate():
     # procedures find, questions emit: only the public questions and the
     # oracles turn a finding into a verdict, and only the emitters evaluate
     # a witness
-    assert _sites(vars(decide), EMITTERS) == QUESTIONS | {
+    assert _sites(vars(decide), EMITTERS) == QUESTIONS
+    assert _sites(vars(oracles), EMITTERS) == {
         "brute_eq", "brute_zero", "brute_sat", "brute_zset_eq"}
     assert _sites(vars(decide), {"evaluate"}) == EMITTERS
+    assert _sites(vars(oracles), {"evaluate"}) == set()
 
 
 def test_extra_emission_site_is_caught():

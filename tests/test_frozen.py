@@ -45,8 +45,6 @@ def _values():
                                          False, ((1,), (1,))),
             lambda: decide.MatrixProfile(True, True, True, None, False,
                                          False, ((1,), (1,)))),
-        "ZSet": three(lambda: decide.ZSet(("x",), frozenset({(0,)})),
-                      lambda: decide.ZSet(("y",), frozenset({(0,)}))),
         "Digraph": three(lambda: graphs.build_adjacency(r.word_of("x y")),
                          lambda: graphs.build_adjacency(r.word_of("y x"))),
         "Bigraph": three(lambda: graphs.build_bipartite(r.word_of("x y")),

@@ -6,7 +6,8 @@ import random
 
 import reeseq as r
 from conftest import all_terms, matrix_classes, partitions_match
-from references import antichain, factor_variable_sets, identified_image
+from references import (antichain, factor_variable_sets, identified_image,
+                        is_consistent)
 from reeseq.graphs import build_adjacency, build_bipartite, build_identified
 
 
@@ -87,15 +88,15 @@ def test_worked_components_example():
         frozenset({("v", "w", 2), ("c", 3, 1), ("c", 4, 1)}),
     }
     assert part == expected
-    flags = {tuple(sorted(c)): r.is_consistent(c) for c in part}
-    consistent = [c for c in part if r.is_consistent(c)]
+    flags = {tuple(sorted(c)): is_consistent(c) for c in part}
+    consistent = [c for c in part if is_consistent(c)]
     assert len(consistent) == 2
     assert frozenset({("c", 3, 2), ("v", "w", 1)}) in consistent
 
 
 def test_all_variable_components_consistent():
     p = r.word_of("x y z x")
-    assert all(r.is_consistent(c) for c in r.components(build_bipartite(p)))
+    assert all(is_consistent(c) for c in r.components(build_bipartite(p)))
 
 
 def test_consistency_matches_identified_index_count():
@@ -105,7 +106,7 @@ def test_consistency_matches_identified_index_count():
             "[1,1] x [1,2] y [2,2]"]
     for text in pool:
         p = r.parse_polynomial(text, S2)
-        lhs = all(r.is_consistent(c) for c in r.components(build_bipartite(p)))
+        lhs = all(is_consistent(c) for c in r.components(build_bipartite(p)))
         rhs = all(len({v[1] for v in c if v[0] == "m"}) <= 1
                   for c in r.components(build_identified(p)))
         assert lhs == rhs, text
@@ -133,7 +134,7 @@ def test_compiled_word_matches_identified_graph():
                 assert labels == [None] * 6
                 continue
             pw = r.Polynomial(tuple(kept))
-            zero = not all(r.is_consistent(c)
+            zero = not all(is_consistent(c)
                            for c in r.components(build_bipartite(pw)))
             assert (labels is None) == zero, (str(p), drop)
             if zero:

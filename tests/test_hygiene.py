@@ -290,8 +290,8 @@ def _dynamic_imports(tree):
 
 def test_one_dynamic_import():
     # the package's one dynamic import is its PEP 562 hook, and it serves
-    # fields and reductions only: every other module is imported where
-    # the code that uses it can be read
+    # fields, oracles and reductions only: every other module is imported
+    # where the code that uses it can be read
     found = {path.name: _dynamic_imports(_parse(path))
              for path in ALL_MODULES}
     assert {name: calls for name, calls in found.items() if calls} == \
@@ -304,7 +304,7 @@ def test_one_dynamic_import():
             continue
         assert module is importlib.import_module(f"reeseq.{path.stem}")
         served.add(path.stem)
-    assert served == {"fields", "reductions"}
+    assert served == {"fields", "oracles", "reductions"}
 
 
 def test_dynamic_import_is_found():
